@@ -3,7 +3,7 @@
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .benchmarks import FAMILIES, BenchSpec, GenerationFailed, generate
@@ -12,10 +12,11 @@ from .experiment import (
     ExperimentConfig,
     emit_anytime_table,
     run_experiment,
+    verify_trace,
     write_trace_csv,
 )
 from .model import InvalidInstanceError, load_instance, save_instance
-from .oracle import GridSearchSpec, GridTooLargeError, check_anytime, grid_optimum
+from .oracle import GridSearchSpec, GridTooLargeError, grid_optimum
 from .pseudotree import build_bfs, tree_edge_dump
 from .runtime import write_message_log_csv
 from .swarm import (
@@ -53,20 +54,33 @@ def config_to_json(cfg: SwarmConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+_INERTIA_KINDS = {"fixed": FixedInertia, "adaptive": AdaptiveInertia,
+                  "constriction": ConstrictionInertia}
+
+
+def _from_keys(cls, doc, what: str):
+    """``cls(**doc)``; a key ``cls`` does not have is a ConfigError that names it."""
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}; expected one of {', '.join(known)}")
+    return cls(**doc)
+
+
 def config_from_json(text: str) -> SwarmConfig:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ConfigError("a config file must hold a JSON object")
     inertia_doc = doc.pop("inertia", None)
-    cfg = SwarmConfig(**doc)
+    cfg = _from_keys(SwarmConfig, doc, "config")
     if inertia_doc is not None:
+        if not isinstance(inertia_doc, dict) or "kind" not in inertia_doc:
+            raise ConfigError("config key 'inertia' needs a 'kind' key: "
+                              + ", ".join(_INERTIA_KINDS))
         kind = inertia_doc.pop("kind")
-        if kind == "fixed":
-            cfg = replace(cfg, inertia=FixedInertia(**inertia_doc))
-        elif kind == "adaptive":
-            cfg = replace(cfg, inertia=AdaptiveInertia(**inertia_doc))
-        elif kind == "constriction":
-            cfg = replace(cfg, inertia=ConstrictionInertia(**inertia_doc))
-        else:
+        if kind not in _INERTIA_KINDS:
             raise ConfigError(f"unknown inertia kind {kind!r}")
+        cfg = replace(cfg, inertia=_from_keys(_INERTIA_KINDS[kind], inertia_doc, f"{kind} inertia"))
     return cfg
 
 
@@ -174,11 +188,7 @@ def _cmd_solve(args) -> int:
     print(f"best cost: {trace.best_cost!r}")
     print("assignment: " + " ".join(repr(float(x)) for x in trace.best_assignment))
     print(f"cycles: {cfg.t_max}, wall: {wall:.3f}s", file=sys.stderr)
-    expect = (2 * inst.num_edges, inst.num_agents - 1, inst.num_agents - 1)
-    counts_ok = all(
-        (row.stats.value_count, row.stats.cost_count, row.stats.best_count) == expect
-        for row in trace.rows)
-    return 0 if check_anytime(trace.internal_series()) is None and counts_ok else 1
+    return 0 if all(verify_trace(trace, tree, cfg.num_particles).values()) else 1
 
 
 def _cmd_oracle(args) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from .benchmarks import BenchSpec, generate
 from .model import CdcopInstance, load_instance
 from .oracle import check_anytime
-from .pseudotree import build_bfs
+from .pseudotree import PseudoTree, build_bfs
 from .runtime import message_stats
 from .swarm import RunTrace, SwarmConfig, solve
 
@@ -26,6 +26,7 @@ __all__ = [
     "derive_run_seed",
     "derive_instance_seed",
     "run_experiment",
+    "verify_trace",
     "emit_anytime_table",
     "write_trace_csv",
     "read_trace_csv",
@@ -107,6 +108,24 @@ def read_trace_csv(path) -> dict[str, list]:
     return cols
 
 
+def verify_trace(trace: RunTrace, tree: PseudoTree, num_particles: int) -> dict[str, bool]:
+    """The per-run invariants, each True when the run keeps it.
+
+    ``anytime``: the best internal cost never rises from one cycle to the
+    next. ``message_law``: every cycle moved exactly 2|E| VALUE, |A|-1 COST
+    and |A|-1 BEST messages. ``payload_bound``: no agent sent more scalars
+    in a cycle than ``message_stats`` allows.
+    """
+    expect = (2 * trace.num_edges, trace.num_agents - 1, trace.num_agents - 1)
+    stats = [row.stats for row in trace.rows]
+    return {
+        "anytime": check_anytime(trace.internal_series()) is None,
+        "message_law": all((st.value_count, st.cost_count, st.best_count) == expect
+                           for st in stats),
+        "payload_bound": not message_stats(stats, tree, num_particles)["violations"],
+    }
+
+
 def _load_instances(cfg: ExperimentConfig) -> list[CdcopInstance]:
     if cfg.instance_file is not None:
         return [load_instance(cfg.instance_file)]
@@ -129,9 +148,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     final_internal: dict[str, list[list[float]]] = {v: [] for v in cfg.variants}
     curve_sums: dict[str, np.ndarray] = {v: np.zeros(cfg.swarm.t_max) for v in cfg.variants}
     run_count = 0
-    anytime_ok = True
-    law_ok = True
-    payload_ok = True
+    checks = {"anytime": True, "message_law": True, "payload_bound": True}
 
     for idx, inst in enumerate(instances):
         tree = build_bfs(inst, cfg.root)
@@ -145,16 +162,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 write_trace_csv(out_dir / trace_filename(idx, rep, variant), trace)
                 run_count += 1
 
-                if check_anytime(trace.internal_series()) is not None:
-                    anytime_ok = False
-                expect = (2 * inst.num_edges, inst.num_agents - 1, inst.num_agents - 1)
-                for row in trace.rows:
-                    st = row.stats
-                    if (st.value_count, st.cost_count, st.best_count) != expect:
-                        law_ok = False
-                stats = message_stats([r.stats for r in trace.rows], tree, run_cfg.num_particles)
-                if stats["violations"]:
-                    payload_ok = False
+                for name, ok in verify_trace(trace, tree, run_cfg.num_particles).items():
+                    checks[name] = checks[name] and ok
 
                 per_variant_finals[variant].append(trace.best_internal)
                 curve_sums[variant] += np.array(trace.display_series())
@@ -171,8 +180,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "runs": run_count,
         "variants": {},
         "win_rate": {},
-        "checks": {"anytime": anytime_ok, "message_law": law_ok, "payload_bound": payload_ok},
-        "all_checks_passed": anytime_ok and law_ok and payload_ok,
+        "checks": checks,
+        "all_checks_passed": all(checks.values()),
     }
     mean_final: dict[str, list[float]] = {}
     for variant in cfg.variants:

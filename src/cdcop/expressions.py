@@ -36,6 +36,7 @@ __all__ = [
     "format_expr",
     "referenced_slots",
     "compile_expr",
+    "compile_skeleton",
 ]
 
 
@@ -242,7 +243,19 @@ def _checked_div(num, den):
     return num / den
 
 
-def _emit(expr: Expression) -> str:
+def _emit(expr: Expression, consts: list | None = None) -> str:
+    """Python source for ``expr`` over ``a``/``b``.
+
+    With ``consts`` given, each maximal subtree that reads no variable is
+    emitted as a parameter ``c0``, ``c1``, ... and its value is appended to
+    ``consts``; the value comes from evaluating that subtree's own source,
+    so it is the exact number the inlined form computes.
+    """
+    if consts is not None and not referenced_slots(expr):
+        # a literal is its own value; a larger subtree is folded by evaluation
+        value = float(expr.value) if isinstance(expr, Constant) else eval(_emit(expr), _GLOBALS)
+        consts.append(value)
+        return f"c{len(consts) - 1}"
     match expr:
         case Constant(value=v):
             # parenthesized so a negative literal cannot bind under ** wrongly
@@ -250,27 +263,51 @@ def _emit(expr: Expression) -> str:
         case Var(slot=s):
             return "a" if s == 0 else "b"
         case Add(left=l, right=r):
-            return f"({_emit(l)} + {_emit(r)})"
+            return f"({_emit(l, consts)} + {_emit(r, consts)})"
         case Sub(left=l, right=r):
-            return f"({_emit(l)} - {_emit(r)})"
+            return f"({_emit(l, consts)} - {_emit(r, consts)})"
         case Mul(left=l, right=r):
-            return f"({_emit(l)} * {_emit(r)})"
+            return f"({_emit(l, consts)} * {_emit(r, consts)})"
         case Div(left=l, right=r):
-            return f"_div({_emit(l)}, {_emit(r)})"
+            return f"_div({_emit(l, consts)}, {_emit(r, consts)})"
         case Pow(base=base, exponent=n):
-            return f"({_emit(base)} ** {n})"
+            return f"({_emit(base, consts)} ** {n})"
         case Neg(operand=o):
-            return f"(-{_emit(o)})"
+            return f"(-{_emit(o, consts)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+# repr() writes non-finite constants as inf and nan
+_GLOBALS = {"_div": _checked_div, "inf": float("inf"), "nan": float("nan"), "__builtins__": {}}
+
+
 @lru_cache(maxsize=4096)
+def _compile_source(params: str, body: str):
+    return eval(f"lambda {params}: {body}", _GLOBALS)
+
+
 def compile_expr(expr: Expression):
     """Compile a tree into a fast ``f(a, b)`` callable.
 
     The compiled function is semantically identical to ``eval_expr`` and is
-    the hot path inside the solver; ``eval_expr`` remains the independent
-    reference used by the centralized oracle. Results are cached per tree.
+    what each ``SwarmAgent`` evaluates; ``eval_expr`` remains the independent
+    reference used by the centralized oracle. Results are cached per source
+    text, not per tree: trees compare equal when their constants differ only
+    in the sign of a zero, and their compiled forms must not be shared.
     """
-    source = f"lambda a, b: {_emit(expr)}"
-    return eval(source, {"_div": _checked_div, "__builtins__": {}})
+    return _compile_source("a, b", _emit(expr))
+
+
+def compile_skeleton(expr: Expression):
+    """Split a tree into a shared callable and its own constants.
+
+    Returns ``(fn, consts)`` with ``fn(a, b, *consts)`` equal, element for
+    element and bit for bit, to ``compile_expr(expr)(a, b)``. Trees that
+    differ only in their variable-free subtrees get the same ``fn`` object,
+    so edges can be grouped by it and evaluated together, with each constant
+    passed as a column of per-edge values.
+    """
+    consts: list[float] = []
+    body = _emit(expr, consts)
+    params = ", ".join(["a", "b"] + [f"c{i}" for i in range(len(consts))])
+    return _compile_source(params, body), tuple(consts)

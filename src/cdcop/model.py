@@ -76,9 +76,6 @@ class CdcopInstance:
     def num_edges(self) -> int:
         return len(self.functions)
 
-    def neighbors(self, agent: int) -> tuple[int, ...]:
-        return _neighbor_table(self)[agent]
-
     def edges(self) -> list[tuple[int, int]]:
         """Unordered constraint-graph edges as (min, max) pairs."""
         return [tuple(sorted(f.scope)) for f in self.functions]
@@ -201,19 +198,24 @@ def instance_to_json(inst: CdcopInstance) -> str:
 
 def instance_from_json(text: str) -> CdcopInstance:
     doc = json.loads(text)
-    inst = CdcopInstance(
-        num_agents=int(doc["num_agents"]),
-        domains=tuple(Domain(float(lb), float(ub)) for lb, ub in doc["domains"]),
-        functions=tuple(
-            CostFunction(
-                id=int(f["id"]),
-                scope=(int(f["scope"][0]), int(f["scope"][1])),
-                expr=parse_expr(f["expr"]),
-            )
-            for f in doc["functions"]
-        ),
-        objective=str(doc.get("objective", "min")),
-    )
+    if not isinstance(doc, dict):
+        raise InvalidInstanceError(["an instance file must hold a JSON object"])
+    try:
+        inst = CdcopInstance(
+            num_agents=int(doc["num_agents"]),
+            domains=tuple(Domain(float(lb), float(ub)) for lb, ub in doc["domains"]),
+            functions=tuple(
+                CostFunction(
+                    id=int(f["id"]),
+                    scope=(int(f["scope"][0]), int(f["scope"][1])),
+                    expr=parse_expr(f["expr"]),
+                )
+                for f in doc["functions"]
+            ),
+            objective=str(doc.get("objective", "min")),
+        )
+    except KeyError as e:
+        raise InvalidInstanceError([f"missing key {e.args[0]!r}"]) from None
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError(violations)

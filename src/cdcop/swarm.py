@@ -21,17 +21,25 @@ four steps on top of the synchronous runtime:
 All randomness comes from per-agent labeled substreams of the run seed, so
 traces are reproducible and enabling crossover does not perturb the
 initialization or velocity draws.
+
+``SwarmAgent`` implements these steps as one agent's runtime handlers; on
+``SyncRuntime`` it is the executable specification. ``solve`` runs the same
+cycle on ``(n, K)`` arrays for all agents at once (see ``engine``), through
+the same update and crossover functions, and is tested to give
+bit-identical traces.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import LocalCosts, TreeSchedule
 from .model import CdcopInstance, incident_functions
 from .expressions import compile_expr
 from .pseudotree import PseudoTree, build_bfs
-from .runtime import BestPayload, CycleStats, SyncRuntime
+from .runtime import BestPayload, CycleStats
 
 __all__ = [
     "FixedInertia",
@@ -44,12 +52,12 @@ __all__ = [
     "MissingMessage",
     "inertia_weight",
     "update_control",
-    "velocity_standard",
-    "velocity_constricted",
     "velocity_global_best",
+    "pso_step",
     "crossover_probabilities",
     "crossover_positions",
     "crossover_velocities",
+    "crossover_rows",
     "SwarmAgent",
     "TraceRow",
     "RunTrace",
@@ -174,40 +182,123 @@ def update_control(ctrl: GcpsoControl, improved: bool, cfg: SwarmConfig) -> None
         ctrl.radius *= 0.5
 
 
-# --- update equations (pure helpers, shared by the agent and the tests) -------
-
-def velocity_standard(v, x, p_best, g_best, w, c1, c2, r1, r2):
-    return w * v + (r1 * c1) * (p_best - x) + (r2 * c2) * (g_best - x)
-
-
-def velocity_constricted(v, x, p_best, g_best, w, c1, c2, r1, r2):
-    return w * (v + (r1 * c1) * (p_best - x) + (r2 * c2) * (g_best - x))
-
+# --- update equations (shared by the agent and solve) ------------------------
 
 def velocity_global_best(v, x, g_best, w, radius, r2):
     return -x + g_best + w * v + radius * (1.0 - 2.0 * r2)
 
 
+def pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg: SwarmConfig, ctrl: GcpsoControl,
+             lb, ub, keep=None):
+    """One velocity and position update; returns ``(x_new, v_new)``.
+
+    Takes one agent's particle vectors with scalar ``g_best_x``, ``r1``,
+    ``r2``, ``lb``, ``ub``, or all agents' ``(n, K)`` matrices with those as
+    ``(n, 1)`` columns; every element sees the same operations in the same
+    order either way. With A = (p_best_x - x)*(r1*c1) and
+    B = (g_best_x - x)*(r2*c2) the velocity is (A + B) + w*v, or
+    ((A + B) + v)*w under constriction. The global best particle
+    ``ctrl.best_particle`` takes ``velocity_global_best`` instead, and the
+    elements at index ``keep``, already moved by crossover, keep their
+    velocity and position. Positions are clamped to ``[lb, ub]``.
+    """
+    v_new = p_best_x - x
+    v_new *= r1 * cfg.c1
+    social = g_best_x - x
+    social *= r2 * cfg.c2
+    v_new += social
+    if isinstance(cfg.inertia, ConstrictionInertia):
+        v_new += v
+        v_new *= w
+    else:
+        v_new += w * v
+    k = ctrl.best_particle
+    if k is not None:
+        best = np.s_[..., k:k + 1]  # one column keeps the broadcast shapes
+        v_new[best] = velocity_global_best(v[best], x[best], g_best_x, w, ctrl.radius, r2)
+    if keep is not None:
+        v_new[keep] = v[keep]
+    x_new = x + v_new
+    if keep is not None:
+        x_new[keep] = x[keep]
+    x_new.clip(lb, ub, out=x_new)
+    return x_new, v_new
+
+
 def crossover_probabilities(local_fitness: np.ndarray) -> np.ndarray:
-    """Selection weights proportional to |local fitness|; uniform when all zero."""
+    """Selection weights proportional to |local fitness| along the last axis.
+
+    A row whose fitness is all zero gets uniform weights.
+    """
     weights = np.abs(local_fitness)
-    total = weights.sum()
-    if total == 0.0:
-        return np.full(len(weights), 1.0 / len(weights))
-    return weights / total
+    total = weights.sum(axis=-1, keepdims=True)
+    uniform = np.full_like(weights, 1.0 / weights.shape[-1])
+    return np.divide(weights, total, out=uniform, where=total != 0.0)
 
 
-def crossover_positions(xa: float, xb: float, r: float) -> tuple[float, float]:
+def crossover_positions(xa, xb, r):
     return r * xa + (1.0 - r) * xb, r * xb + (1.0 - r) * xa
 
 
-def crossover_velocities(va: float, vb: float) -> tuple[float, float] | None:
-    """Align both velocities with the sign of their sum; None if the sum is zero."""
+def crossover_velocities(va, vb):
+    """Both velocities aligned with the sign of their sum, and a mask of where
+    that sum is nonzero: only there are the velocities crossed."""
     total = va + vb
-    if total == 0.0:
-        return None
-    unit = 1.0 if total > 0.0 else -1.0
-    return unit * abs(va), unit * abs(vb)
+    unit = np.where(total > 0.0, 1.0, -1.0)
+    return unit * np.abs(va), unit * np.abs(vb), total != 0.0
+
+
+def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, ``cdf.searchsorted(u * cdf[-1], side="right")`` capped at the last index.
+
+    That draws an index with probability proportional to the row's
+    increments. On a non-decreasing row the search equals a count of the
+    elements at or below the target; a row that ends in NaN is searched
+    as such, since the search orders NaN last and a comparison would not.
+    """
+    target = u * cdf[:, -1]
+    index = np.count_nonzero(cdf <= target[:, None], axis=1)
+    for i in np.flatnonzero(np.isnan(cdf[:, -1])):
+        index[i] = cdf[i].searchsorted(target[i], side="right")
+    return np.minimum(index, cdf.shape[1] - 1)
+
+
+def crossover_rows(x: np.ndarray, v: np.ndarray, local_fitness: np.ndarray,
+                   rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Crossover in each row of ``(m, K)`` matrices, in place; row i draws from ``rngs[i]``.
+
+    Each row picks particle ``a`` with probability proportional to
+    |local fitness|, then a distinct ``b`` the same way (uniformly if ``a``
+    carried all the weight), and blends their positions with a uniform
+    ``r``. Where the pair's velocities do not sum to zero they are aligned
+    too, and the pair is fully crossed. Returns the ``(rows, columns)``
+    index of the fully crossed elements, which the regular update leaves
+    alone this cycle. Each row's draws come in the order a, b, r, but only
+    ``b``'s kind of draw depends on the row's values, so the draws are
+    taken stream by stream and the rest is done on whole arrays.
+    """
+    K = x.shape[1]
+    rows = np.arange(len(rngs))
+    bp = crossover_probabilities(local_fitness)
+    a = _draw_indices(bp.cumsum(axis=1), np.array([rng.random() for rng in rngs]))
+    bp[rows, a] = 0.0
+    cdf = bp.cumsum(axis=1)
+    flat = cdf[:, -1] == 0.0
+    u = np.array([rng.integers(0, K - 1) if uniform else rng.random()
+                  for rng, uniform in zip(rngs, flat.tolist())], dtype=float)
+    b = np.where(flat, u + (u >= a), _draw_indices(cdf, u)).astype(np.intp)
+    r = np.array([rng.random() for rng in rngs])
+    x[rows, a], x[rows, b] = crossover_positions(x[rows, a], x[rows, b], r)
+    va, vb, crossed = crossover_velocities(v[rows, a], v[rows, b])
+    rows, a, b = rows[crossed], a[crossed], b[crossed]
+    v[rows, a], v[rows, b] = va[crossed], vb[crossed]
+    return np.concatenate([rows, rows]), np.concatenate([a, b])
+
+
+def agent_stream(seed: int, agent_id: int, label: int) -> np.random.Generator:
+    """Labeled substream of one agent: 0 initialization, 1 velocity draws, 2 crossover."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(agent_id, label))))
 
 
 # --- the agent -----------------------------------------------------------------
@@ -237,12 +328,9 @@ class SwarmAgent:
             peer = f.scope[1] if first else f.scope[0]
             self.terms.append((compile_expr(f.expr), first, peer, sign))
 
-        # labeled substreams: initialization, per-cycle velocity draws, crossover
-        make = lambda label: np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(agent_id, label))))
-        rng_init = make(0)
-        self.rng_update = make(1)
-        self.rng_cross = make(2)
+        rng_init = agent_stream(cfg.seed, agent_id, 0)
+        self.rng_update = agent_stream(cfg.seed, agent_id, 1)
+        self.rng_cross = agent_stream(cfg.seed, agent_id, 2)
 
         K = cfg.num_particles
         self.x = rng_init.uniform(self.lb, self.ub, size=K)
@@ -253,11 +341,9 @@ class SwarmAgent:
         self.p_best_fit = np.full(K, np.inf) if self.is_root else None
         self.g_best_x = 0.0
         self.g_best_fit = np.inf
-        self.b_p = np.zeros(K)  # last cycle's crossover selection weights
         self.control = GcpsoControl()
-        self._constricted = isinstance(cfg.inertia, ConstrictionInertia)
         self._improved = False
-        self._crossed_full: tuple[int, ...] = ()
+        self._crossed_full: np.ndarray | None = None
         self.eval_x: np.ndarray | None = None
 
     # -- runtime handlers, in phase order --
@@ -331,65 +417,16 @@ class SwarmAgent:
     # -- local update steps --
 
     def _apply_crossover(self) -> None:
-        rng = self.rng_cross
-        K = len(self.x)
-        self.b_p = crossover_probabilities(self.local_fitness)
-        bp = self.b_p.copy()
-        cdf = bp.cumsum()
-        a = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")), K - 1)
-        bp[a] = 0.0
-        cdf = bp.cumsum()
-        if cdf[-1] == 0.0:
-            # only one particle carried weight: pick its partner uniformly
-            b = int(rng.integers(0, K - 1))
-            if b >= a:
-                b += 1
-        else:
-            b = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")), K - 1)
-        r = float(rng.random())
-        self.x[a], self.x[b] = crossover_positions(self.x[a], self.x[b], r)
-        crossed = crossover_velocities(self.v[a], self.v[b])
-        if crossed is None:
-            # zero velocity sum: positions keep the blend, velocities (and the
-            # position step) fall through to the regular update this cycle
-            self._crossed_full = ()
-        else:
-            self.v[a], self.v[b] = crossed
-            self._crossed_full = (a, b)
-
-    def _draw_update_randoms(self) -> tuple[float, float]:
-        r = self.rng_update.random(2)
-        return float(r[0]), float(r[1])
+        _, self._crossed_full = crossover_rows(self.x[None], self.v[None],
+                                               self.local_fitness[None], [self.rng_cross])
 
     def _variable_update(self) -> None:
-        cfg = self.cfg
-        ctrl = self.control
+        cfg, ctrl = self.cfg, self.control
         w = inertia_weight(cfg.inertia, ctrl.cycle, cfg.t_max)
-        r1, r2 = self._draw_update_randoms()
-        x, v = self.x, self.v
-        # same math as velocity_standard/velocity_constricted, minus temporaries
-        v_new = self.p_best_x - x
-        v_new *= r1 * cfg.c1
-        social = self.g_best_x - x
-        social *= r2 * cfg.c2
-        v_new += social
-        if self._constricted:
-            v_new += v
-            v_new *= w
-        else:
-            v_new += w * v
-        k_star = ctrl.best_particle
-        if k_star is not None:
-            v_new[k_star] = velocity_global_best(v[k_star], x[k_star], self.g_best_x, w, ctrl.radius, r2)
-        for k in self._crossed_full:  # pair fully set by crossover: no regular step
-            v_new[k] = v[k]
-        x_new = x + v_new
-        for k in self._crossed_full:
-            x_new[k] = x[k]
-        x_new.clip(self.lb, self.ub, out=x_new)
-        self.x = x_new
-        self.v = v_new
-        self._crossed_full = ()
+        r1, r2 = (float(r) for r in self.rng_update.random(2))
+        self.x, self.v = pso_step(self.x, self.v, self.p_best_x, self.g_best_x, r1, r2, w,
+                                  cfg, ctrl, self.lb, self.ub, self._crossed_full)
+        self._crossed_full = None
 
 
 # --- solve ---------------------------------------------------------------------
@@ -432,39 +469,80 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
           log_messages: bool = False) -> RunTrace:
     """Run the swarm for ``cfg.t_max`` cycles and return the anytime trace.
 
-    ``record_probes`` additionally stores, per cycle, the full position
-    matrix that was evaluated and the root's fitness vector, for
-    cross-checking against the centralized oracle.
+    The whole swarm is held as ``(n, K)`` arrays, one row per agent, and a
+    cycle is a few array operations; the trace is bit-identical to driving
+    one ``SwarmAgent`` per agent through ``SyncRuntime``, and so are the
+    message counts, payload sizes and, with ``log_messages``, the message
+    log, which are derived from the tree. ``record_probes`` additionally
+    stores, per cycle, the full position matrix that was evaluated and the
+    root's fitness vector, for cross-checking against the centralized oracle.
     """
     validate_config(cfg)
     if tree is None:
         tree = build_bfs(inst, root)
-    agents = [SwarmAgent(i, inst, tree, cfg, record_eval=record_probes)
-              for i in range(inst.num_agents)]
-    runtime = SyncRuntime(tree, log_messages=log_messages)
-    root_agent = agents[tree.root]
+    n, K = inst.num_agents, cfg.num_particles
+    local_costs = LocalCosts(inst, K)
+    schedule = TreeSchedule(tree, K)
+    lb = np.array([[d.lb] for d in inst.domains])
+    ub = np.array([[d.ub] for d in inst.domains])
+    x = np.array([agent_stream(cfg.seed, i, 0).uniform(d.lb, d.ub, size=K)
+                  for i, d in enumerate(inst.domains)])
+    # r1, r2 of cycle t sit in columns 2t-2, 2t-1: for PCG64 one draw of
+    # 2*t_max doubles is the same stream as t_max draws of two
+    draws = np.array([agent_stream(cfg.seed, i, 1).random(2 * cfg.t_max) for i in range(n)])
+    cross_rngs = [agent_stream(cfg.seed, i, 2) for i in range(n)] if cfg.crossover else None
+    v = np.zeros((n, K))
+    p_best_x = np.zeros((n, K))
+    p_best_fit = np.full(K, np.inf)
+    g_best_x = np.zeros((n, 1))
+    g_best_fit = np.inf
+    assignment = (0.0,) * n  # rebuilt only when the global best moves: rows share it
+    ctrl = GcpsoControl()
 
     rows: list[TraceRow] = []
     probes: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_probes else None
+    log: list | None = [] if log_messages else None
     for t in range(1, cfg.t_max + 1):
-        stats = runtime.run_cycle(agents, t)
+        start = time.perf_counter()
+        local = local_costs(x)
+        fit = schedule.convergecast(local)
         if probes is not None:
-            positions = np.stack([a.eval_x for a in agents])
-            probes.append((positions, root_agent.fitness.copy()))
-        internal = root_agent.g_best_fit
-        assignment = tuple(a.g_best_x for a in agents)
-        rows.append(TraceRow(t, inst.to_display(internal), internal, assignment, stats))
+            probes.append((x.copy(), fit.copy()))
 
-    trace = RunTrace(
+        improved = np.flatnonzero(fit < p_best_fit)
+        p_best_fit[improved] = fit[improved]
+        p_best_x[:, improved] = x[:, improved]
+        k = int(np.argmin(fit))
+        success = bool(fit[k] < g_best_fit)
+        if success:
+            g_best_fit = float(fit[k])
+            g_best_x = x[:, k:k + 1].copy()
+            assignment = tuple(g_best_x[:, 0].tolist())
+            ctrl.best_particle = k
+
+        ctrl.cycle += 1
+        keep = None if cross_rngs is None else crossover_rows(x, v, local, cross_rngs)
+        update_control(ctrl, success, cfg)
+        w = inertia_weight(cfg.inertia, ctrl.cycle, cfg.t_max)
+        r1, r2 = draws[:, 2 * t - 2:2 * t - 1], draws[:, 2 * t - 1:2 * t]
+        x, v = pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg, ctrl, lb, ub, keep)
+
+        best_len = len(improved) + (2 if success else 0)
+        stats = schedule.cycle_stats(t, best_len)
+        if log is not None:
+            log.extend(schedule.messages(t, best_len))
+        stats.duration_s = time.perf_counter() - start
+        rows.append(TraceRow(t, inst.to_display(g_best_fit), g_best_fit, assignment, stats))
+
+    return RunTrace(
         objective=inst.objective,
-        num_agents=inst.num_agents,
+        num_agents=n,
         num_edges=inst.num_edges,
         tree_height=tree.height,
         rows=rows,
-        best_assignment=np.array([a.g_best_x for a in agents]),
-        best_cost=inst.to_display(root_agent.g_best_fit),
-        best_internal=root_agent.g_best_fit,
+        best_assignment=g_best_x[:, 0].copy(),
+        best_cost=inst.to_display(g_best_fit),
+        best_internal=g_best_fit,
         probes=probes,
-        messages=runtime.log,
+        messages=log,
     )
-    return trace

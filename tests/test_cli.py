@@ -139,3 +139,32 @@ def test_invalid_instance_rejected(tmp_path, capsys):
     }))
     assert main(["solve", str(bad), "-K", "4", "--cycles", "2"]) == 2
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--family", "er", "--n", "4", "--p", "1.0", "--out", str(inst_path)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"num_particles": 6, "particles": 6}))
+    assert main(["solve", str(inst_path), "--config", str(cfg_path), "--cycles", "2"]) == 2
+    assert "'particles'" in capsys.readouterr().err
+
+
+def test_inertia_without_kind_is_usage_error(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--family", "er", "--n", "4", "--p", "1.0", "--out", str(inst_path)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"inertia": {"w": 0.7}}))
+    assert main(["solve", str(inst_path), "--config", str(cfg_path), "--cycles", "2"]) == 2
+    assert "'kind'" in capsys.readouterr().err
+
+
+def test_instance_without_domains_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "num_agents": 2,
+        "objective": "min",
+        "functions": [{"id": 0, "scope": [0, 1], "expr": "(* x0 x1)"}],
+    }))
+    assert main(["solve", str(bad), "-K", "4", "--cycles", "2"]) == 2
+    assert "'domains'" in capsys.readouterr().err

@@ -1,0 +1,148 @@
+"""Differential test: ``solve`` against the message-passing specification.
+
+``solve`` runs the swarm as ``(n, K)`` arrays. ``reference_solve`` below
+drives one ``SwarmAgent`` per agent through ``SyncRuntime``, the executable
+specification of a cycle. Every output must match bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cdcop import CdcopInstance, Domain, DivisionByZero, build_bfs
+from cdcop.benchmarks import BenchSpec, generate
+from cdcop.experiment import write_trace_csv
+from cdcop.runtime import SyncRuntime, write_message_log_csv
+from cdcop.swarm import (
+    AdaptiveInertia,
+    ConstrictionInertia,
+    FixedInertia,
+    RunTrace,
+    SwarmAgent,
+    SwarmConfig,
+    TraceRow,
+    solve,
+)
+
+from conftest import make_instance
+
+
+def reference_solve(inst, cfg, root=0, record_probes=False, log_messages=False) -> RunTrace:
+    tree = build_bfs(inst, root)
+    agents = [SwarmAgent(i, inst, tree, cfg, record_eval=record_probes)
+              for i in range(inst.num_agents)]
+    runtime = SyncRuntime(tree, log_messages=log_messages)
+    top = agents[tree.root]
+    rows, probes = [], []
+    for t in range(1, cfg.t_max + 1):
+        stats = runtime.run_cycle(agents, t)
+        if record_probes:
+            probes.append((np.stack([a.eval_x for a in agents]), top.fitness.copy()))
+        rows.append(TraceRow(t, inst.to_display(top.g_best_fit), top.g_best_fit,
+                             tuple(a.g_best_x for a in agents), stats))
+    return RunTrace(inst.objective, inst.num_agents, inst.num_edges, tree.height, rows,
+                    np.array([a.g_best_x for a in agents]), inst.to_display(top.g_best_fit),
+                    top.g_best_fit, probes if record_probes else None, runtime.log)
+
+
+def _row_bits(row: TraceRow):
+    st = row.stats
+    return (row.cycle, row.best_cost.hex(), row.best_internal.hex(),
+            tuple(float(x).hex() for x in row.assignment),
+            st.cycle, st.value_count, st.cost_count, st.best_count, st.payload_scalars,
+            st.sent_scalars_by_agent)
+
+
+def assert_bit_identical(got: RunTrace, want: RunTrace, tmp_path):
+    assert [_row_bits(r) for r in got.rows] == [_row_bits(r) for r in want.rows]
+    assert got.best_internal.hex() == want.best_internal.hex()
+    assert got.best_assignment.tobytes() == want.best_assignment.tobytes()
+    for trace, name in ((got, "got"), (want, "want")):
+        write_trace_csv(tmp_path / f"{name}.csv", trace)
+        write_message_log_csv(trace.messages, tmp_path / f"{name}-messages.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert ((tmp_path / "got-messages.csv").read_bytes()
+            == (tmp_path / "want-messages.csv").read_bytes())
+    assert len(got.probes) == len(want.probes)
+    for (gx, gf), (wx, wf) in zip(got.probes, want.probes):
+        assert gx.tobytes() == wx.tobytes() and gf.tobytes() == wf.tobytes()
+
+
+FAMILIES = {
+    # er has more edges than one evaluation block holds
+    "er": BenchSpec("er", n=15, p=0.5, seed=11),
+    "tree": BenchSpec("tree", n=8, seed=12),
+    "ba": BenchSpec("ba", n=9, m=2, seed=13),
+    "sensor": BenchSpec("sensor", rows=2, cols=3, seed=14),  # maximize
+}
+SCHEDULES = {
+    "adaptive": (AdaptiveInertia(), 1.49),
+    "fixed": (FixedInertia(0.72), 1.49),
+    "constriction": (ConstrictionInertia(4.1), 2.05),
+}
+
+
+@pytest.mark.parametrize("crossover", [False, True], ids=["pcd", "pcd_crossover"])
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_families_match_reference(family, schedule, crossover, tmp_path):
+    inst = generate(FAMILIES[family])
+    inertia, c = SCHEDULES[schedule]
+    cfg = SwarmConfig(num_particles=12, t_max=30, c1=c, c2=c, inertia=inertia,
+                      crossover=crossover, seed=7)
+    assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
+                         reference_solve(inst, cfg, record_probes=True, log_messages=True),
+                         tmp_path)
+
+
+KITE = [((0, 1), "(- (^ x0 2) (^ x1 2))"), ((0, 2), "(+ (^ x0 2) (* 2 (* x0 x1)))"),
+        ((0, 3), "(- (* 2 (^ x0 2)) (* 2 (^ x1 2)))"), ((2, 3), "(+ (^ x0 2) (* 3 (^ x1 2)))")]
+SPECIAL = {
+    "mixed_skeletons": make_instance(4, KITE),
+    "maximize": make_instance(2, [((0, 1), "(/ 100.0 (+ (^ (- x0 x1) 2) 1.0))")],
+                              domain=(0.0, 10.0), objective="max"),
+    "single_agent": CdcopInstance(1, (Domain(-1.0, 1.0),), (), "min"),
+}
+
+
+@pytest.mark.parametrize("crossover", [False, True], ids=["pcd", "pcd_crossover"])
+@pytest.mark.parametrize("name", sorted(SPECIAL))
+def test_special_instances_match_reference(name, crossover, tmp_path):
+    cfg = SwarmConfig(num_particles=10, t_max=40, crossover=crossover, seed=3)
+    inst = SPECIAL[name]
+    assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
+                         reference_solve(inst, cfg, record_probes=True, log_messages=True),
+                         tmp_path)
+
+
+def test_other_root_matches_reference(tmp_path):
+    inst = generate(FAMILIES["ba"])
+    cfg = SwarmConfig(num_particles=12, t_max=30, crossover=True, seed=9)
+    assert_bit_identical(solve(inst, cfg, root=4, record_probes=True, log_messages=True),
+                         reference_solve(inst, cfg, root=4, record_probes=True, log_messages=True),
+                         tmp_path)
+
+
+def test_recording_options_do_not_change_the_run():
+    inst = generate(FAMILIES["ba"])
+    cfg = SwarmConfig(num_particles=12, t_max=20, crossover=True, seed=5)
+    plain = solve(inst, cfg)
+    recorded = solve(inst, cfg, record_probes=True, log_messages=True)
+    assert plain.probes is None and plain.messages is None
+    assert [_row_bits(r) for r in plain.rows] == [_row_bits(r) for r in recorded.rows]
+
+
+def test_zero_denominator_raises_in_both():
+    inst = make_instance(2, [((0, 1), "(/ x0 (- x1 x1))")])
+    cfg = SwarmConfig(num_particles=4, t_max=3)
+    with pytest.raises(DivisionByZero):
+        solve(inst, cfg)
+    with pytest.raises(DivisionByZero):
+        reference_solve(inst, cfg)
+
+
+def test_cycle_timing_is_recorded():
+    inst = generate(replace(FAMILIES["tree"], seed=2))
+    trace = solve(inst, SwarmConfig(num_particles=8, t_max=5))
+    assert all(row.stats.duration_s > 0.0 for row in trace.rows)

@@ -14,6 +14,7 @@ from cdcop.expressions import (
     Sub,
     Var,
     compile_expr,
+    compile_skeleton,
     eval_expr,
     format_expr,
     parse_expr,
@@ -146,3 +147,36 @@ def test_eval_is_pure(expr, a, b):
     except DivisionByZero:
         return
     assert eval_expr(expr, a, b) == first
+
+
+@given(_trees, st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
+def test_skeleton_is_bit_identical_to_compiled(expr, a, b):
+    x0 = np.array([[a, -b, 0.5]])
+    x1 = np.array([[b, a, -1.5]])
+    try:
+        fn, consts = compile_skeleton(expr)
+        got = fn(x0, x1, *(np.array([[c]]) for c in consts))
+    except (DivisionByZero, OverflowError) as e:
+        with pytest.raises(type(e)):
+            compile_expr(expr)(x0, x1)
+        return
+    want = compile_expr(expr)(x0, x1)
+    assert np.broadcast_to(got, x0.shape).tobytes() == np.broadcast_to(want, x0.shape).tobytes()
+
+
+def test_skeleton_shared_across_constants():
+    quad = "(+ (+ (* {} (^ x0 2)) (* {} (* x0 x1))) (* {} (^ x1 2)))"
+    fn1, c1 = compile_skeleton(parse_expr(quad.format(1.5, -2.0, 0.25)))
+    fn2, c2 = compile_skeleton(parse_expr(quad.format(-3.0, 4.0, 1.0)))
+    assert fn1 is fn2
+    assert (c1, c2) == ((1.5, -2.0, 0.25), (-3.0, 4.0, 1.0))
+    folded, consts = compile_skeleton(parse_expr("(* (+ 1.0 2.0) (- x0 x1))"))
+    assert consts == (3.0,)
+    assert folded(np.array([2.0]), np.array([0.5]), 3.0)[0] == 4.5
+
+
+def test_non_finite_constants_compile():
+    expr = parse_expr("(+ (* inf x0) (* -inf x1))")
+    assert compile_expr(expr)(1.0, -1.0) == float("inf")
+    fn, consts = compile_skeleton(expr)
+    assert fn(1.0, -1.0, *consts) == float("inf")

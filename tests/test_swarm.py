@@ -17,12 +17,11 @@ from cdcop.swarm import (
     crossover_probabilities,
     crossover_velocities,
     inertia_weight,
+    pso_step,
     solve,
     update_control,
     validate_config,
-    velocity_constricted,
     velocity_global_best,
-    velocity_standard,
 )
 
 from conftest import (
@@ -128,15 +127,16 @@ def test_streaks_are_mutually_exclusive():
 
 # --- golden one-cycle trace ------------------------------------------------------
 
-def _primed_agents(kite_instance, monkeypatch=None):
-    cfg = SwarmConfig(num_particles=4, inertia=FixedInertia(0.72), c1=1.49, c2=1.49,
-                      t_max=100, seed=3)
+KITE_CONFIG = SwarmConfig(num_particles=4, inertia=FixedInertia(0.72), c1=1.49, c2=1.49,
+                          t_max=100, seed=3)
+
+
+def _primed_agents(kite_instance):
     tree = build_bfs(kite_instance, 0)
-    agents = [SwarmAgent(i, kite_instance, tree, cfg) for i in range(4)]
+    agents = [SwarmAgent(i, kite_instance, tree, KITE_CONFIG) for i in range(4)]
     for i, agent in enumerate(agents):
         agent.x = KITE_POSITIONS[i].copy()
         agent.v = np.zeros(4)
-        agent._draw_update_randoms = lambda: (0.7, 0.4)
     return tree, agents
 
 
@@ -165,10 +165,13 @@ def test_one_cycle_reproduces_hand_tables(kite_instance):
         assert (agents[i].control.successes, agents[i].control.failures) == (1, 0)
         assert agents[i].control.radius == 1.0
 
-    # velocities and positions after the update phase
-    for i in range(4):
-        np.testing.assert_allclose(agents[i].v, KITE_UPDATED_V[i], **TABLE)
-        np.testing.assert_allclose(agents[i].x, KITE_UPDATED_X[i], **TABLE)
+    # velocities and positions from the update kernel with r1=0.7, r2=0.4,
+    # fed the state the cycle left behind
+    for i, agent in enumerate(agents):
+        x, v = pso_step(KITE_POSITIONS[i], np.zeros(4), agent.p_best_x, agent.g_best_x,
+                        0.7, 0.4, 0.72, KITE_CONFIG, agent.control, agent.lb, agent.ub)
+        np.testing.assert_allclose(v, KITE_UPDATED_V[i], **TABLE)
+        np.testing.assert_allclose(x, KITE_UPDATED_X[i], **TABLE)
 
 
 def test_all_zero_positions_give_zero_fitness(kite_instance):
@@ -215,10 +218,18 @@ def test_crossover_position_blend_by_hand():
 
 
 def test_crossover_velocity_alignment():
-    assert crossover_velocities(2.0, -1.0) == (2.0, 1.0)
-    assert crossover_velocities(-2.0, 1.0) == (-2.0, -1.0)
-    assert crossover_velocities(0.0, 0.0) is None
-    assert crossover_velocities(1.5, -1.5) is None
+    assert crossover_velocities(2.0, -1.0) == (2.0, 1.0, True)
+    assert crossover_velocities(-2.0, 1.0) == (-2.0, -1.0, True)
+    assert not crossover_velocities(0.0, 0.0)[2]
+    assert not crossover_velocities(1.5, -1.5)[2]
+
+
+def test_crossover_draws_follow_searchsorted():
+    from cdcop.swarm import _draw_indices
+    cdf = np.array([[0.1, 0.5, 1.0], [0.2, np.nan, np.nan], [0.0, 0.0, 0.0], [0.25, 0.5, 0.5]])
+    u = np.array([0.3, 0.5, 0.7, 1.0])
+    want = [min(int(c.searchsorted(ui * c[-1], side="right")), 2) for c, ui in zip(cdf, u)]
+    assert _draw_indices(cdf, u).tolist() == want
 
 
 def test_crossover_probabilities_degenerate_uniform():
@@ -237,9 +248,17 @@ def test_crossover_stays_in_parent_hull(xa, xb, r):
 
 # --- velocity equations -----------------------------------------------------------
 
+def _velocity(v, x, p_best, g_best, w, c1, c2, r1, r2, inertia=FixedInertia(0.72)):
+    """One particle's new velocity from the update kernel (no global best, no clamp)."""
+    cfg = SwarmConfig(c1=c1, c2=c2, inertia=inertia)
+    _, v_new = pso_step(np.array([x]), np.array([v]), np.array([p_best]), g_best, r1, r2, w,
+                        cfg, GcpsoControl(), -np.inf, np.inf)
+    return float(v_new[0])
+
+
 def test_velocity_standard_by_hand():
     # 0.72*0 + 0.7*1.49*(-1 - -1) + 0.4*1.49*(0 - -1)
-    v = velocity_standard(0.0, -1.0, -1.0, 0.0, 0.72, 1.49, 1.49, 0.7, 0.4)
+    v = _velocity(0.0, -1.0, -1.0, 0.0, 0.72, 1.49, 1.49, 0.7, 0.4)
     assert v == pytest.approx(0.596)
 
 
@@ -251,11 +270,12 @@ def test_velocity_global_best_by_hand():
 def test_velocity_constricted_scales_everything():
     args = (1.0, 2.0, 3.0, 4.0, 0.7298, 2.05, 2.05, 0.5, 0.5)
     inner = 1.0 + 0.5 * 2.05 * (3.0 - 2.0) + 0.5 * 2.05 * (4.0 - 2.0)
-    assert velocity_constricted(*args) == pytest.approx(0.7298 * inner)
+    v = _velocity(*args, inertia=ConstrictionInertia(4.1))
+    assert v == pytest.approx(0.7298 * inner)
 
 
 def test_fixed_point_particle_stays_put():
-    v = velocity_standard(0.0, 2.5, 2.5, 2.5, 0.72, 1.49, 1.49, 0.3, 0.9)
+    v = _velocity(0.0, 2.5, 2.5, 2.5, 0.72, 1.49, 1.49, 0.3, 0.9)
     assert v == 0.0
 
 
