@@ -33,7 +33,6 @@ from .pseudotree import (
     PseudoTree,
     build_bfs,
     tree_edge_dump,
-    tree_height,
     validate_pseudo_tree,
 )
 from .runtime import (
@@ -72,7 +71,6 @@ from .benchmarks import (
 from .oracle import (
     GridSearchSpec,
     GridTooLargeError,
-    centralized_fitness,
     check_anytime,
     grid_optimum,
 )

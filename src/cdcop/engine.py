@@ -6,8 +6,9 @@ every agent at once, in the same floating-point order, so a fused run is
 bit-identical to the message-passing one:
 
 * :class:`LocalCosts` evaluates each constraint once per cycle (the agents
-  evaluate it at both endpoints) and sums every agent's incident values in
-  ascending function id, starting from +0.0, as ``handle_values`` does.
+  evaluate it at both endpoints), in place, and sums every agent's incident
+  values in ascending function id, starting from +0.0, as ``handle_values``
+  does.
 * :class:`TreeSchedule` adds children into parents level by level, deepest
   first and in child order, halves the root last, and derives the message
   counts, payload sizes and message log from the tree instead of sending.
@@ -30,51 +31,64 @@ class LocalCosts:
     """Every agent's local fitness from an ``(n, K)`` position matrix.
 
     Edges are grouped by expression skeleton and evaluated in blocks, with
-    each block's constants as ``(edges, 1)`` columns. Row ``e`` of the value
-    buffer holds one function's values, negated for maximization instances;
-    the extra last row stays +0.0 and pads agents with fewer incident
-    functions than the largest degree. A running sum that starts at +0.0 is
-    never -0.0, so adding the padding changes no bit.
+    each block's constants as ``(edges, 1)`` columns. Both endpoints of
+    every edge are gathered once per call, and each block writes its values
+    in place into its rows of the value buffer, one row per function. The
+    extra last row stays +0.0 and pads agents with fewer incident functions
+    than the largest degree. Each agent's sum starts at +0.0 and adds, or
+    for maximization subtracts, its incident values in ascending function
+    id, as ``handle_values`` does; such a running sum is never -0.0, so the
+    padding changes no bit. All buffers are allocated once: a call
+    allocates no array, and its result is overwritten by the next call.
     """
 
     def __init__(self, inst: CdcopInstance, num_particles: int):
+        K = num_particles
         groups: dict = {}
         for f in inst.functions:
-            fn, consts = compile_skeleton(f.expr)
-            groups.setdefault(fn, []).append((f, consts))
+            fn, consts, num_temps = compile_skeleton(f.expr)
+            groups.setdefault(fn, (num_temps, []))[1].append((f, consts))
 
+        num_edges = inst.num_edges
+        self.values = np.zeros((num_edges + 1, K))
+        # edge e's endpoint positions are ends[0, e] (slot x0) and ends[1, e] (slot x1)
+        self._scope = np.empty((2, num_edges), dtype=np.intp)
+        self._ends = np.empty((2, num_edges, K))
+        pool = np.empty((max((t for t, _ in groups.values()), default=0), BLOCK_EDGES, K))
         row_of: dict[int, int] = {}  # function id -> row of the value buffer
-        self.blocks = []  # (skeleton, slot-0 agents, slot-1 agents, constant columns, rows)
-        for fn, members in groups.items():
+        self.blocks = []  # (skeleton, slot-0 positions, slot-1 positions, values, temps, constants)
+        for fn, (num_temps, members) in groups.items():
             for lo in range(0, len(members), BLOCK_EDGES):
                 block = members[lo:lo + BLOCK_EDGES]
                 rows = slice(len(row_of), len(row_of) + len(block))
                 for f, _ in block:
                     row_of[f.id] = len(row_of)
-                scope = np.array([f.scope for f, _ in block], dtype=np.intp)
+                self._scope[:, rows] = np.array([f.scope for f, _ in block], dtype=np.intp).T
                 consts = np.array([c for _, c in block], dtype=float).reshape(len(block), -1)
-                self.blocks.append((fn, scope[:, 0], scope[:, 1],
-                                    [consts[:, j:j + 1] for j in range(consts.shape[1])], rows))
+                self.blocks.append((fn, self._ends[0, rows], self._ends[1, rows], self.values[rows],
+                                    [temp[:len(block)] for temp in pool[:num_temps]],
+                                    [consts[:, j:j + 1] for j in range(consts.shape[1])]))
 
-        num_edges = len(row_of)
-        self.values = np.zeros((num_edges + 1, num_particles))
-        self.negated = self.values[:num_edges] if inst.sign < 0 else None  # maximization
         incident = [[row_of[fid] for fid in incident_functions(inst, agent)]
                     for agent in range(inst.num_agents)]
         width = max(map(len, incident), default=0)
         # column j: every agent's j-th incident function, or the +0.0 row
         self.columns = np.array([rows + [num_edges] * (width - len(rows)) for rows in incident],
                                 dtype=np.intp).reshape(inst.num_agents, width).T.copy()
+        self._accumulate = np.subtract if inst.sign < 0 else np.add
+        self._local = np.empty((inst.num_agents, K))
+        self._term = np.empty((inst.num_agents, K))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        values = self.values
-        for fn, first, second, consts, rows in self.blocks:
-            values[rows] = fn(x[first], x[second], *consts)
-        if self.negated is not None:
-            np.negative(self.negated, out=self.negated)
-        local = np.zeros_like(x)
+        # mode="clip" writes straight into ``out``; the default buffers it
+        np.take(x, self._scope, axis=0, out=self._ends, mode="clip")
+        for fn, first, second, values, temps, consts in self.blocks:
+            fn(first, second, values, temps, *consts)
+        local, term, accumulate = self._local, self._term, self._accumulate
+        local.fill(0.0)
         for column in self.columns:
-            local += values[column]
+            np.take(self.values, column, axis=0, out=term, mode="clip")
+            accumulate(local, term, out=local)
         return local
 
 

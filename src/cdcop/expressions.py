@@ -14,6 +14,7 @@ Grammar (atoms and binary operators only)::
 Evaluation works on scalars or numpy arrays (elementwise).
 """
 
+import ast
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -237,44 +238,62 @@ def format_expr(expr: Expression) -> str:
 
 # --- compilation -------------------------------------------------------------
 
-def _checked_div(num, den):
-    if np.any(den == 0):
+def _check_nonzero(den) -> None:
+    if not np.all(den):
         raise DivisionByZero("zero denominator in cost expression")
+
+
+def _checked_div(num, den):
+    _check_nonzero(den)
     return num / den
 
 
-def _emit(expr: Expression, consts: list | None = None) -> str:
-    """Python source for ``expr`` over ``a``/``b``.
+_INFIX = {Add: "+", Sub: "-", Mul: "*"}
+
+
+def _emit(expr: Expression, consts: list | None = None) -> tuple[str, bool]:
+    """Python source for ``expr`` over ``a``/``b``, and whether it reads a variable.
 
     With ``consts`` given, each maximal subtree that reads no variable is
     emitted as a parameter ``c0``, ``c1``, ... and its value is appended to
-    ``consts``; the value comes from evaluating that subtree's own source,
-    so it is the exact number the inlined form computes.
+    ``consts`` (see ``_lift``), except at the root, which the caller lifts.
     """
-    if consts is not None and not referenced_slots(expr):
-        # a literal is its own value; a larger subtree is folded by evaluation
-        value = float(expr.value) if isinstance(expr, Constant) else eval(_emit(expr), _GLOBALS)
-        consts.append(value)
-        return f"c{len(consts) - 1}"
     match expr:
         case Constant(value=v):
             # parenthesized so a negative literal cannot bind under ** wrongly
-            return f"({float(v)!r})"
+            return f"({float(v)!r})", False
         case Var(slot=s):
-            return "a" if s == 0 else "b"
-        case Add(left=l, right=r):
-            return f"({_emit(l, consts)} + {_emit(r, consts)})"
-        case Sub(left=l, right=r):
-            return f"({_emit(l, consts)} - {_emit(r, consts)})"
-        case Mul(left=l, right=r):
-            return f"({_emit(l, consts)} * {_emit(r, consts)})"
-        case Div(left=l, right=r):
-            return f"_div({_emit(l, consts)}, {_emit(r, consts)})"
+            return ("a" if s == 0 else "b"), True
         case Pow(base=base, exponent=n):
-            return f"({_emit(base, consts)} ** {n})"
+            source, reads = _emit(base, consts)
+            return f"({source} ** {n})", reads
         case Neg(operand=o):
-            return f"(-{_emit(o, consts)})"
+            source, reads = _emit(o, consts)
+            return f"(-{source})", reads
+        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
+            (left, left_reads), (right, right_reads) = _emit(l, consts), _emit(r, consts)
+            reads = left_reads or right_reads
+            if reads and consts is not None:
+                # one side reads a variable: a side that does not is a maximal constant
+                if not left_reads:
+                    left = _lift(l, left, consts)
+                if not right_reads:
+                    right = _lift(r, right, consts)
+            if isinstance(expr, Div):
+                return f"_div({left}, {right})", reads
+            return f"({left} {_INFIX[type(expr)]} {right})", reads
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _lift(expr: Expression, source: str, consts: list) -> str:
+    """A new constant parameter for ``expr``, a subtree that reads no variable.
+
+    Its value comes from evaluating ``source``, so it is the exact number
+    the inlined form computes.
+    """
+    # a literal is its own value; a larger subtree is folded by evaluation
+    consts.append(float(expr.value) if isinstance(expr, Constant) else eval(source, _GLOBALS))
+    return f"c{len(consts) - 1}"
 
 
 # repr() writes non-finite constants as inf and nan
@@ -295,19 +314,111 @@ def compile_expr(expr: Expression):
     text, not per tree: trees compare equal when their constants differ only
     in the sign of a zero, and their compiled forms must not be shared.
     """
-    return _compile_source("a, b", _emit(expr))
+    return _compile_source("a, b", _emit(expr)[0])
+
+
+# --- in-place compilation ----------------------------------------------------
+
+_UFUNCS = {ast.Add: "_add", ast.Sub: "_subtract", ast.Mult: "_multiply"}
+_INPLACE_GLOBALS = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
+                    "_divide": np.divide, "_power": np.power, "_negative": np.negative,
+                    "_copyto": np.copyto, "_check_nonzero": _check_nonzero, "__builtins__": {}}
+
+
+class _Registers:
+    """Temporary buffers of an in-place function, reused once consumed.
+
+    Buffer ``i`` is written ``{i}`` in the emitted lines, which are
+    formatted with the buffers' names once the root's buffer is known.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.free: list[str] = []
+
+    def take(self, *operands: str) -> str:
+        """Where a result goes: the first operand held in a buffer, else a free buffer."""
+        held = [op for op in operands if op[0] == "{"]
+        self.free.extend(held[1:])
+        if held:
+            return held[0]
+        if self.free:
+            return self.free.pop()
+        self.count += 1
+        return f"{{{self.count - 1}}}"
+
+
+def _emit_ufuncs(node: ast.expr, lines: list[str], regs: _Registers) -> str:
+    """Append to ``lines`` the ufunc calls that compute ``node`` of a compiled
+    expression's source; returns the name or buffer that holds its value.
+
+    Each call is the elementwise operation the expression runs for that node,
+    so every element gets the same bits.
+    """
+    match node:
+        case ast.Name(id=name):
+            return name
+        case ast.BinOp(left=base, op=ast.Pow(), right=ast.Constant(value=n)):
+            x = _emit_ufuncs(base, lines, regs)
+            dest = regs.take(x)
+            # x ** 2 runs numpy's square, whose bits are x * x
+            lines.append(f"_multiply({x}, {x}, out={dest})" if n == 2 else
+                         f"_power({x}, {n}, out={dest})")
+        case ast.BinOp(left=left, op=op, right=right):
+            x, y = _emit_ufuncs(left, lines, regs), _emit_ufuncs(right, lines, regs)
+            dest = regs.take(x, y)
+            lines.append(f"{_UFUNCS[type(op)]}({x}, {y}, out={dest})")
+        case ast.Call(func=ast.Name(id="_div"), args=[num, den]):
+            x, y = _emit_ufuncs(num, lines, regs), _emit_ufuncs(den, lines, regs)
+            lines.append(f"_check_nonzero({y})")
+            dest = regs.take(x, y)
+            lines.append(f"_divide({x}, {y}, out={dest})")
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            x = _emit_ufuncs(operand, lines, regs)
+            dest = regs.take(x)
+            lines.append(f"_negative({x}, out={dest})")
+        case _:
+            raise TypeError(f"not a compiled expression node: {ast.dump(node)}")
+    return dest
+
+
+@lru_cache(maxsize=4096)
+def _compile_inplace(body: str, num_consts: int):
+    """``(fn, num_temps)``: the expression ``body`` as ufunc calls into ``out``."""
+    lines: list[str] = []
+    regs = _Registers()
+    result = _emit_ufuncs(ast.parse(body, mode="eval").body, lines, regs)
+    temps = [f"t{i}" for i in range(regs.count)]
+    names = list(temps)
+    if result[0] == "{":  # the root's buffer is ``out`` itself
+        root = int(result[1:-1])
+        temps.pop()
+        names = temps[:root] + ["out"] + temps[root:]
+    else:
+        lines.append(f"_copyto(out, {result})")
+    source = "\n    ".join(([f"{', '.join(temps)}, = temps"] if temps else []) + lines)
+    params = ", ".join(["a", "b", "out", "temps"] + [f"c{i}" for i in range(num_consts)])
+    namespace = {}
+    exec(f"def skeleton({params}):\n    {source.format(*names)}\n", _INPLACE_GLOBALS, namespace)
+    return namespace["skeleton"], len(temps)
 
 
 def compile_skeleton(expr: Expression):
-    """Split a tree into a shared callable and its own constants.
+    """Split a tree into a shared in-place callable and its own constants.
 
-    Returns ``(fn, consts)`` with ``fn(a, b, *consts)`` equal, element for
-    element and bit for bit, to ``compile_expr(expr)(a, b)``. Trees that
-    differ only in their variable-free subtrees get the same ``fn`` object,
-    so edges can be grouped by it and evaluated together, with each constant
-    passed as a column of per-edge values.
+    Returns ``(fn, consts, num_temps)``. ``fn(a, b, out, temps, *consts)``
+    writes into ``out`` what ``compile_expr(expr)(a, b)`` returns, element
+    for element and bit for bit, as a sequence of ufunc calls with ``out=``
+    translated from the same source: ``temps`` holds ``num_temps`` scratch
+    arrays of ``out``'s shape, which it overwrites, and nothing else is
+    allocated. ``out`` and ``temps`` must not overlap ``a``, ``b`` or the
+    constants. Trees that differ only in their variable-free subtrees get
+    the same ``fn`` object, so edges can be grouped by it and evaluated
+    together, with each constant passed as a column of per-edge values.
     """
     consts: list[float] = []
-    body = _emit(expr, consts)
-    params = ", ".join(["a", "b"] + [f"c{i}" for i in range(len(consts))])
-    return _compile_source(params, body), tuple(consts)
+    body, reads = _emit(expr, consts)
+    if not reads:
+        body = _lift(expr, body, consts)
+    fn, num_temps = _compile_inplace(body, len(consts))
+    return fn, tuple(consts), num_temps

@@ -10,13 +10,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CdcopInstance, global_cost
+from .model import CdcopInstance
 from .expressions import eval_expr
 
 __all__ = [
     "GridSearchSpec",
     "GridTooLargeError",
-    "centralized_fitness",
     "grid_optimum",
     "check_anytime",
 ]
@@ -36,11 +35,6 @@ class GridSearchSpec:
     def __post_init__(self):
         if self.points_per_dim < 2:
             raise ValueError(f"points_per_dim must be >= 2, got {self.points_per_dim}")
-
-
-def centralized_fitness(inst: CdcopInstance, assignment) -> float:
-    """Internal cost of a full assignment, computed by direct summation."""
-    return global_cost(inst, assignment)
 
 
 def grid_optimum(inst: CdcopInstance, spec: GridSearchSpec = GridSearchSpec()) -> tuple[np.ndarray, float]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .model import CdcopInstance, _neighbor_table
 
-__all__ = ["PseudoTree", "DisconnectedGraphError", "build_bfs", "tree_height", "validate_pseudo_tree", "tree_edge_dump"]
+__all__ = ["PseudoTree", "DisconnectedGraphError", "build_bfs", "validate_pseudo_tree", "tree_edge_dump"]
 
 
 class DisconnectedGraphError(ValueError):
@@ -75,11 +75,6 @@ def build_bfs(inst: CdcopInstance, root: int = 0) -> PseudoTree:
         depth=tuple(depth),
         height=max(depth),
     )
-
-
-def tree_height(tree: PseudoTree) -> int:
-    """Maximum root-to-leaf depth."""
-    return tree.height
 
 
 def validate_pseudo_tree(tree: PseudoTree, inst: CdcopInstance) -> list[str]:

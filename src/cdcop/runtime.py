@@ -200,13 +200,14 @@ def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles
     so its per-cycle total must stay within K*(|N_i| + 1 + |CH_i|) + slack.
     """
     totals = {agent: 0 for agent in range(tree.num_agents)}
+    bounds = [num_particles * (len(tree.neighbors[agent]) + 1 + len(tree.children[agent])) + slack
+              for agent in range(tree.num_agents)]
     violations = []
     for st in cycle_stats:
         for agent, sent in st.sent_scalars_by_agent.items():
             totals[agent] += sent
-            bound = num_particles * (len(tree.neighbors[agent]) + 1 + len(tree.children[agent])) + slack
-            if sent > bound:
-                violations.append((st.cycle, agent, sent, bound))
+            if sent > bounds[agent]:
+                violations.append((st.cycle, agent, sent, bounds[agent]))
     return {"totals": totals, "violations": violations}
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "crossover_probabilities",
     "crossover_positions",
     "crossover_velocities",
+    "CrossoverDraws",
     "crossover_rows",
     "SwarmAgent",
     "TraceRow",
@@ -263,31 +264,68 @@ def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(index, cdf.shape[1] - 1)
 
 
+class CrossoverDraws:
+    """Each row's crossover stream for cycles 1 to ``t_max``, drawn ahead as doubles.
+
+    Row ``i`` of ``buffer`` holds what ``rngs[i]`` yields when every draw is
+    ``random()``: cycle ``t``'s ``a``, ``b`` and ``r`` sit in columns
+    ``3t - 3``, ``3t - 2`` and ``3t - 1``. A row whose ``b`` must be an
+    integer instead calls :meth:`integer`, which rewinds the generator to its
+    state when the row was last filled, skips the doubles used since, takes
+    the integer and refills the rest of the row. The saved state includes
+    PCG64's buffered half of an earlier integer draw, so the stream is the one
+    drawn live: a, then b (``integers`` or ``random``), then r, every cycle.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], t_max: int):
+        self.rngs = rngs
+        self.buffer = np.empty((len(rngs), 3 * t_max))
+        self._states: list = [None] * len(rngs)
+        self._filled_from = [0] * len(rngs)
+        for i in range(len(rngs)):
+            self._fill(i, 0)
+
+    def _fill(self, i: int, column: int) -> None:
+        rng = self.rngs[i]
+        self._states[i] = rng.bit_generator.state
+        self._filled_from[i] = column
+        rng.random(out=self.buffer[i, column:])
+
+    def integer(self, i: int, column: int, high: int) -> int:
+        """Row ``i``'s draw at ``column`` taken as ``integers(0, high)``."""
+        rng = self.rngs[i]
+        rng.bit_generator.state = self._states[i]
+        rng.random(column - self._filled_from[i])
+        value = int(rng.integers(0, high))
+        self._fill(i, column + 1)
+        return value
+
+
 def crossover_rows(x: np.ndarray, v: np.ndarray, local_fitness: np.ndarray,
-                   rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Crossover in each row of ``(m, K)`` matrices, in place; row i draws from ``rngs[i]``.
+                   draws: CrossoverDraws, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle ``t``'s crossover in each row of ``(m, K)`` matrices, in place.
 
     Each row picks particle ``a`` with probability proportional to
     |local fitness|, then a distinct ``b`` the same way (uniformly if ``a``
     carried all the weight), and blends their positions with a uniform
-    ``r``. Where the pair's velocities do not sum to zero they are aligned
-    too, and the pair is fully crossed. Returns the ``(rows, columns)``
-    index of the fully crossed elements, which the regular update leaves
-    alone this cycle. Each row's draws come in the order a, b, r, but only
-    ``b``'s kind of draw depends on the row's values, so the draws are
-    taken stream by stream and the rest is done on whole arrays.
+    ``r``; row i's draws come from row i of ``draws``. Where the pair's
+    velocities do not sum to zero they are aligned too, and the pair is
+    fully crossed. Returns the ``(rows, columns)`` index of the fully crossed
+    elements, which the regular update leaves alone this cycle.
     """
     K = x.shape[1]
-    rows = np.arange(len(rngs))
+    rows = np.arange(x.shape[0])
+    col = 3 * t - 3
     bp = crossover_probabilities(local_fitness)
-    a = _draw_indices(bp.cumsum(axis=1), np.array([rng.random() for rng in rngs]))
+    a = _draw_indices(bp.cumsum(axis=1), draws.buffer[:, col])
     bp[rows, a] = 0.0
     cdf = bp.cumsum(axis=1)
     flat = cdf[:, -1] == 0.0
-    u = np.array([rng.integers(0, K - 1) if uniform else rng.random()
-                  for rng, uniform in zip(rngs, flat.tolist())], dtype=float)
+    u = draws.buffer[:, col + 1].copy()
+    for i in np.flatnonzero(flat):  # rewrites row i's later columns, r included
+        u[i] = draws.integer(i, col + 1, K - 1)
     b = np.where(flat, u + (u >= a), _draw_indices(cdf, u)).astype(np.intp)
-    r = np.array([rng.random() for rng in rngs])
+    r = draws.buffer[:, col + 2]
     x[rows, a], x[rows, b] = crossover_positions(x[rows, a], x[rows, b], r)
     va, vb, crossed = crossover_velocities(v[rows, a], v[rows, b])
     rows, a, b = rows[crossed], a[crossed], b[crossed]
@@ -330,7 +368,8 @@ class SwarmAgent:
 
         rng_init = agent_stream(cfg.seed, agent_id, 0)
         self.rng_update = agent_stream(cfg.seed, agent_id, 1)
-        self.rng_cross = agent_stream(cfg.seed, agent_id, 2)
+        self.cross_draws = (CrossoverDraws([agent_stream(cfg.seed, agent_id, 2)], cfg.t_max)
+                            if cfg.crossover else None)
 
         K = cfg.num_particles
         self.x = rng_init.uniform(self.lb, self.ub, size=K)
@@ -418,7 +457,8 @@ class SwarmAgent:
 
     def _apply_crossover(self) -> None:
         _, self._crossed_full = crossover_rows(self.x[None], self.v[None],
-                                               self.local_fitness[None], [self.rng_cross])
+                                               self.local_fitness[None], self.cross_draws,
+                                               self.control.cycle)
 
     def _variable_update(self) -> None:
         cfg, ctrl = self.cfg, self.control
@@ -490,7 +530,8 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     # r1, r2 of cycle t sit in columns 2t-2, 2t-1: for PCG64 one draw of
     # 2*t_max doubles is the same stream as t_max draws of two
     draws = np.array([agent_stream(cfg.seed, i, 1).random(2 * cfg.t_max) for i in range(n)])
-    cross_rngs = [agent_stream(cfg.seed, i, 2) for i in range(n)] if cfg.crossover else None
+    cross_draws = (CrossoverDraws([agent_stream(cfg.seed, i, 2) for i in range(n)], cfg.t_max)
+                   if cfg.crossover else None)
     v = np.zeros((n, K))
     p_best_x = np.zeros((n, K))
     p_best_fit = np.full(K, np.inf)
@@ -521,7 +562,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
             ctrl.best_particle = k
 
         ctrl.cycle += 1
-        keep = None if cross_rngs is None else crossover_rows(x, v, local, cross_rngs)
+        keep = None if cross_draws is None else crossover_rows(x, v, local, cross_draws, t)
         update_control(ctrl, success, cfg)
         w = inertia_weight(cfg.inertia, ctrl.cycle, cfg.t_max)
         r1, r2 = draws[:, 2 * t - 2:2 * t - 1], draws[:, 2 * t - 1:2 * t]

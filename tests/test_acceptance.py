@@ -22,7 +22,6 @@ from cdcop.experiment import (
     run_experiment,
     verify_trace,
 )
-from cdcop.oracle import centralized_fitness
 from cdcop.runtime import SyncRuntime
 from cdcop.swarm import (
     ConstrictionInertia,
@@ -151,7 +150,7 @@ def test_criterion_3_fitness_equivalence():
                 cycle = int(rng.integers(cfg.t_max))
                 k = int(rng.integers(cfg.num_particles))
                 positions, fitness = trace.probes[cycle]
-                direct = centralized_fitness(inst, positions[:, k])
+                direct = global_cost(inst, positions[:, k])
                 assert fitness[k] == pytest.approx(direct, rel=1e-9, abs=1e-9)
                 probes_checked += 1
 

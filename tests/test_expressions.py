@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cdcop.expressions import (
     Add,
@@ -149,34 +149,58 @@ def test_eval_is_pure(expr, a, b):
     assert eval_expr(expr, a, b) == first
 
 
+def _run_skeleton(expr, x0, x1):
+    """``compile_skeleton(expr)`` run on ``x0``, ``x1`` with each constant as a
+    per-row column, into a NaN-filled ``out`` with garbage in the temps."""
+    fn, consts, num_temps = compile_skeleton(expr)
+    out = np.full(x0.shape, np.nan)
+    temps = [np.full(x0.shape, -7.25) for _ in range(num_temps)]
+    fn(x0, x1, out, temps, *(np.full((len(x0), 1), c) for c in consts))
+    return out
+
+
 @given(_trees, st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
+@example(Var(0), 1.5, -2.0)
+@example(Var(1), 1.5, -2.0)
+@example(Constant(-0.0), 1.5, -2.0)
+@example(Sub(Constant(2.0), Mul(Constant(0.5), Constant(3.0))), 1.5, -2.0)
+@example(Add(Pow(Var(0), 0), Pow(Var(1), 1)), 1.5, -2.0)
+@example(Mul(Pow(Sub(Var(0), Var(1)), 2), Pow(Neg(Var(1)), 3)), 1.5, -2.0)
 def test_skeleton_is_bit_identical_to_compiled(expr, a, b):
-    x0 = np.array([[a, -b, 0.5]])
-    x1 = np.array([[b, a, -1.5]])
-    try:
-        fn, consts = compile_skeleton(expr)
-        got = fn(x0, x1, *(np.array([[c]]) for c in consts))
-    except (DivisionByZero, OverflowError) as e:
-        with pytest.raises(type(e)):
-            compile_expr(expr)(x0, x1)
-        return
-    want = compile_expr(expr)(x0, x1)
-    assert np.broadcast_to(got, x0.shape).tobytes() == np.broadcast_to(want, x0.shape).tobytes()
+    x0 = np.array([[a, -b, 0.5, np.inf], [b, a, -1.5, np.nan]])
+    x1 = np.array([[b, a, -1.5, 2.0], [-a, 0.25, b, -0.0]])
+    with np.errstate(all="ignore"):
+        try:
+            got = _run_skeleton(expr, x0, x1)
+        except (DivisionByZero, OverflowError) as e:
+            with pytest.raises(type(e)):
+                compile_expr(expr)(x0, x1)
+            return
+        want = compile_expr(expr)(x0, x1)
+    assert got.tobytes() == np.broadcast_to(want, x0.shape).tobytes()
+
+
+@pytest.mark.parametrize("text", ["(/ 1.0 x0)", "(/ x0 (- x1 x1))", "(* 2.0 (/ x1 0.0))"])
+def test_skeleton_zero_denominator_raises(text):
+    x0, x1 = np.array([[0.0, 1.0]]), np.array([[2.0, 3.0]])
+    with pytest.raises(DivisionByZero):
+        compile_expr(parse_expr(text))(x0, x1)
+    with pytest.raises(DivisionByZero):
+        _run_skeleton(parse_expr(text), x0, x1)
 
 
 def test_skeleton_shared_across_constants():
     quad = "(+ (+ (* {} (^ x0 2)) (* {} (* x0 x1))) (* {} (^ x1 2)))"
-    fn1, c1 = compile_skeleton(parse_expr(quad.format(1.5, -2.0, 0.25)))
-    fn2, c2 = compile_skeleton(parse_expr(quad.format(-3.0, 4.0, 1.0)))
+    fn1, c1, _ = compile_skeleton(parse_expr(quad.format(1.5, -2.0, 0.25)))
+    fn2, c2, _ = compile_skeleton(parse_expr(quad.format(-3.0, 4.0, 1.0)))
     assert fn1 is fn2
     assert (c1, c2) == ((1.5, -2.0, 0.25), (-3.0, 4.0, 1.0))
-    folded, consts = compile_skeleton(parse_expr("(* (+ 1.0 2.0) (- x0 x1))"))
-    assert consts == (3.0,)
-    assert folded(np.array([2.0]), np.array([0.5]), 3.0)[0] == 4.5
+    folded = parse_expr("(* (+ 1.0 2.0) (- x0 x1))")
+    assert compile_skeleton(folded)[1:] == ((3.0,), 0)
+    assert _run_skeleton(folded, np.array([[2.0]]), np.array([[0.5]]))[0, 0] == 4.5
 
 
 def test_non_finite_constants_compile():
     expr = parse_expr("(+ (* inf x0) (* -inf x1))")
     assert compile_expr(expr)(1.0, -1.0) == float("inf")
-    fn, consts = compile_skeleton(expr)
-    assert fn(1.0, -1.0, *consts) == float("inf")
+    assert _run_skeleton(expr, np.array([[1.0]]), np.array([[-1.0]]))[0, 0] == float("inf")

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from cdcop import build_bfs
+from cdcop import build_bfs, global_cost
 from cdcop.oracle import (
     GridSearchSpec,
     GridTooLargeError,
-    centralized_fitness,
     check_anytime,
     grid_optimum,
 )
@@ -17,12 +16,12 @@ from conftest import KITE_POSITIONS, KITE_ROOT_FITNESS, make_instance
 def test_centralized_fitness_on_hand_trace(kite_instance):
     for k in range(4):
         assignment = KITE_POSITIONS[:, k]
-        assert centralized_fitness(kite_instance, assignment) == pytest.approx(
+        assert global_cost(kite_instance, assignment) == pytest.approx(
             KITE_ROOT_FITNESS[k], abs=5e-3)
 
 
 def test_centralized_fitness_zero(kite_instance):
-    assert centralized_fitness(kite_instance, np.zeros(4)) == 0.0
+    assert global_cost(kite_instance, np.zeros(4)) == 0.0
 
 
 def test_grid_finds_convex_optimum(two_agent_convex):
@@ -36,7 +35,7 @@ def test_grid_finds_boundary_optimum():
     assignment, cost = grid_optimum(inst, GridSearchSpec(points_per_dim=201))
     assert cost <= -99.0  # true infimum -100 at the (10, -10) corner
     corners = [(-10.0, 10.0), (10.0, -10.0)]
-    assert min(centralized_fitness(inst, c) for c in corners) == -100.0
+    assert min(global_cost(inst, c) for c in corners) == -100.0
 
 
 def test_grid_respects_guards(two_agent_convex, kite_instance):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from cdcop import build_bfs, tree_edge_dump, tree_height, validate_pseudo_tree
+from cdcop import build_bfs, tree_edge_dump, validate_pseudo_tree
 from cdcop.benchmarks import gen_erdos_renyi, gen_random_tree
 from cdcop.pseudotree import DisconnectedGraphError
 
@@ -36,7 +36,7 @@ def test_single_agent_tree():
     from cdcop import CdcopInstance, Domain
     inst = CdcopInstance(1, (Domain(0.0, 1.0),), (), "min")
     tree = build_bfs(inst, 0)
-    assert tree_height(tree) == 0
+    assert tree.height == 0
     assert tree.children[0] == ()
 
 
@@ -57,7 +57,7 @@ def _dfs_depth(tree, node):
 def test_height_matches_recursive_depth(seed):
     inst = gen_random_tree(n=50, seed=seed)
     tree = build_bfs(inst, 0)
-    assert tree_height(tree) == _dfs_depth(tree, tree.root)
+    assert tree.height == _dfs_depth(tree, tree.root)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -110,6 +110,12 @@ def test_payload_bound_check(kite_instance):
     report = message_stats(stats, tree, num_particles=3)
     assert report["violations"] == []
     assert report["totals"][0] == 3 * (3 * 3 + 3 * 4)
+    # one scalar below each agent's exact per-cycle traffic: every send violates
+    tight = message_stats(stats, tree, num_particles=3, slack=-1)
+    assert tight["totals"] == report["totals"]
+    assert sorted(tight["violations"]) == [
+        (cycle, agent, sent, sent - 1) for cycle in (1, 2, 3)
+        for agent, sent in ((0, 21), (1, 6), (2, 9), (3, 9))]
 
 
 def test_deadlock_on_withheld_cost(kite_instance):

@@ -8,13 +8,16 @@ from cdcop.swarm import (
     AdaptiveInertia,
     ConfigError,
     ConstrictionInertia,
+    CrossoverDraws,
     FixedInertia,
     GcpsoControl,
     MissingMessage,
     SwarmAgent,
     SwarmConfig,
+    agent_stream,
     crossover_positions,
     crossover_probabilities,
+    crossover_rows,
     crossover_velocities,
     inertia_weight,
     pso_step,
@@ -230,6 +233,64 @@ def test_crossover_draws_follow_searchsorted():
     u = np.array([0.3, 0.5, 0.7, 1.0])
     want = [min(int(c.searchsorted(ui * c[-1], side="right")), 2) for c, ui in zip(cdf, u)]
     assert _draw_indices(cdf, u).tolist() == want
+
+
+def _live_crossover(x, v, lf, rng):
+    """One row's crossover drawing live from ``rng``: a, then b (``integers``
+    when a carried all the weight), then r. Returns the fully crossed pair."""
+    K = len(x)
+    bp = crossover_probabilities(lf)
+    cdf = bp.cumsum()
+    a = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")), K - 1)
+    bp[a] = 0.0
+    cdf = bp.cumsum()
+    if cdf[-1] == 0.0:
+        u = int(rng.integers(0, K - 1))
+        b = u + (u >= a)
+    else:
+        b = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")), K - 1)
+    r = rng.random()
+    x[a], x[b] = crossover_positions(x[a], x[b], r)
+    va, vb, crossed = crossover_velocities(v[a], v[b])
+    if crossed:
+        v[a], v[b] = va, vb
+    return [(a, b)] if crossed else []
+
+
+# per row, the local fitness kind of each cycle: "flat" leaves one nonzero
+# weight, so b is an integer draw; rows 0 and 1 are flat two cycles running
+CYCLE_KINDS = ["flat flat normal flat flat flat zero".split(),
+               "normal flat flat nan flat flat inf".split(),
+               "nan inf zero normal flat normal flat".split(),
+               "normal normal normal normal normal normal normal".split()]
+
+
+@pytest.mark.parametrize("K", [2, 3, 7])
+def test_crossover_draw_stream_matches_live_generator(K):
+    """The pre-drawn streams give what each agent's generator yields live."""
+    m, t_max = len(CYCLE_KINDS), len(CYCLE_KINDS[0])
+    data = np.random.default_rng(K)
+    x, v = data.normal(size=(m, K)), data.normal(size=(m, K))
+    x_live, v_live = x.copy(), v.copy()
+    draws = CrossoverDraws([agent_stream(5, i, 2) for i in range(m)], t_max)
+    live = [agent_stream(5, i, 2) for i in range(m)]
+    for t in range(1, t_max + 1):
+        lf = data.normal(size=(m, K))
+        for i, kinds in enumerate(CYCLE_KINDS):
+            match kinds[t - 1]:
+                case "flat":
+                    lf[i] = 0.0
+                    lf[i, data.integers(K)] = 1.5
+                case "zero":
+                    lf[i] = 0.0
+                case "nan" | "inf" as kind:
+                    lf[i, data.integers(K)] = float(kind)
+        with np.errstate(invalid="ignore"):
+            rows, cols = crossover_rows(x, v, lf, draws, t)
+            want = [(i, c) for i in range(m)
+                    for pair in _live_crossover(x_live[i], v_live[i], lf[i], live[i]) for c in pair]
+        assert x.tobytes() == x_live.tobytes() and v.tobytes() == v_live.tobytes()
+        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(want)
 
 
 def test_crossover_probabilities_degenerate_uniform():
