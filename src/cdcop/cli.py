@@ -32,30 +32,16 @@ from .swarm import (
 __all__ = ["main", "config_to_json", "config_from_json"]
 
 
-def config_to_json(cfg: SwarmConfig) -> str:
-    doc = {
-        "num_particles": cfg.num_particles,
-        "c1": cfg.c1,
-        "c2": cfg.c2,
-        "max_sc": cfg.max_sc,
-        "max_fc": cfg.max_fc,
-        "t_max": cfg.t_max,
-        "crossover": cfg.crossover,
-        "seed": cfg.seed,
-    }
-    match cfg.inertia:
-        case FixedInertia(w=w):
-            doc["inertia"] = {"kind": "fixed", "w": w}
-        case AdaptiveInertia(w_max=hi, w_min=lo, literal_increasing=inc):
-            doc["inertia"] = {"kind": "adaptive", "w_max": hi, "w_min": lo,
-                              "literal_increasing": inc}
-        case ConstrictionInertia(phi=phi):
-            doc["inertia"] = {"kind": "constriction", "phi": phi}
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 _INERTIA_KINDS = {"fixed": FixedInertia, "adaptive": AdaptiveInertia,
                   "constriction": ConstrictionInertia}
+_INERTIA_NAMES = {cls: kind for kind, cls in _INERTIA_KINDS.items()}
+
+
+def config_to_json(cfg: SwarmConfig) -> str:
+    doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    doc["inertia"] = {"kind": _INERTIA_NAMES[type(cfg.inertia)],
+                      **{f.name: getattr(cfg.inertia, f.name) for f in fields(cfg.inertia)}}
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _from_keys(cls, doc, what: str):

@@ -23,23 +23,37 @@ from .runtime import BEST, COST, VALUE, CycleStats, Message
 
 __all__ = ["LocalCosts", "TreeSchedule"]
 
-# edges per numpy call: keeps each block's (edges, K) temporaries in cache
-BLOCK_EDGES = 32
+# elements (edges x particles) per block: keeps each block's (edges, K)
+# operands in cache; er n=50 at K=200 ran fastest near this size
+BLOCK_ELEMENTS = 2 ** 14
+
+
+def _constant_operand(column: np.ndarray, K: int):
+    """A block's per-edge constant as a ufunc operand: a Python float when
+    every edge holds the same bits (-0.0 and 0.0 stay apart), else a full
+    ``(edges, K)`` array, so no call broadcasts an ``(edges, 1)`` column."""
+    if np.all(column.view(np.int64) == column[:1].view(np.int64)):
+        return float(column[0])
+    return np.repeat(column[:, None], K, axis=1)
 
 
 class LocalCosts:
     """Every agent's local fitness from an ``(n, K)`` position matrix.
 
-    Edges are grouped by expression skeleton and evaluated in blocks, with
-    each block's constants as ``(edges, 1)`` columns. Both endpoints of
-    every edge are gathered once per call, and each block writes its values
-    in place into its rows of the value buffer, one row per function. The
-    extra last row stays +0.0 and pads agents with fewer incident functions
-    than the largest degree. Each agent's sum starts at +0.0 and adds, or
-    for maximization subtracts, its incident values in ascending function
-    id, as ``handle_values`` does; such a running sum is never -0.0, so the
-    padding changes no bit. All buffers are allocated once: a call
-    allocates no array, and its result is overwritten by the next call.
+    Edges are grouped by expression skeleton and evaluated in blocks of
+    about ``BLOCK_ELEMENTS`` elements. Every operand of a block's ufunc calls
+    is full size: its constants are built once as ``(edges, K)`` arrays, or
+    passed as Python floats where the whole block shares one. Both endpoints
+    of every edge are gathered once per call, and each block writes its
+    values in place into its rows of the value buffer, one row per function.
+
+    Each agent's sum starts at +0.0 and adds, or for maximization subtracts,
+    its incident values in ascending function id, as ``handle_values`` does.
+    The sums run over the agents in descending degree, so the agents that
+    take their j-th value are a prefix of that order and no row is padded;
+    one gather puts them back in agent order. All buffers are allocated
+    once: a call allocates no array, and its result is overwritten by the
+    next call.
     """
 
     def __init__(self, inst: CdcopInstance, num_particles: int):
@@ -50,16 +64,18 @@ class LocalCosts:
             groups.setdefault(fn, (num_temps, []))[1].append((f, consts))
 
         num_edges = inst.num_edges
-        self.values = np.zeros((num_edges + 1, K))
+        block_edges = max(1, BLOCK_ELEMENTS // K)
+        self.values = np.empty((num_edges, K))
         # edge e's endpoint positions are ends[0, e] (slot x0) and ends[1, e] (slot x1)
         self._scope = np.empty((2, num_edges), dtype=np.intp)
         self._ends = np.empty((2, num_edges, K))
-        pool = np.empty((max((t for t, _ in groups.values()), default=0), BLOCK_EDGES, K))
+        pool = np.empty((max((t for t, _ in groups.values()), default=0),
+                         min(block_edges, num_edges), K))
         row_of: dict[int, int] = {}  # function id -> row of the value buffer
         self.blocks = []  # (skeleton, slot-0 positions, slot-1 positions, values, temps, constants)
         for fn, (num_temps, members) in groups.items():
-            for lo in range(0, len(members), BLOCK_EDGES):
-                block = members[lo:lo + BLOCK_EDGES]
+            for lo in range(0, len(members), block_edges):
+                block = members[lo:lo + block_edges]
                 rows = slice(len(row_of), len(row_of) + len(block))
                 for f, _ in block:
                     row_of[f.id] = len(row_of)
@@ -67,29 +83,38 @@ class LocalCosts:
                 consts = np.array([c for _, c in block], dtype=float).reshape(len(block), -1)
                 self.blocks.append((fn, self._ends[0, rows], self._ends[1, rows], self.values[rows],
                                     [temp[:len(block)] for temp in pool[:num_temps]],
-                                    [consts[:, j:j + 1] for j in range(consts.shape[1])]))
+                                    [_constant_operand(c, K) for c in consts.T]))
 
         incident = [[row_of[fid] for fid in incident_functions(inst, agent)]
                     for agent in range(inst.num_agents)]
-        width = max(map(len, incident), default=0)
-        # column j: every agent's j-th incident function, or the +0.0 row
-        self.columns = np.array([rows + [num_edges] * (width - len(rows)) for rows in incident],
-                                dtype=np.intp).reshape(inst.num_agents, width).T.copy()
+        # agents by descending degree (stable), and each agent's place in that order
+        order = sorted(range(inst.num_agents), key=lambda agent: -len(incident[agent]))
+        self._place = np.argsort(order)
+        width = len(incident[order[0]]) if order else 0
         self._accumulate = np.subtract if inst.sign < 0 else np.add
+        self._sorted = np.empty((inst.num_agents, K))
+        term = np.empty((inst.num_agents, K))
         self._local = np.empty((inst.num_agents, K))
-        self._term = np.empty((inst.num_agents, K))
+        # column j: the j-th incident value of every agent that has one, in that
+        # order, with the rows it is taken into and added to
+        self.columns = []
+        for j in range(width):
+            column = np.array([incident[agent][j] for agent in order if len(incident[agent]) > j],
+                              dtype=np.intp)
+            self.columns.append((column, term[:len(column)], self._sorted[:len(column)]))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # mode="clip" writes straight into ``out``; the default buffers it
         np.take(x, self._scope, axis=0, out=self._ends, mode="clip")
         for fn, first, second, values, temps, consts in self.blocks:
             fn(first, second, values, temps, *consts)
-        local, term, accumulate = self._local, self._term, self._accumulate
-        local.fill(0.0)
-        for column in self.columns:
+        accumulate = self._accumulate
+        self._sorted.fill(0.0)
+        for column, term, total in self.columns:
             np.take(self.values, column, axis=0, out=term, mode="clip")
-            accumulate(local, term, out=local)
-        return local
+            accumulate(total, term, out=total)
+        np.take(self._sorted, self._place, axis=0, out=self._local, mode="clip")
+        return self._local
 
 
 class TreeSchedule:

@@ -14,7 +14,6 @@ Grammar (atoms and binary operators only)::
 Evaluation works on scalars or numpy arrays (elementwise).
 """
 
-import ast
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -248,61 +247,81 @@ def _checked_div(num, den):
     return num / den
 
 
-_INFIX = {Add: "+", Sub: "-", Mul: "*"}
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# repr() writes non-finite constants as inf and nan
+_NAN = float("nan")
+_GLOBALS = {"_div": _checked_div, "inf": float("inf"), "nan": _NAN, "__builtins__": {}}
 
 
-def _emit(expr: Expression, consts: list | None = None) -> tuple[str, bool]:
-    """Python source for ``expr`` over ``a``/``b``, and whether it reads a variable.
+def _emit(expr: Expression, steps: list, consts: list | None = None):
+    """Append to ``steps`` what computes ``expr`` over ``a``/``b``; return the
+    operand that holds its value.
 
-    With ``consts`` given, each maximal subtree that reads no variable is
-    emitted as a parameter ``c0``, ``c1``, ... and its value is appended to
-    ``consts`` (see ``_lift``), except at the root, which the caller lifts.
+    Each operator node is one step ``(op, x, y)``, appended after the steps of
+    its operands, so the steps run in the order the tree evaluates and no
+    step nests another: any depth compiles. Step i's value is named ``_i``;
+    ``op`` is ``+ - * /``, ``**`` (``y`` the exponent) or ``neg``. With
+    ``consts`` given, a subtree that reads no variable emits no step and
+    returns its value as a float, folded as the compiled code computes it;
+    where such a subtree meets one that reads a variable it becomes a
+    parameter ``c0``, ``c1``, ..., and its value is appended to ``consts``.
     """
     match expr:
         case Constant(value=v):
-            # parenthesized so a negative literal cannot bind under ** wrongly
-            return f"({float(v)!r})", False
+            if consts is None:
+                # parenthesized so a negative literal cannot bind under ** wrongly
+                return f"({float(v)!r})"
+            value = float(v)
+            return value if value == value else _NAN  # the NaN the literal ``nan`` gives
         case Var(slot=s):
-            return ("a" if s == 0 else "b"), True
+            return "a" if s == 0 else "b"
         case Pow(base=base, exponent=n):
-            source, reads = _emit(base, consts)
-            return f"({source} ** {n})", reads
+            op, x, y = "**", _emit(base, steps, consts), n
         case Neg(operand=o):
-            source, reads = _emit(o, consts)
-            return f"(-{source})", reads
+            op, x, y = "neg", _emit(o, steps, consts), None
         case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-            (left, left_reads), (right, right_reads) = _emit(l, consts), _emit(r, consts)
-            reads = left_reads or right_reads
-            if reads and consts is not None:
-                # one side reads a variable: a side that does not is a maximal constant
-                if not left_reads:
-                    left = _lift(l, left, consts)
-                if not right_reads:
-                    right = _lift(r, right, consts)
-            if isinstance(expr, Div):
-                return f"_div({left}, {right})", reads
-            return f"({left} {_INFIX[type(expr)]} {right})", reads
-    raise TypeError(f"not an expression node: {expr!r}")
+            op, x, y = _BINARY[type(expr)], _emit(l, steps, consts), _emit(r, steps, consts)
+        case _:
+            raise TypeError(f"not an expression node: {expr!r}")
+    if consts is not None and isinstance(x, float):
+        if op in ("**", "neg") or isinstance(y, float):
+            return _fold(op, x, y)
+        x = _lift(x, consts)
+    elif consts is not None and isinstance(y, float):
+        y = _lift(y, consts)
+    steps.append((op, x, y))
+    return f"_{len(steps) - 1}"
 
 
-def _lift(expr: Expression, source: str, consts: list) -> str:
-    """A new constant parameter for ``expr``, a subtree that reads no variable.
+def _fold(op: str, x: float, y):
+    """A step on constants, computed by the source the compiled code runs for it."""
+    return eval(_source(op, "x", "y"), _GLOBALS, {"x": x, "y": y})
 
-    Its value comes from evaluating ``source``, so it is the exact number
-    the inlined form computes.
-    """
-    # a literal is its own value; a larger subtree is folded by evaluation
-    consts.append(float(expr.value) if isinstance(expr, Constant) else eval(source, _GLOBALS))
+
+def _lift(value: float, consts: list) -> str:
+    consts.append(value)
     return f"c{len(consts) - 1}"
 
 
-# repr() writes non-finite constants as inf and nan
-_GLOBALS = {"_div": _checked_div, "inf": float("inf"), "nan": float("nan"), "__builtins__": {}}
+def _source(op: str, x: str, y) -> str:
+    """One step as a Python expression."""
+    match op:
+        case "**":
+            return f"({x} ** {y})"
+        case "neg":
+            return f"(-{x})"
+        case "/":
+            return f"_div({x}, {y})"
+    return f"({x} {op} {y})"
+
+
+# nested parentheses per assignment, well below the 200 Python's parser allows
+_MAX_NESTING = 50
 
 
 @lru_cache(maxsize=4096)
-def _compile_source(params: str, body: str):
-    return eval(f"lambda {params}: {body}", _GLOBALS)
+def _compile_source(body: str):
+    return eval(f"lambda a, b: {body}", _GLOBALS)
 
 
 def compile_expr(expr: Expression):
@@ -314,12 +333,25 @@ def compile_expr(expr: Expression):
     text, not per tree: trees compare equal when their constants differ only
     in the sign of a zero, and their compiled forms must not be shared.
     """
-    return _compile_source("a, b", _emit(expr)[0])
+    steps: list = []
+    result = _emit(expr, steps)
+    # each step's source is inlined into the step that reads it, except where
+    # its nesting reaches _MAX_NESTING: then it is assigned to its name first
+    assigned, source, nesting = [], {}, {}
+    for i, (op, x, y) in enumerate(steps):
+        depth = 1 + max(nesting.pop(x, 0), nesting.pop(y, 0))
+        text = _source(op, source.pop(x, x), source.pop(y, y))
+        if depth < _MAX_NESTING:
+            source[f"_{i}"], nesting[f"_{i}"] = text, depth
+        else:
+            assigned.append(f"(_{i} := {text}), ")
+    body = source.pop(result, result)
+    return _compile_source(f"({''.join(assigned)}{body})[-1]" if assigned else body)
 
 
 # --- in-place compilation ----------------------------------------------------
 
-_UFUNCS = {ast.Add: "_add", ast.Sub: "_subtract", ast.Mult: "_multiply"}
+_UFUNCS = {"+": "_add", "-": "_subtract", "*": "_multiply", "/": "_divide"}
 _INPLACE_GLOBALS = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
                     "_divide": np.divide, "_power": np.power, "_negative": np.negative,
                     "_copyto": np.copyto, "_check_nonzero": _check_nonzero, "__builtins__": {}}
@@ -348,46 +380,35 @@ class _Registers:
         return f"{{{self.count - 1}}}"
 
 
-def _emit_ufuncs(node: ast.expr, lines: list[str], regs: _Registers) -> str:
-    """Append to ``lines`` the ufunc calls that compute ``node`` of a compiled
-    expression's source; returns the name or buffer that holds its value.
-
-    Each call is the elementwise operation the expression runs for that node,
-    so every element gets the same bits.
-    """
-    match node:
-        case ast.Name(id=name):
-            return name
-        case ast.BinOp(left=base, op=ast.Pow(), right=ast.Constant(value=n)):
-            x = _emit_ufuncs(base, lines, regs)
-            dest = regs.take(x)
-            # x ** 2 runs numpy's square, whose bits are x * x
-            lines.append(f"_multiply({x}, {x}, out={dest})" if n == 2 else
-                         f"_power({x}, {n}, out={dest})")
-        case ast.BinOp(left=left, op=op, right=right):
-            x, y = _emit_ufuncs(left, lines, regs), _emit_ufuncs(right, lines, regs)
-            dest = regs.take(x, y)
-            lines.append(f"{_UFUNCS[type(op)]}({x}, {y}, out={dest})")
-        case ast.Call(func=ast.Name(id="_div"), args=[num, den]):
-            x, y = _emit_ufuncs(num, lines, regs), _emit_ufuncs(den, lines, regs)
-            lines.append(f"_check_nonzero({y})")
-            dest = regs.take(x, y)
-            lines.append(f"_divide({x}, {y}, out={dest})")
-        case ast.UnaryOp(op=ast.USub(), operand=operand):
-            x = _emit_ufuncs(operand, lines, regs)
-            dest = regs.take(x)
-            lines.append(f"_negative({x}, out={dest})")
-        case _:
-            raise TypeError(f"not a compiled expression node: {ast.dump(node)}")
-    return dest
-
-
 @lru_cache(maxsize=4096)
-def _compile_inplace(body: str, num_consts: int):
-    """``(fn, num_temps)``: the expression ``body`` as ufunc calls into ``out``."""
+def _compile_inplace(steps: tuple, result: str, num_consts: int):
+    """``(fn, num_temps)``: ``steps`` (see ``_emit``) as ufunc calls with ``out=``,
+    leaving ``result`` in ``out``.
+
+    Each call is the elementwise operation the compiled source runs for that
+    step, so every element gets the same bits.
+    """
     lines: list[str] = []
     regs = _Registers()
-    result = _emit_ufuncs(ast.parse(body, mode="eval").body, lines, regs)
+    held: dict[str, str] = {}  # step value -> the buffer holding it
+    for i, (op, x, y) in enumerate(steps):
+        x = held.pop(x, x)
+        if op == "**":
+            dest = regs.take(x)
+            # x ** 2 runs numpy's square, whose bits are x * x
+            lines.append(f"_multiply({x}, {x}, out={dest})" if y == 2 else
+                         f"_power({x}, {y}, out={dest})")
+        elif op == "neg":
+            dest = regs.take(x)
+            lines.append(f"_negative({x}, out={dest})")
+        else:
+            y = held.pop(y, y)
+            if op == "/":
+                lines.append(f"_check_nonzero({y})")
+            dest = regs.take(x, y)
+            lines.append(f"{_UFUNCS[op]}({x}, {y}, out={dest})")
+        held[f"_{i}"] = dest
+    result = held.get(result, result)
     temps = [f"t{i}" for i in range(regs.count)]
     names = list(temps)
     if result[0] == "{":  # the root's buffer is ``out`` itself
@@ -408,17 +429,19 @@ def compile_skeleton(expr: Expression):
 
     Returns ``(fn, consts, num_temps)``. ``fn(a, b, out, temps, *consts)``
     writes into ``out`` what ``compile_expr(expr)(a, b)`` returns, element
-    for element and bit for bit, as a sequence of ufunc calls with ``out=``
-    translated from the same source: ``temps`` holds ``num_temps`` scratch
+    for element and bit for bit, as a sequence of ufunc calls with ``out=``,
+    one per step of the same ``_emit`` output: ``temps`` holds ``num_temps`` scratch
     arrays of ``out``'s shape, which it overwrites, and nothing else is
     allocated. ``out`` and ``temps`` must not overlap ``a``, ``b`` or the
     constants. Trees that differ only in their variable-free subtrees get
     the same ``fn`` object, so edges can be grouped by it and evaluated
-    together, with each constant passed as a column of per-edge values.
+    together, with each constant passed as per-edge values that broadcast
+    against ``out``.
     """
     consts: list[float] = []
-    body, reads = _emit(expr, consts)
-    if not reads:
-        body = _lift(expr, body, consts)
-    fn, num_temps = _compile_inplace(body, len(consts))
+    steps: list = []
+    result = _emit(expr, steps, consts)
+    if isinstance(result, float):
+        result = _lift(result, consts)
+    fn, num_temps = _compile_inplace(tuple(steps), result, len(consts))
     return fn, tuple(consts), num_temps

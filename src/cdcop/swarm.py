@@ -194,9 +194,10 @@ def pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg: SwarmConfig, ctrl: GcpsoC
     """One velocity and position update; returns ``(x_new, v_new)``.
 
     Takes one agent's particle vectors with scalar ``g_best_x``, ``r1``,
-    ``r2``, ``lb``, ``ub``, or all agents' ``(n, K)`` matrices with those as
-    ``(n, 1)`` columns; every element sees the same operations in the same
-    order either way. With A = (p_best_x - x)*(r1*c1) and
+    ``r2``, ``lb``, ``ub``, or all agents' ``(n, K)`` matrices with
+    ``g_best_x``, ``r1``, ``r2`` as ``(n, 1)`` columns and ``lb``, ``ub`` as
+    columns or full ``(n, K)`` matrices; every element sees the same
+    operations in the same order either way. With A = (p_best_x - x)*(r1*c1) and
     B = (g_best_x - x)*(r2*c2) the velocity is (A + B) + w*v, or
     ((A + B) + v)*w under constriction. The global best particle
     ``ctrl.best_particle`` takes ``velocity_global_best`` instead, and the
@@ -233,8 +234,12 @@ def crossover_probabilities(local_fitness: np.ndarray) -> np.ndarray:
     """
     weights = np.abs(local_fitness)
     total = weights.sum(axis=-1, keepdims=True)
-    uniform = np.full_like(weights, 1.0 / weights.shape[-1])
-    return np.divide(weights, total, out=uniform, where=total != 0.0)
+    zero = total == 0.0
+    total[zero] = 1.0  # an all-zero row divides by 1, not 0/0, then turns uniform
+    weights /= total
+    if zero.any():
+        np.copyto(weights, 1.0 / weights.shape[-1], where=zero)
+    return weights
 
 
 def crossover_positions(xa, xb, r):
@@ -320,16 +325,16 @@ def crossover_rows(x: np.ndarray, v: np.ndarray, local_fitness: np.ndarray,
     a = _draw_indices(bp.cumsum(axis=1), draws.buffer[:, col])
     bp[rows, a] = 0.0
     cdf = bp.cumsum(axis=1)
-    flat = cdf[:, -1] == 0.0
-    u = draws.buffer[:, col + 1].copy()
-    for i in np.flatnonzero(flat):  # rewrites row i's later columns, r included
-        u[i] = draws.integer(i, col + 1, K - 1)
-    b = np.where(flat, u + (u >= a), _draw_indices(cdf, u)).astype(np.intp)
+    b = _draw_indices(cdf, draws.buffer[:, col + 1])
+    for i in np.flatnonzero(cdf[:, -1] == 0.0):  # rewrites row i's later columns, r included
+        u = draws.integer(i, col + 1, K - 1)
+        b[i] = u + (u >= a[i])
     r = draws.buffer[:, col + 2]
     x[rows, a], x[rows, b] = crossover_positions(x[rows, a], x[rows, b], r)
     va, vb, crossed = crossover_velocities(v[rows, a], v[rows, b])
-    rows, a, b = rows[crossed], a[crossed], b[crossed]
-    v[rows, a], v[rows, b] = va[crossed], vb[crossed]
+    if not crossed.all():
+        rows, a, b, va, vb = rows[crossed], a[crossed], b[crossed], va[crossed], vb[crossed]
+    v[rows, a], v[rows, b] = va, vb
     return np.concatenate([rows, rows]), np.concatenate([a, b])
 
 
@@ -523,8 +528,9 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     n, K = inst.num_agents, cfg.num_particles
     local_costs = LocalCosts(inst, K)
     schedule = TreeSchedule(tree, K)
-    lb = np.array([[d.lb] for d in inst.domains])
-    ub = np.array([[d.ub] for d in inst.domains])
+    # full-size bounds: clip then takes no broadcast column
+    lb = np.repeat([[d.lb] for d in inst.domains], K, axis=1)
+    ub = np.repeat([[d.ub] for d in inst.domains], K, axis=1)
     x = np.array([agent_stream(cfg.seed, i, 0).uniform(d.lb, d.ub, size=K)
                   for i, d in enumerate(inst.domains)])
     # r1, r2 of cycle t sit in columns 2t-2, 2t-1: for PCG64 one draw of
@@ -550,9 +556,9 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         if probes is not None:
             probes.append((x.copy(), fit.copy()))
 
-        improved = np.flatnonzero(fit < p_best_fit)
-        p_best_fit[improved] = fit[improved]
-        p_best_x[:, improved] = x[:, improved]
+        improved = fit < p_best_fit
+        np.copyto(p_best_fit, fit, where=improved)
+        np.copyto(p_best_x, x, where=improved)
         k = int(np.argmin(fit))
         success = bool(fit[k] < g_best_fit)
         if success:
@@ -568,7 +574,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         r1, r2 = draws[:, 2 * t - 2:2 * t - 1], draws[:, 2 * t - 1:2 * t]
         x, v = pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg, ctrl, lb, ub, keep)
 
-        best_len = len(improved) + (2 if success else 0)
+        best_len = int(np.count_nonzero(improved)) + (2 if success else 0)
         stats = schedule.cycle_stats(t, best_len)
         if log is not None:
             log.extend(schedule.messages(t, best_len))

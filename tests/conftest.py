@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from functools import reduce
+
 from cdcop import CdcopInstance, CostFunction, Domain, parse_expr
+from cdcop.expressions import Add, Constant, Mul, Pow, Sub, Var
 
 
 def make_instance(n, specs, domain=(-10.0, 10.0), objective="min"):
@@ -14,6 +17,12 @@ def make_instance(n, specs, domain=(-10.0, 10.0), objective="min"):
         ),
         objective=objective,
     )
+
+
+def sum_chain(num_terms):
+    """A left-leaning sum of ``num_terms`` terms, nested ``num_terms - 1`` deep."""
+    terms = [Var(0), Mul(Constant(0.5), Var(1)), Constant(0.25), Pow(Sub(Var(0), Constant(1.5)), 2)]
+    return reduce(Add, (terms[i % len(terms)] for i in range(num_terms)))
 
 
 @pytest.fixture

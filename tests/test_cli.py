@@ -4,7 +4,7 @@ import pytest
 
 from cdcop.cli import config_from_json, config_to_json, main
 from cdcop.model import load_instance
-from cdcop.swarm import AdaptiveInertia, ConstrictionInertia, SwarmConfig
+from cdcop.swarm import AdaptiveInertia, ConstrictionInertia, FixedInertia, SwarmConfig
 
 
 def test_gen_writes_valid_instance(tmp_path, capsys):
@@ -63,7 +63,9 @@ def test_solve_requires_instance(capsys):
 def test_config_json_round_trip():
     for cfg in (SwarmConfig(),
                 SwarmConfig(inertia=ConstrictionInertia(4.1), c1=2.05, c2=2.05),
-                SwarmConfig(num_particles=12, crossover=True, seed=9)):
+                SwarmConfig(num_particles=12, crossover=True, seed=9),
+                SwarmConfig(inertia=FixedInertia(0.72), t_max=7),
+                SwarmConfig(inertia=AdaptiveInertia(1.2, 0.3, literal_increasing=True))):
         assert config_from_json(config_to_json(cfg)) == cfg
 
 

@@ -10,8 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdcop import CdcopInstance, Domain, DivisionByZero, build_bfs
+from cdcop import (CdcopInstance, CostFunction, Domain, DivisionByZero, build_bfs, engine,
+                   parse_expr)
 from cdcop.benchmarks import BenchSpec, generate
+from cdcop.engine import LocalCosts
+from cdcop.expressions import compile_expr
 from cdcop.experiment import write_trace_csv
 from cdcop.runtime import SyncRuntime, write_message_log_csv
 from cdcop.swarm import (
@@ -25,7 +28,7 @@ from cdcop.swarm import (
     solve,
 )
 
-from conftest import make_instance
+from conftest import make_instance, sum_chain
 
 
 def reference_solve(inst, cfg, root=0, record_probes=False, log_messages=False) -> RunTrace:
@@ -70,7 +73,6 @@ def assert_bit_identical(got: RunTrace, want: RunTrace, tmp_path):
 
 
 FAMILIES = {
-    # er has more edges than one evaluation block holds
     "er": BenchSpec("er", n=15, p=0.5, seed=11),
     "tree": BenchSpec("tree", n=8, seed=12),
     "ba": BenchSpec("ba", n=9, m=2, seed=13),
@@ -103,6 +105,10 @@ SPECIAL = {
     "maximize": make_instance(2, [((0, 1), "(/ 100.0 (+ (^ (- x0 x1) 2) 1.0))")],
                               domain=(0.0, 10.0), objective="max"),
     "single_agent": CdcopInstance(1, (Domain(-1.0, 1.0),), (), "min"),
+    # one function 399 deep beside a shallow one
+    "deep_expression": CdcopInstance(3, (Domain(-10.0, 10.0),) * 3,
+                                     (CostFunction(0, (0, 1), sum_chain(400)),
+                                      CostFunction(1, (1, 2), parse_expr(KITE[1][1]))), "min"),
 }
 
 
@@ -146,3 +152,54 @@ def test_cycle_timing_is_recorded():
     inst = generate(replace(FAMILIES["tree"], seed=2))
     trace = solve(inst, SwarmConfig(num_particles=8, t_max=5))
     assert all(row.stats.duration_s > 0.0 for row in trace.rows)
+
+
+# agent 3 holds every function and each leaf one, so the local sums run over
+# the agents reordered by degree
+HUB = [((leaf, 3) if leaf > 3 else (3, leaf), "(+ (* 1.5 (^ x0 2)) (* -0.5 (* x0 x1)))")
+       for leaf in (0, 1, 2, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("objective", ["min", "max"])
+@pytest.mark.parametrize("crossover", [False, True], ids=["pcd", "pcd_crossover"])
+def test_hub_matches_reference(objective, crossover, tmp_path):
+    inst = make_instance(7, HUB, objective=objective)
+    cfg = SwarmConfig(num_particles=10, t_max=40, crossover=crossover, seed=6)
+    assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
+                         reference_solve(inst, cfg, record_probes=True, log_messages=True),
+                         tmp_path)
+
+
+def test_group_over_several_blocks_matches_reference(monkeypatch, tmp_path):
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 3 * 12)  # blocks of 3 edges
+    inst = generate(FAMILIES["er"])
+    cfg = SwarmConfig(num_particles=12, t_max=30, crossover=True, seed=8)
+    local_costs = LocalCosts(inst, cfg.num_particles)
+    assert len(local_costs.blocks) == -(-inst.num_edges // 3)
+    assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
+                         reference_solve(inst, cfg, record_probes=True, log_messages=True),
+                         tmp_path)
+
+
+def test_two_particles_match_reference(tmp_path):
+    inst = generate(FAMILIES["sensor"])
+    cfg = SwarmConfig(num_particles=2, t_max=30, crossover=True, seed=4)
+    assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
+                         reference_solve(inst, cfg, record_probes=True, log_messages=True),
+                         tmp_path)
+
+
+def test_constant_column_keeps_a_lone_negative_zero():
+    """A block's constants that are all 0.0 but one -0.0 are not merged.
+
+    A zero's sign cannot reach the fitness (each agent's sum starts at +0.0
+    and a zero denominator raises), so this reads the per-edge values.
+    """
+    inst = make_instance(6, [((i, i + 1), f"(* {'-0.0' if i == 2 else '0.0'} x0)")
+                             for i in range(5)], domain=(1.0, 2.0))
+    x = np.linspace(1.0, 2.0, 6 * 4).reshape(6, 4)
+    local_costs = LocalCosts(inst, 4)
+    local_costs(x)
+    want = np.array([compile_expr(f.expr)(x[f.scope[0]], x[f.scope[1]]) for f in inst.functions])
+    assert np.signbit(want[2]).all()
+    assert local_costs.values.tobytes() == want.tobytes()

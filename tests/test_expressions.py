@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -20,6 +22,8 @@ from cdcop.expressions import (
     parse_expr,
     referenced_slots,
 )
+
+from conftest import sum_chain
 
 
 def test_difference_of_squares():
@@ -204,3 +208,14 @@ def test_non_finite_constants_compile():
     expr = parse_expr("(+ (* inf x0) (* -inf x1))")
     assert compile_expr(expr)(1.0, -1.0) == float("inf")
     assert _run_skeleton(expr, np.array([[1.0]]), np.array([[-1.0]]))[0, 0] == float("inf")
+
+
+def test_deep_chain_compiles():
+    """A sum nested 399 deep compiles in both forms and equals the tree walk."""
+    chain = sum_chain(400)
+    x0, x1 = np.array([[1.0, -2.5]]), np.array([[2.0, 0.75]])
+    want = eval_expr(chain, x0, x1)
+    assert compile_expr(chain)(x0, x1).tobytes() == want.tobytes()
+    assert _run_skeleton(chain, x0, x1).tobytes() == want.tobytes()
+    constants = reduce(Add, [Constant(0.1 * i) for i in range(400)])
+    assert compile_skeleton(constants)[1] == (eval_expr(constants, 0.0, 0.0),)
