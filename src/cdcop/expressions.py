@@ -14,6 +14,7 @@ Grammar (atoms and binary operators only)::
 Evaluation works on scalars or numpy arrays (elementwise).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,6 +105,15 @@ class Neg:
 Expression = Constant | Var | Add | Sub | Mul | Div | Pow | Neg
 
 
+def _pow(x, n: int):
+    """``x ** n``; a float result too large overflows to a signed infinity, as
+    numpy's does, instead of raising OverflowError."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
 def eval_expr(expr: Expression, a, b):
     """Evaluate ``expr`` with slot 0 bound to ``a`` and slot 1 to ``b``.
 
@@ -127,7 +137,7 @@ def eval_expr(expr: Expression, a, b):
                 raise DivisionByZero("zero denominator in cost expression")
             return eval_expr(l, a, b) / den
         case Pow(base=base, exponent=n):
-            return eval_expr(base, a, b) ** n
+            return _pow(eval_expr(base, a, b), n)
         case Neg(operand=o):
             return -eval_expr(o, a, b)
     raise TypeError(f"not an expression node: {expr!r}")
@@ -250,7 +260,7 @@ def _checked_div(num, den):
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # repr() writes non-finite constants as inf and nan
 _NAN = float("nan")
-_GLOBALS = {"_div": _checked_div, "inf": float("inf"), "nan": _NAN, "__builtins__": {}}
+_GLOBALS = {"_div": _checked_div, "_pow": _pow, "inf": float("inf"), "nan": _NAN, "__builtins__": {}}
 
 
 def _emit(expr: Expression, steps: list, consts: list | None = None):
@@ -269,7 +279,7 @@ def _emit(expr: Expression, steps: list, consts: list | None = None):
     match expr:
         case Constant(value=v):
             if consts is None:
-                # parenthesized so a negative literal cannot bind under ** wrongly
+                # parenthesized so a negative literal stays one operand
                 return f"({float(v)!r})"
             value = float(v)
             return value if value == value else _NAN  # the NaN the literal ``nan`` gives
@@ -307,7 +317,7 @@ def _source(op: str, x: str, y) -> str:
     """One step as a Python expression."""
     match op:
         case "**":
-            return f"({x} ** {y})"
+            return f"_pow({x}, {y})"
         case "neg":
             return f"(-{x})"
         case "/":

@@ -128,7 +128,12 @@ def _branch(children):
 _trees = st.recursive(_leaf, _branch, max_leaves=12)
 
 
+# 1/a squared overflows a float: a power must give inf, as + and * do, not raise
+_OVERFLOWING = (Pow(Neg(Div(Constant(1.0), Var(0))), 2), 1.8584325085444321e-267, 0.0)
+
+
 @given(_trees, st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
+@example(*_OVERFLOWING)
 def test_compiled_agrees_with_tree_walk(expr, a, b):
     try:
         expected = eval_expr(expr, a, b)
@@ -145,6 +150,7 @@ def test_compiled_agrees_with_tree_walk(expr, a, b):
 
 
 @given(_trees, st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
+@example(*_OVERFLOWING)
 def test_eval_is_pure(expr, a, b):
     try:
         first = eval_expr(expr, a, b)
@@ -219,3 +225,17 @@ def test_deep_chain_compiles():
     assert _run_skeleton(chain, x0, x1).tobytes() == want.tobytes()
     constants = reduce(Add, [Constant(0.1 * i) for i in range(400)])
     assert compile_skeleton(constants)[1] == (eval_expr(constants, 0.0, 0.0),)
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("base, n, want", [(1e200, 2, _INF), (-1e200, 2, _INF),
+                                           (-1e200, 3, -_INF), (1e200, 3, _INF)])
+def test_scalar_power_overflows_to_infinity(base, n, want):
+    """Every route gives the signed infinity numpy gives, on floats and arrays alike."""
+    expr = Pow(Var(0), n)
+    assert eval_expr(expr, base, 0.0) == want
+    assert compile_expr(expr)(base, 0.0) == want
+    assert _run_skeleton(expr, np.array([[base]]), np.array([[0.0]]))[0, 0] == want
+    assert compile_skeleton(Pow(Constant(base), n))[1] == (want,)
