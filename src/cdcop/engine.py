@@ -51,9 +51,10 @@ class LocalCosts:
     its incident values in ascending function id, as ``handle_values`` does.
     The sums run over the agents in descending degree, so the agents that
     take their j-th value are a prefix of that order and no row is padded;
-    one gather puts them back in agent order. All buffers are allocated
-    once: a call allocates no array, and its result is overwritten by the
-    next call.
+    one gather puts them back in agent order. The values the sums add are
+    gathered with one call too, the j-th values of all agents into one
+    contiguous block of rows. All buffers are allocated once: a call
+    allocates no array, and its result is overwritten by the next call.
     """
 
     def __init__(self, inst: CdcopInstance, num_particles: int):
@@ -93,27 +94,32 @@ class LocalCosts:
         width = len(incident[order[0]]) if order else 0
         self._accumulate = np.subtract if inst.sign < 0 else np.add
         self._sorted = np.empty((inst.num_agents, K))
-        term = np.empty((inst.num_agents, K))
         self._local = np.empty((inst.num_agents, K))
         # column j: the j-th incident value of every agent that has one, in that
-        # order, with the rows it is taken into and added to
+        # order; all columns are gathered at once, each into its own block of
+        # rows of ``_terms``, and column j is added into the leading rows of
+        # ``_sorted``
+        columns = [[incident[agent][j] for agent in order if len(incident[agent]) > j]
+                   for j in range(width)]
+        self._gather = np.array([row for column in columns for row in column], dtype=np.intp)
+        self._terms = np.empty((len(self._gather), K))
         self.columns = []
-        for j in range(width):
-            column = np.array([incident[agent][j] for agent in order if len(incident[agent]) > j],
-                              dtype=np.intp)
-            self.columns.append((column, term[:len(column)], self._sorted[:len(column)]))
+        start = 0
+        for column in columns:
+            self.columns.append((self._terms[start:start + len(column)], self._sorted[:len(column)]))
+            start += len(column)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # mode="clip" writes straight into ``out``; the default buffers it
-        np.take(x, self._scope, axis=0, out=self._ends, mode="clip")
+        x.take(self._scope, axis=0, out=self._ends, mode="clip")
         for fn, first, second, values, temps, consts in self.blocks:
             fn(first, second, values, temps, *consts)
+        self.values.take(self._gather, axis=0, out=self._terms, mode="clip")
         accumulate = self._accumulate
         self._sorted.fill(0.0)
-        for column, term, total in self.columns:
-            np.take(self.values, column, axis=0, out=term, mode="clip")
+        for term, total in self.columns:
             accumulate(total, term, out=total)
-        np.take(self._sorted, self._place, axis=0, out=self._local, mode="clip")
+        self._sorted.take(self._place, axis=0, out=self._local, mode="clip")
         return self._local
 
 
@@ -150,6 +156,7 @@ class TreeSchedule:
         self.routes += [(BEST, a, child) for level in levels for a in level
                         for child in tree.children[a]]
         self.num_particles = K
+        self._sent: dict[int, dict[int, int]] = {}  # best_len -> sent_scalars_by_agent
 
     def convergecast(self, local: np.ndarray) -> np.ndarray:
         """The root's aggregated fitness: the swarm's fitness per particle.
@@ -165,10 +172,16 @@ class TreeSchedule:
         return fitness
 
     def cycle_stats(self, cycle: int, best_len: int) -> CycleStats:
-        sent = [fixed + kids * best_len for fixed, kids in zip(self.fixed_sent, self.num_children)]
+        """One cycle's counts. ``sent_scalars_by_agent`` is built once per
+        distinct ``best_len`` and shared by every row with that length, so
+        callers must treat it as read-only."""
+        sent = self._sent.get(best_len)
+        if sent is None:
+            sent = self._sent[best_len] = {
+                agent: fixed + kids * best_len
+                for agent, fixed, kids in zip(self.senders, self.fixed_sent, self.num_children)}
         return CycleStats(cycle, self.value_count, self.cost_count, self.best_count,
-                          self.fixed_total + self.best_count * best_len,
-                          dict(zip(self.senders, sent)))
+                          self.fixed_total + self.best_count * best_len, sent)
 
     def messages(self, cycle: int, best_len: int) -> list[Message]:
         K = self.num_particles

@@ -204,14 +204,7 @@ def instance_from_json(text: str) -> CdcopInstance:
         inst = CdcopInstance(
             num_agents=int(doc["num_agents"]),
             domains=tuple(Domain(float(lb), float(ub)) for lb, ub in doc["domains"]),
-            functions=tuple(
-                CostFunction(
-                    id=int(f["id"]),
-                    scope=(int(f["scope"][0]), int(f["scope"][1])),
-                    expr=parse_expr(f["expr"]),
-                )
-                for f in doc["functions"]
-            ),
+            functions=tuple(_function_from_json(f) for f in doc["functions"]),
             objective=str(doc.get("objective", "min")),
         )
     except KeyError as e:
@@ -220,6 +213,16 @@ def instance_from_json(text: str) -> CdcopInstance:
     if violations:
         raise InvalidInstanceError(violations)
     return inst
+
+
+def _function_from_json(f: dict) -> CostFunction:
+    fid = int(f["id"])
+    scope = (int(f["scope"][0]), int(f["scope"][1]))
+    try:
+        expr = parse_expr(f["expr"])
+    except RecursionError:  # the parser recurses once per nesting level
+        raise InvalidInstanceError([f"function {fid}: expression nests too deep to parse"]) from None
+    return CostFunction(fid, scope, expr)
 
 
 def save_instance(inst: CdcopInstance, path) -> None:

@@ -55,8 +55,6 @@ __all__ = [
     "velocity_global_best",
     "pso_step",
     "crossover_probabilities",
-    "crossover_positions",
-    "crossover_velocities",
     "CrossoverDraws",
     "crossover_rows",
     "SwarmAgent",
@@ -190,8 +188,8 @@ def velocity_global_best(v, x, g_best, w, radius, r2):
 
 
 def pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg: SwarmConfig, ctrl: GcpsoControl,
-             lb, ub, keep=None):
-    """One velocity and position update; returns ``(x_new, v_new)``.
+             lb, ub, keep=None, scratch=None):
+    """One velocity and position update of ``x`` and ``v``, in place; returns ``(x, v)``.
 
     Takes one agent's particle vectors with scalar ``g_best_x``, ``r1``,
     ``r2``, ``lb``, ``ub``, or all agents' ``(n, K)`` matrices with
@@ -201,76 +199,81 @@ def pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg: SwarmConfig, ctrl: GcpsoC
     B = (g_best_x - x)*(r2*c2) the velocity is (A + B) + w*v, or
     ((A + B) + v)*w under constriction. The global best particle
     ``ctrl.best_particle`` takes ``velocity_global_best`` instead, and the
-    elements at index ``keep``, already moved by crossover, keep their
+    elements at flat index ``keep``, already moved by crossover, keep their
     velocity and position. Positions are clamped to ``[lb, ub]``.
+    ``scratch`` is a pair of arrays shaped like ``x`` that A and B are
+    computed in; without it the pair is allocated.
     """
-    v_new = p_best_x - x
-    v_new *= r1 * cfg.c1
-    social = g_best_x - x
-    social *= r2 * cfg.c2
-    v_new += social
-    if isinstance(cfg.inertia, ConstrictionInertia):
-        v_new += v
-        v_new *= w
-    else:
-        v_new += w * v
+    cognitive, social = scratch or (np.empty_like(x), np.empty_like(x))
     k = ctrl.best_particle
     if k is not None:
         best = np.s_[..., k:k + 1]  # one column keeps the broadcast shapes
-        v_new[best] = velocity_global_best(v[best], x[best], g_best_x, w, ctrl.radius, r2)
+        v_best = velocity_global_best(v[best], x[best], g_best_x, w, ctrl.radius, r2)
     if keep is not None:
-        v_new[keep] = v[keep]
-    x_new = x + v_new
+        kept_v, kept_x = v.take(keep), x.take(keep)
+    np.subtract(p_best_x, x, out=cognitive)
+    cognitive *= r1 * cfg.c1
+    np.subtract(g_best_x, x, out=social)
+    social *= r2 * cfg.c2
+    cognitive += social
+    if isinstance(cfg.inertia, ConstrictionInertia):
+        v += cognitive
+        v *= w
+    else:
+        v *= w
+        v += cognitive
+    if k is not None:
+        v[best] = v_best
     if keep is not None:
-        x_new[keep] = x[keep]
-    x_new.clip(lb, ub, out=x_new)
-    return x_new, v_new
+        v.put(keep, kept_v)
+    x += v
+    if keep is not None:
+        x.put(keep, kept_x)
+    # np.clip's bits (a test pins this); with (n, K) bounds, a third of ndarray.clip's time
+    np.maximum(x, lb, out=x)
+    np.minimum(x, ub, out=x)
+    return x, v
 
 
-def crossover_probabilities(local_fitness: np.ndarray) -> np.ndarray:
+def crossover_probabilities(local_fitness: np.ndarray, out=None, total=None) -> np.ndarray:
     """Selection weights proportional to |local fitness| along the last axis.
 
-    A row whose fitness is all zero gets uniform weights.
+    A row whose fitness is all zero gets uniform weights. ``out`` and
+    ``total`` (the row sums, with a last axis of length 1) may be given to
+    reuse buffers.
     """
-    weights = np.abs(local_fitness)
-    total = weights.sum(axis=-1, keepdims=True)
-    zero = total == 0.0
-    total[zero] = 1.0  # an all-zero row divides by 1, not 0/0, then turns uniform
+    weights = np.abs(local_fitness, out=out)
+    total = np.add.reduce(weights, axis=-1, keepdims=True, out=total)
+    zero = None if np.count_nonzero(total) == total.size else total == 0.0
+    if zero is not None:
+        total[zero] = 1.0  # an all-zero row divides by 1, not 0/0, then turns uniform
     weights /= total
-    if zero.any():
+    if zero is not None:
         np.copyto(weights, 1.0 / weights.shape[-1], where=zero)
     return weights
 
 
-def crossover_positions(xa, xb, r):
-    return r * xa + (1.0 - r) * xb, r * xb + (1.0 - r) * xa
-
-
-def crossover_velocities(va, vb):
-    """Both velocities aligned with the sign of their sum, and a mask of where
-    that sum is nonzero: only there are the velocities crossed."""
-    total = va + vb
-    unit = np.where(total > 0.0, 1.0, -1.0)
-    return unit * np.abs(va), unit * np.abs(vb), total != 0.0
-
-
-def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _draw_indices(cdf: np.ndarray, u: np.ndarray, index: np.ndarray, target: np.ndarray,
+                  above: np.ndarray) -> np.ndarray:
     """Per row, ``cdf.searchsorted(u * cdf[-1], side="right")`` capped at the last index.
 
     That draws an index with probability proportional to the row's
-    increments. On a non-decreasing row the search equals a count of the
-    elements at or below the target; a row that ends in NaN is searched
-    as such, since the search orders NaN last and a comparison would not.
+    increments. On a row sorted with NaN last, as a cumulative sum of
+    weights >= 0 is, the search gives the row length minus the number of
+    elements above the target: a NaN target (the row ends in NaN) is above
+    none. Writes the indices into ``index``, using ``target`` (one per row)
+    and ``above`` (shaped like ``cdf``) as scratch.
     """
-    target = u * cdf[:, -1]
-    index = np.count_nonzero(cdf <= target[:, None], axis=1)
-    for i in np.flatnonzero(np.isnan(cdf[:, -1])):
-        index[i] = cdf[i].searchsorted(target[i], side="right")
-    return np.minimum(index, cdf.shape[1] - 1)
+    np.multiply(u, cdf[:, -1], out=target[:, 0])
+    np.greater(cdf, target, out=above)
+    np.add.reduce(above, axis=1, dtype=np.intp, out=index)
+    np.maximum(index, 1, out=index)  # caps the index at K - 1
+    return np.subtract(cdf.shape[1], index, out=index)
 
 
 class CrossoverDraws:
-    """Each row's crossover stream for cycles 1 to ``t_max``, drawn ahead as doubles.
+    """Each row's crossover stream for cycles 1 to ``t_max``, drawn ahead as doubles,
+    and the scratch buffers ``crossover_rows`` works in for ``(m, K)`` matrices.
 
     Row ``i`` of ``buffer`` holds what ``rngs[i]`` yields when every draw is
     ``random()``: cycle ``t``'s ``a``, ``b`` and ``r`` sit in columns
@@ -282,13 +285,24 @@ class CrossoverDraws:
     drawn live: a, then b (``integers`` or ``random``), then r, every cycle.
     """
 
-    def __init__(self, rngs: list[np.random.Generator], t_max: int):
+    def __init__(self, rngs: list[np.random.Generator], t_max: int, num_particles: int):
+        m, K = len(rngs), num_particles
         self.rngs = rngs
-        self.buffer = np.empty((len(rngs), 3 * t_max))
-        self._states: list = [None] * len(rngs)
-        self._filled_from = [0] * len(rngs)
-        for i in range(len(rngs)):
+        self.buffer = np.empty((m, 3 * t_max))
+        self._states: list = [None] * m
+        self._filled_from = [0] * m
+        for i in range(m):
             self._fill(i, 0)
+        self.weights = np.empty((m, K))
+        self.cdf = np.empty((m, K))
+        self.above = np.empty((m, K), dtype=bool)
+        self.total = np.empty((m, 1))
+        self.target = np.empty((m, 1))
+        self.offsets = np.arange(m, dtype=np.intp) * K  # flat index of each row's column 0
+        self.columns = np.empty((2, m), dtype=np.intp)  # a and b of each row
+        self.flat = np.empty((2, m), dtype=np.intp)  # their flat indices into (m, K)
+        self.pair = np.empty((2, m))
+        self.blend = np.empty((2, m))
 
     def _fill(self, i: int, column: int) -> None:
         rng = self.rngs[i]
@@ -306,36 +320,57 @@ class CrossoverDraws:
         return value
 
 
+_SIGNS = np.array([-1.0, 1.0])  # the velocities' sign, indexed by "their sum is > 0"
+
+
 def crossover_rows(x: np.ndarray, v: np.ndarray, local_fitness: np.ndarray,
-                   draws: CrossoverDraws, t: int) -> tuple[np.ndarray, np.ndarray]:
+                   draws: CrossoverDraws, t: int) -> np.ndarray:
     """Cycle ``t``'s crossover in each row of ``(m, K)`` matrices, in place.
 
     Each row picks particle ``a`` with probability proportional to
     |local fitness|, then a distinct ``b`` the same way (uniformly if ``a``
     carried all the weight), and blends their positions with a uniform
     ``r``; row i's draws come from row i of ``draws``. Where the pair's
-    velocities do not sum to zero they are aligned too, and the pair is
-    fully crossed. Returns the ``(rows, columns)`` index of the fully crossed
-    elements, which the regular update leaves alone this cycle.
+    velocities do not sum to zero both are aligned with the sign of that
+    sum, and the pair is fully crossed. Returns the flat indices into
+    ``x`` of the fully crossed elements, which the regular update leaves
+    alone this cycle; they live in ``draws`` until its next call.
     """
     K = x.shape[1]
-    rows = np.arange(x.shape[0])
     col = 3 * t - 3
-    bp = crossover_probabilities(local_fitness)
-    a = _draw_indices(bp.cumsum(axis=1), draws.buffer[:, col])
-    bp[rows, a] = 0.0
-    cdf = bp.cumsum(axis=1)
-    b = _draw_indices(cdf, draws.buffer[:, col + 1])
-    for i in np.flatnonzero(cdf[:, -1] == 0.0):  # rewrites row i's later columns, r included
-        u = draws.integer(i, col + 1, K - 1)
-        b[i] = u + (u >= a[i])
+    a, b = draws.columns
+    flat_a, flat_b = draws.flat
+    weights = crossover_probabilities(local_fitness, draws.weights, draws.total)
+    # np.cumsum, without its Python wrapper
+    cdf = np.add.accumulate(weights, axis=1, out=draws.cdf)
+    _draw_indices(cdf, draws.buffer[:, col], a, draws.target, draws.above)
+    np.add(draws.offsets, a, out=flat_a)
+    weights.put(flat_a, 0.0)
+    np.add.accumulate(weights, axis=1, out=cdf)
+    _draw_indices(cdf, draws.buffer[:, col + 1], b, draws.target, draws.above)
+    if np.count_nonzero(cdf[:, -1]) < len(b):
+        for i in np.flatnonzero(cdf[:, -1] == 0.0):  # rewrites row i's later columns, r included
+            u = draws.integer(i, col + 1, K - 1)
+            b[i] = u + (u >= a[i])
+    np.add(draws.offsets, b, out=flat_b)
     r = draws.buffer[:, col + 2]
-    x[rows, a], x[rows, b] = crossover_positions(x[rows, a], x[rows, b], r)
-    va, vb, crossed = crossover_velocities(v[rows, a], v[rows, b])
-    if not crossed.all():
-        rows, a, b, va, vb = rows[crossed], a[crossed], b[crossed], va[crossed], vb[crossed]
-    v[rows, a], v[rows, b] = va, vb
-    return np.concatenate([rows, rows]), np.concatenate([a, b])
+    # both positions as one (2, m) stack: row 0 is r*xa + (1-r)*xb, row 1 r*xb + (1-r)*xa
+    pair, blend = draws.pair, draws.blend
+    x.take(draws.flat, out=pair, mode="clip")
+    np.multiply(pair, r, out=blend)
+    pair *= 1.0 - r
+    blend += pair[::-1]
+    x.put(draws.flat, blend)
+    v.take(draws.flat, out=pair, mode="clip")
+    total = pair[0] + pair[1]
+    np.abs(pair, out=pair)
+    pair *= _SIGNS.take(total > 0.0)
+    if np.count_nonzero(total) == len(total):
+        v.put(draws.flat, pair)
+        return draws.flat
+    crossed = total != 0.0
+    v.put(draws.flat[:, crossed], pair[:, crossed])
+    return draws.flat[:, crossed]
 
 
 def agent_stream(seed: int, agent_id: int, label: int) -> np.random.Generator:
@@ -373,8 +408,8 @@ class SwarmAgent:
 
         rng_init = agent_stream(cfg.seed, agent_id, 0)
         self.rng_update = agent_stream(cfg.seed, agent_id, 1)
-        self.cross_draws = (CrossoverDraws([agent_stream(cfg.seed, agent_id, 2)], cfg.t_max)
-                            if cfg.crossover else None)
+        self.cross_draws = (CrossoverDraws([agent_stream(cfg.seed, agent_id, 2)], cfg.t_max,
+                                           cfg.num_particles) if cfg.crossover else None)
 
         K = cfg.num_particles
         self.x = rng_init.uniform(self.lb, self.ub, size=K)
@@ -386,6 +421,7 @@ class SwarmAgent:
         self.g_best_x = 0.0
         self.g_best_fit = np.inf
         self.control = GcpsoControl()
+        self._scratch = (np.empty(K), np.empty(K))  # the update's A and B
         self._improved = False
         self._crossed_full: np.ndarray | None = None
         self.eval_x: np.ndarray | None = None
@@ -461,16 +497,15 @@ class SwarmAgent:
     # -- local update steps --
 
     def _apply_crossover(self) -> None:
-        _, self._crossed_full = crossover_rows(self.x[None], self.v[None],
-                                               self.local_fitness[None], self.cross_draws,
-                                               self.control.cycle)
+        self._crossed_full = crossover_rows(self.x[None], self.v[None], self.local_fitness[None],
+                                            self.cross_draws, self.control.cycle)
 
     def _variable_update(self) -> None:
         cfg, ctrl = self.cfg, self.control
         w = inertia_weight(cfg.inertia, ctrl.cycle, cfg.t_max)
         r1, r2 = (float(r) for r in self.rng_update.random(2))
-        self.x, self.v = pso_step(self.x, self.v, self.p_best_x, self.g_best_x, r1, r2, w,
-                                  cfg, ctrl, self.lb, self.ub, self._crossed_full)
+        pso_step(self.x, self.v, self.p_best_x, self.g_best_x, r1, r2, w, cfg, ctrl,
+                 self.lb, self.ub, self._crossed_full, self._scratch)
         self._crossed_full = None
 
 
@@ -528,7 +563,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     n, K = inst.num_agents, cfg.num_particles
     local_costs = LocalCosts(inst, K)
     schedule = TreeSchedule(tree, K)
-    # full-size bounds: clip then takes no broadcast column
+    # full-size bounds: the clamp then takes no broadcast column
     lb = np.repeat([[d.lb] for d in inst.domains], K, axis=1)
     ub = np.repeat([[d.ub] for d in inst.domains], K, axis=1)
     x = np.array([agent_stream(cfg.seed, i, 0).uniform(d.lb, d.ub, size=K)
@@ -536,8 +571,9 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     # r1, r2 of cycle t sit in columns 2t-2, 2t-1: for PCG64 one draw of
     # 2*t_max doubles is the same stream as t_max draws of two
     draws = np.array([agent_stream(cfg.seed, i, 1).random(2 * cfg.t_max) for i in range(n)])
-    cross_draws = (CrossoverDraws([agent_stream(cfg.seed, i, 2) for i in range(n)], cfg.t_max)
+    cross_draws = (CrossoverDraws([agent_stream(cfg.seed, i, 2) for i in range(n)], cfg.t_max, K)
                    if cfg.crossover else None)
+    scratch = (np.empty((n, K)), np.empty((n, K)))  # the update's A and B
     v = np.zeros((n, K))
     p_best_x = np.zeros((n, K))
     p_best_fit = np.full(K, np.inf)
@@ -559,7 +595,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         improved = fit < p_best_fit
         np.copyto(p_best_fit, fit, where=improved)
         np.copyto(p_best_x, x, where=improved)
-        k = int(np.argmin(fit))
+        k = int(fit.argmin())
         success = bool(fit[k] < g_best_fit)
         if success:
             g_best_fit = float(fit[k])
@@ -572,7 +608,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         update_control(ctrl, success, cfg)
         w = inertia_weight(cfg.inertia, ctrl.cycle, cfg.t_max)
         r1, r2 = draws[:, 2 * t - 2:2 * t - 1], draws[:, 2 * t - 1:2 * t]
-        x, v = pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg, ctrl, lb, ub, keep)
+        pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg, ctrl, lb, ub, keep, scratch)
 
         best_len = int(np.count_nonzero(improved)) + (2 if success else 0)
         stats = schedule.cycle_stats(t, best_len)

@@ -112,7 +112,7 @@ def test_criterion_1_golden_trace(kite_instance):
 
         # the update kernel with r1=0.7, r2=0.4 on the state the cycle left behind
         for i, agent in enumerate(agents):
-            x, v = pso_step(KITE_POSITIONS[i], np.zeros(4), agent.p_best_x, agent.g_best_x,
+            x, v = pso_step(KITE_POSITIONS[i].copy(), np.zeros(4), agent.p_best_x, agent.g_best_x,
                             0.7, 0.4, 0.72, cfg, agent.control, agent.lb, agent.ub)
             np.testing.assert_allclose(v, KITE_UPDATED_V[i], **two_dp)
             np.testing.assert_allclose(x, KITE_UPDATED_X[i], **two_dp)

@@ -143,6 +143,22 @@ def test_invalid_instance_rejected(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_deeply_nested_expression_is_usage_error(tmp_path, capsys):
+    expr = "x0"
+    for _ in range(1199):  # a 1200-term sum, nested past Python's recursion limit
+        expr = f"(+ {expr} x1)"
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps({
+        "num_agents": 2,
+        "domains": [[0.0, 1.0], [0.0, 1.0]],
+        "objective": "min",
+        "functions": [{"id": 7, "scope": [0, 1], "expr": expr}],
+    }))
+    assert main(["solve", str(bad), "-K", "4", "--cycles", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: function 7: ") and "too deep" in err
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen", "--family", "er", "--n", "4", "--p", "1.0", "--out", str(inst_path)])

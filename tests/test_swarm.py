@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,10 +17,8 @@ from cdcop.swarm import (
     SwarmAgent,
     SwarmConfig,
     agent_stream,
-    crossover_positions,
     crossover_probabilities,
     crossover_rows,
-    crossover_velocities,
     inertia_weight,
     pso_step,
     solve,
@@ -171,7 +171,7 @@ def test_one_cycle_reproduces_hand_tables(kite_instance):
     # velocities and positions from the update kernel with r1=0.7, r2=0.4,
     # fed the state the cycle left behind
     for i, agent in enumerate(agents):
-        x, v = pso_step(KITE_POSITIONS[i], np.zeros(4), agent.p_best_x, agent.g_best_x,
+        x, v = pso_step(KITE_POSITIONS[i].copy(), np.zeros(4), agent.p_best_x, agent.g_best_x,
                         0.7, 0.4, 0.72, KITE_CONFIG, agent.control, agent.lb, agent.ub)
         np.testing.assert_allclose(v, KITE_UPDATED_V[i], **TABLE)
         np.testing.assert_allclose(x, KITE_UPDATED_X[i], **TABLE)
@@ -214,25 +214,38 @@ def test_crossover_probability_table(kite_instance):
         np.testing.assert_allclose(bp, KITE_CROSSOVER_P[i], atol=5e-4)
 
 
+def _cross_pair(x, v, r):
+    """One row of two particles crossed with blend weight ``r``; both orders of
+    the pair give the same result. Returns the row's x, v and kept indices."""
+    draws = CrossoverDraws([agent_stream(0, 0, 2)], 1, 2)
+    draws.buffer[0, 2] = r
+    x, v = np.array([x], dtype=float), np.array([v], dtype=float)
+    keep = crossover_rows(x, v, np.ones((1, 2)), draws, 1)
+    return x[0].tolist(), v[0].tolist(), sorted(keep.ravel().tolist())
+
+
 def test_crossover_position_blend_by_hand():
-    xa2, xb2 = crossover_positions(-2.0, 1.1, r=0.3)
-    assert xa2 == pytest.approx(0.17)
-    assert xb2 == pytest.approx(-1.07)
+    x, _, _ = _cross_pair([-2.0, 1.1], [0.0, 0.0], r=0.3)
+    assert x[0] == pytest.approx(0.17)
+    assert x[1] == pytest.approx(-1.07)
 
 
 def test_crossover_velocity_alignment():
-    assert crossover_velocities(2.0, -1.0) == (2.0, 1.0, True)
-    assert crossover_velocities(-2.0, 1.0) == (-2.0, -1.0, True)
-    assert not crossover_velocities(0.0, 0.0)[2]
-    assert not crossover_velocities(1.5, -1.5)[2]
+    assert _cross_pair([0.0, 0.0], [2.0, -1.0], 0.5)[1:] == ([2.0, 1.0], [0, 1])
+    assert _cross_pair([0.0, 0.0], [-2.0, 1.0], 0.5)[1:] == ([-2.0, -1.0], [0, 1])
+    assert _cross_pair([0.0, 0.0], [0.0, 0.0], 0.5)[1:] == ([0.0, 0.0], [])
+    assert _cross_pair([0.0, 0.0], [1.5, -1.5], 0.5)[1:] == ([1.5, -1.5], [])
 
 
 def test_crossover_draws_follow_searchsorted():
     from cdcop.swarm import _draw_indices
-    cdf = np.array([[0.1, 0.5, 1.0], [0.2, np.nan, np.nan], [0.0, 0.0, 0.0], [0.25, 0.5, 0.5]])
-    u = np.array([0.3, 0.5, 0.7, 1.0])
-    want = [min(int(c.searchsorted(ui * c[-1], side="right")), 2) for c, ui in zip(cdf, u)]
-    assert _draw_indices(cdf, u).tolist() == want
+    cdf = np.array([[0.1, 0.5, 1.0], [0.2, np.nan, np.nan], [0.0, 0.0, 0.0], [0.25, 0.5, 0.5],
+                    [0.1, 0.2, np.inf], [np.nan, np.nan, np.nan]])
+    u = np.array([0.3, 0.5, 0.7, 1.0, 0.0, 0.2])
+    index, target, above = np.empty(6, np.intp), np.empty((6, 1)), np.empty(cdf.shape, bool)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        want = [min(int(c.searchsorted(ui * c[-1], side="right")), 2) for c, ui in zip(cdf, u)]
+        assert _draw_indices(cdf, u, index, target, above).tolist() == want
 
 
 def _live_crossover(x, v, lf, rng):
@@ -250,11 +263,14 @@ def _live_crossover(x, v, lf, rng):
     else:
         b = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")), K - 1)
     r = rng.random()
-    x[a], x[b] = crossover_positions(x[a], x[b], r)
-    va, vb, crossed = crossover_velocities(v[a], v[b])
-    if crossed:
-        v[a], v[b] = va, vb
-    return [(a, b)] if crossed else []
+    xa, xb = x[a], x[b]
+    x[a], x[b] = r * xa + (1.0 - r) * xb, r * xb + (1.0 - r) * xa
+    total = v[a] + v[b]
+    if total == 0.0:
+        return []
+    unit = 1.0 if total > 0.0 else -1.0
+    v[a], v[b] = unit * abs(v[a]), unit * abs(v[b])
+    return [(a, b)]
 
 
 # per row, the local fitness kind of each cycle: "flat" leaves one nonzero
@@ -272,7 +288,7 @@ def test_crossover_draw_stream_matches_live_generator(K):
     data = np.random.default_rng(K)
     x, v = data.normal(size=(m, K)), data.normal(size=(m, K))
     x_live, v_live = x.copy(), v.copy()
-    draws = CrossoverDraws([agent_stream(5, i, 2) for i in range(m)], t_max)
+    draws = CrossoverDraws([agent_stream(5, i, 2) for i in range(m)], t_max, K)
     live = [agent_stream(5, i, 2) for i in range(m)]
     for t in range(1, t_max + 1):
         lf = data.normal(size=(m, K))
@@ -286,11 +302,64 @@ def test_crossover_draw_stream_matches_live_generator(K):
                 case "nan" | "inf" as kind:
                     lf[i, data.integers(K)] = float(kind)
         with np.errstate(invalid="ignore"):
-            rows, cols = crossover_rows(x, v, lf, draws, t)
-            want = [(i, c) for i in range(m)
+            keep = crossover_rows(x, v, lf, draws, t)
+            want = [i * K + c for i in range(m)
                     for pair in _live_crossover(x_live[i], v_live[i], lf[i], live[i]) for c in pair]
         assert x.tobytes() == x_live.tobytes() and v.tobytes() == v_live.tobytes()
-        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(want)
+        assert sorted(keep.ravel().tolist()) == sorted(want)
+
+
+@pytest.mark.parametrize("m", [1, 4], ids=["agent_row", "solve_rows"])
+def test_crossover_workspace_reuse_matches_fresh_buffers(m):
+    """Each cycle, the reused workspace gives what a copy of the draws with
+    fresh (garbage-filled) scratch gives; and the update keeps exactly the
+    fully crossed elements. m = 1 is the agent's one-row shape."""
+    K, t_max = 5, 6
+    data = np.random.default_rng(m)
+    x, v = data.uniform(-5, 5, size=(m, K)), data.normal(size=(m, K))
+    draws = CrossoverDraws([agent_stream(8, i, 2) for i in range(m)], t_max, K)
+    cfg, ctrl = SwarmConfig(num_particles=K, t_max=t_max), GcpsoControl(best_particle=2)
+    for t in range(1, t_max + 1):
+        lf = data.normal(size=(m, K))
+        match t:
+            case 2:
+                lf[0] = 0.0  # all-zero row: uniform weights
+            case 3:
+                lf[-1, 1] = np.nan
+            case 4:
+                v[0] = 0.0  # every pair's velocities sum to 0: row 0 is not crossed
+            case 5:
+                lf[0] = 0.0
+                lf[0, 2] = 1.5  # one weight: b is an integer draw
+        fresh = copy.deepcopy(draws)
+        for name, buf in vars(fresh).items():  # every scratch buffer: all arrays but the draws
+            if isinstance(buf, np.ndarray) and name not in ("buffer", "offsets"):
+                setattr(fresh, name, np.full_like(buf, 7 if buf.dtype != bool else True))
+        x_fresh, v_fresh = x.copy(), v.copy()
+        with np.errstate(invalid="ignore"):
+            keep = crossover_rows(x, v, lf, draws, t).copy()
+            keep_fresh = crossover_rows(x_fresh, v_fresh, lf, fresh, t)
+        assert x.tobytes() == x_fresh.tobytes() and v.tobytes() == v_fresh.tobytes()
+        assert keep.tolist() == keep_fresh.tolist()
+        if t == 4:
+            assert not any(0 <= i < K for i in keep.ravel())
+
+        # the update keeps exactly the elements at ``keep``, in either shape
+        p_best_x, r1, r2 = data.uniform(-5, 5, size=(m, K)), data.random(), data.random()
+        crossed_x, crossed_v = x.copy(), v.copy()
+        free_x, free_v = x.copy(), v.copy()
+        rows = (lambda a: a[0]) if m == 1 else (lambda a: a)  # the agent updates 1-D vectors
+        pso_step(rows(free_x), rows(free_v), rows(p_best_x), 0.5, r1, r2, 0.7, cfg, ctrl,
+                 -100.0, 100.0)
+        pso_step(rows(x), rows(v), rows(p_best_x), 0.5, r1, r2, 0.7, cfg, ctrl, -100.0, 100.0,
+                 keep=keep)
+        kept = np.zeros(m * K, dtype=bool)
+        kept[keep.ravel()] = True
+        for got, before, free in ((x, crossed_x, free_x), (v, crossed_v, free_v)):
+            got, before, free = got.ravel(), before.ravel(), free.ravel()
+            assert got[kept].tobytes() == before[kept].tobytes()
+            assert got[~kept].tobytes() == free[~kept].tobytes()
+            assert np.all(got[~kept] != before[~kept])
 
 
 def test_crossover_probabilities_degenerate_uniform():
@@ -302,7 +371,7 @@ def test_crossover_probabilities_degenerate_uniform():
        st.floats(0, 1, allow_nan=False))
 def test_crossover_stays_in_parent_hull(xa, xb, r):
     lo, hi = min(xa, xb), max(xa, xb)
-    ya, yb = crossover_positions(xa, xb, r)
+    ya, yb = _cross_pair([xa, xb], [0.0, 0.0], r)[0]
     assert lo - 1e-9 <= ya <= hi + 1e-9
     assert lo - 1e-9 <= yb <= hi + 1e-9
 
@@ -333,6 +402,17 @@ def test_velocity_constricted_scales_everything():
     inner = 1.0 + 0.5 * 2.05 * (3.0 - 2.0) + 0.5 * 2.05 * (4.0 - 2.0)
     v = _velocity(*args, inertia=ConstrictionInertia(4.1))
     assert v == pytest.approx(0.7298 * inner)
+
+
+def test_clamp_pair_matches_clip_bitwise():
+    """``pso_step`` clamps with maximum then minimum; pin that this gives the
+    bits of ``np.clip`` on signed zeros, subnormals, huge values, infinities
+    and NaNs of both signs."""
+    values = [0.0, 5e-324, 1.0, 1e300, np.inf, np.nan]
+    grid = np.array(values + [np.copysign(value, -1.0) for value in values])
+    x, lb, ub = (axis.ravel() for axis in np.meshgrid(grid, grid, grid, indexing="ij"))
+    pair = np.minimum(np.maximum(x, lb), ub)
+    assert pair.view(np.int64).tolist() == np.clip(x, lb, ub).view(np.int64).tolist()
 
 
 def test_fixed_point_particle_stays_put():
