@@ -1,0 +1,123 @@
+"""Trace digests of a fixed matrix of ``solve`` runs, and the script that rewrites them.
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+Each run records probes and the message log and is reduced to SHA-256
+digests of its trace rows (without timings), its probes, its trace CSV and
+its message-log CSV. ``tests/test_trace_digests.py`` recomputes them and
+compares them with ``trace_digests.json``, so a change to any bit of a
+trace shows up across commits, which the in-commit equivalence test cannot
+see when both of its sides change together. The file also records the
+Python and numpy versions it was made with. A change that rewrites it says
+why and lists the digests that changed.
+"""
+
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+TESTS = Path(__file__).resolve().parent.parent
+if str(TESTS) not in sys.path:
+    sys.path.insert(0, str(TESTS))
+
+from cdcop.benchmarks import BenchSpec, generate  # noqa: E402
+from cdcop.experiment import write_trace_csv  # noqa: E402
+from cdcop.runtime import write_message_log_csv  # noqa: E402
+from cdcop.swarm import SwarmConfig, solve  # noqa: E402
+
+from conftest import make_instance  # noqa: E402
+from test_engine_equivalence import SCHEDULES, SPECIAL  # noqa: E402
+
+GOLDEN = Path(__file__).with_name("trace_digests.json")
+
+SMALL = {
+    "er": BenchSpec("er", n=6, p=0.4, seed=21),
+    "tree": BenchSpec("tree", n=6, seed=22),
+    "ba": BenchSpec("ba", n=6, m=2, seed=23),
+    "sensor": BenchSpec("sensor", rows=2, cols=3, seed=24),  # maximize
+}
+VARIANTS = {"pcd": False, "pcd_crossover": True}
+# +inf and -inf terms meet at agent 1: its local fitness holds inf and NaN
+NON_FINITE = make_instance(3, [((0, 1), "(* inf (* x0 x1))"), ((1, 2), "(* -inf (* x0 x1))")],
+                           domain=(-1.0, 1.0))
+# zero cost on a clamped upper bound: with two particles some crossover rows
+# put all their weight on one particle, so ``b`` is drawn as an integer
+FLAT = make_instance(3, [((0, 1), "(* (- x0 1.0) (- x1 1.0))"),
+                         ((1, 2), "(* (- x0 1.0) (- x1 1.0))")], domain=(0.0, 1.0))
+
+
+def runs():
+    """``(name, instance, config)`` for every run in the matrix."""
+    for family, spec in SMALL.items():
+        inst = generate(spec)
+        for schedule, (inertia, c) in SCHEDULES.items():
+            for variant, crossover in VARIANTS.items():
+                for seed in (1, 2):
+                    yield (f"{family}/{schedule}/{variant}/seed{seed}", inst,
+                           SwarmConfig(num_particles=50, t_max=200, c1=c, c2=c, inertia=inertia,
+                                       crossover=crossover, seed=seed))
+    yield ("er50/pcd", generate(BenchSpec("er", n=50, p=0.2, seed=25)),
+           SwarmConfig(num_particles=200, t_max=500, seed=1))
+    yield ("sensor8x8/pcd_crossover", generate(BenchSpec("sensor", rows=8, cols=8, seed=26)),
+           SwarmConfig(num_particles=200, t_max=500, crossover=True, seed=1))
+    for name, inst in {**SPECIAL, "non_finite": NON_FINITE}.items():
+        for variant, crossover in VARIANTS.items():
+            yield (f"special/{name}/{variant}", inst,
+                   SwarmConfig(num_particles=10, t_max=40, crossover=crossover, seed=3))
+    for seed in (1, 4):
+        yield (f"special/flat/pcd_crossover/seed{seed}", FLAT,
+               SwarmConfig(num_particles=2, t_max=40, crossover=True, seed=seed))
+
+
+def _sha256(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def digest_run(inst, cfg, work_dir: Path) -> dict[str, str]:
+    with np.errstate(all="ignore"):
+        trace = solve(inst, cfg, record_probes=True, log_messages=True)
+    rows = []
+    for row in trace.rows:
+        st = row.stats
+        rows.append((row.cycle, row.best_cost.hex(), row.best_internal.hex(),
+                     [float(x).hex() for x in row.assignment], st.cycle, st.value_count,
+                     st.cost_count, st.best_count, st.payload_scalars,
+                     sorted(st.sent_scalars_by_agent.items())))
+    rows.append((trace.best_cost.hex(), trace.best_internal.hex(),
+                 [float(x).hex() for x in trace.best_assignment]))
+    trace_csv, log_csv = work_dir / "trace.csv", work_dir / "messages.csv"
+    write_trace_csv(trace_csv, trace)
+    write_message_log_csv(trace.messages, log_csv)
+    return {
+        "rows": _sha256(repr(rows).encode()),
+        "probes": _sha256(*(a.tobytes() for x, fit in trace.probes for a in (x, fit))),
+        "trace_csv": _sha256(trace_csv.read_bytes()),
+        "messages_csv": _sha256(log_csv.read_bytes()),
+    }
+
+
+def versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def compute() -> dict[str, dict[str, str]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: digest_run(inst, cfg, Path(tmp)) for name, inst, cfg in runs()}
+
+
+def main() -> None:
+    doc = {**versions(), "runs": compute()}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(doc['runs'])} runs to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()
