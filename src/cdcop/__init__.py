@@ -4,16 +4,14 @@ A library for modeling continuous distributed constraint optimization
 problems and solving them with a decentralized particle swarm (the PCD
 algorithm and its crossover variant), plus benchmark generators, a
 centralized verification oracle, and an experiment harness.
+
+The package namespace holds the modeling names; the solver, runtime,
+oracle and experiment harness are imported from their modules
+(``cdcop.swarm``, ``cdcop.runtime``, ``cdcop.oracle``, ``cdcop.experiment``).
 """
 
-from .expressions import (
-    DivisionByZero,
-    Expression,
-    compile_expr,
-    eval_expr,
-    format_expr,
-    parse_expr,
-)
+from .benchmarks import BenchSpec, generate
+from .expressions import DivisionByZero, eval_expr, parse_expr
 from .model import (
     CdcopInstance,
     CostFunction,
@@ -28,58 +26,6 @@ from .model import (
     save_instance,
     validate_instance,
 )
-from .pseudotree import (
-    DisconnectedGraphError,
-    PseudoTree,
-    build_bfs,
-    tree_edge_dump,
-    validate_pseudo_tree,
-)
-from .runtime import (
-    BestPayload,
-    CycleStats,
-    DeadlockDetected,
-    Message,
-    SyncRuntime,
-    message_stats,
-)
-from .swarm import (
-    AdaptiveInertia,
-    ConfigError,
-    ConstrictionInertia,
-    FixedInertia,
-    GcpsoControl,
-    MissingMessage,
-    RunTrace,
-    SwarmAgent,
-    SwarmConfig,
-    TraceRow,
-    inertia_weight,
-    solve,
-    update_control,
-    validate_config,
-)
-from .benchmarks import (
-    BenchSpec,
-    GenerationFailed,
-    gen_barabasi_albert,
-    gen_erdos_renyi,
-    gen_random_tree,
-    gen_sensor_grid,
-    generate,
-)
-from .oracle import (
-    GridSearchSpec,
-    GridTooLargeError,
-    check_anytime,
-    grid_optimum,
-)
-from .experiment import (
-    ExperimentConfig,
-    emit_anytime_table,
-    read_trace_csv,
-    run_experiment,
-    write_trace_csv,
-)
+from .pseudotree import build_bfs, tree_edge_dump, validate_pseudo_tree
 
 __version__ = "0.1.0"

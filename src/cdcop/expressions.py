@@ -11,10 +11,14 @@ Grammar (atoms and binary operators only)::
              | '(' '^' expr integer ')'      integer exponent >= 0
              | '(' 'neg' expr ')'
 
-Evaluation works on scalars or numpy arrays (elementwise).
+Evaluation works on scalars or numpy arrays (elementwise). ``eval_expr``
+walks a tree; ``compile_skeleton`` is the one compiler, and ``compile_expr``
+wraps it. No function here recurses, so a tree of any depth parses,
+formats, evaluates and compiles.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,6 +108,9 @@ class Neg:
 
 Expression = Constant | Var | Add | Sub | Mul | Div | Pow | Neg
 
+# each operator node's s-expression symbol, which also names its compiled step
+_SYMBOLS = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^", Neg: "neg"}
+
 
 def _pow(x, n: int):
     """``x ** n``; a float result too large overflows to a signed infinity, as
@@ -114,54 +121,92 @@ def _pow(x, n: int):
         return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
+def _check_nonzero(den) -> None:
+    if not np.all(den):
+        raise DivisionByZero("zero denominator in cost expression")
+
+
+_OPERATIONS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _apply(node, x, y=None):
+    """``node``'s value from its operands' values, with Python's operators.
+
+    This is ``eval_expr``'s arithmetic. The compiler folds variable-free
+    subtrees with it too, so a folded constant has ``eval_expr``'s bits.
+    """
+    kind = type(node)
+    if kind is Pow:
+        return _pow(x, node.exponent)
+    if kind is Neg:
+        return -x
+    if kind is Div:
+        _check_nonzero(y)
+    return _OPERATIONS[kind](x, y)
+
+
+def _operands(node) -> tuple:
+    kind = type(node)
+    if kind is Pow:
+        return (node.base,)
+    if kind is Neg:
+        return (node.operand,)
+    if kind in _SYMBOLS:
+        return node.left, node.right
+    if kind is Constant or kind is Var:
+        return ()
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _postorder(expr: Expression) -> list:
+    """The nodes of ``expr``, each after its operands, left before right.
+
+    A stack visits each node before its right, then its left operand; that
+    order reversed is the post-order, for a tree of any depth.
+    """
+    order = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(_operands(node))
+    order.reverse()
+    return order
+
+
 def eval_expr(expr: Expression, a, b):
     """Evaluate ``expr`` with slot 0 bound to ``a`` and slot 1 to ``b``.
 
     Accepts scalars or numpy arrays (broadcast elementwise). Raises
-    DivisionByZero if any denominator is exactly zero.
+    DivisionByZero if any denominator is exactly zero. This walk is kept
+    apart from the compiler's ufunc calls: it is the reference the oracle
+    uses and the tests check compiled functions against.
     """
-    match expr:
-        case Constant(value=v):
-            return v
-        case Var(slot=s):
-            return a if s == 0 else b
-        case Add(left=l, right=r):
-            return eval_expr(l, a, b) + eval_expr(r, a, b)
-        case Sub(left=l, right=r):
-            return eval_expr(l, a, b) - eval_expr(r, a, b)
-        case Mul(left=l, right=r):
-            return eval_expr(l, a, b) * eval_expr(r, a, b)
-        case Div(left=l, right=r):
-            den = eval_expr(r, a, b)
-            if np.any(den == 0):
-                raise DivisionByZero("zero denominator in cost expression")
-            return eval_expr(l, a, b) / den
-        case Pow(base=base, exponent=n):
-            return _pow(eval_expr(base, a, b), n)
-        case Neg(operand=o):
-            return -eval_expr(o, a, b)
-    raise TypeError(f"not an expression node: {expr!r}")
+    values = []
+    for node in _postorder(expr):
+        kind = type(node)
+        if kind is Constant:
+            values.append(node.value)
+        elif kind is Var:
+            values.append(a if node.slot == 0 else b)
+        elif kind is Pow or kind is Neg:
+            values.append(_apply(node, values.pop()))
+        else:
+            y = values.pop()
+            values.append(_apply(node, values.pop(), y))
+    return values.pop()
 
 
 def referenced_slots(expr: Expression) -> set[int]:
     """Set of scope slots (0/1) the expression actually reads."""
-    match expr:
-        case Constant():
-            return set()
-        case Var(slot=s):
-            return {s}
-        case Pow(base=base):
-            return referenced_slots(base)
-        case Neg(operand=o):
-            return referenced_slots(o)
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-            return referenced_slots(l) | referenced_slots(r)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return {node.slot for node in _postorder(expr) if type(node) is Var}
 
 
 # --- s-expression text format ------------------------------------------------
 
-_BINARY_OPS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+# an operator's node type and operand count
+_OPERATORS = {symbol: (kind, 1 if kind in (Pow, Neg) else 2) for kind, symbol in _SYMBOLS.items()}
+_VARS = {"x0": Var(0), "x1": Var(1)}  # nodes are immutable: every leaf can share these
 
 
 def _tokenize(text: str) -> list[str]:
@@ -169,54 +214,66 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_expr(text: str) -> Expression:
-    """Parse a prefix s-expression string into an expression tree."""
+    """Parse a prefix s-expression string into an expression tree.
+
+    Each open ``(`` is a frame on a stack that holds its operator and the
+    operands parsed so far; an operand that completes its frame closes it,
+    and the node it builds becomes an operand of the frame below. Each
+    token is read once, and any depth parses.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ExpressionSyntaxError("empty expression")
-    expr, rest = _parse_tokens(tokens)
-    if rest:
-        raise ExpressionSyntaxError(f"trailing tokens after expression: {' '.join(rest)}")
-    return expr
-
-
-def _parse_tokens(tokens: list[str]) -> tuple[Expression, list[str]]:
-    head, rest = tokens[0], tokens[1:]
-    if head == ")":
-        raise ExpressionSyntaxError("unexpected ')'")
-    if head != "(":
-        return _parse_atom(head), rest
-    if not rest:
-        raise ExpressionSyntaxError("unterminated '('")
-    op, rest = rest[0], rest[1:]
-    if op in _BINARY_OPS:
-        left, rest = _parse_tokens(rest)
-        right, rest = _parse_tokens(rest)
-        node = _BINARY_OPS[op](left, right)
-    elif op == "^":
-        base, rest = _parse_tokens(rest)
-        if not rest:
-            raise ExpressionSyntaxError("'^' missing exponent")
-        exp_tok, rest = rest[0], rest[1:]
-        try:
-            exponent = int(exp_tok)
-        except ValueError:
-            raise ExpressionSyntaxError(f"'^' exponent must be an integer, got {exp_tok!r}") from None
-        node = Pow(base, exponent)
-    elif op == "neg":
-        operand, rest = _parse_tokens(rest)
-        node = Neg(operand)
-    else:
-        raise ExpressionSyntaxError(f"unknown operator {op!r}")
-    if not rest or rest[0] != ")":
-        raise ExpressionSyntaxError(f"expected ')' to close '{op}'")
-    return node, rest[1:]
+    tokens.append(None)  # reading past the last token gives None
+    frames: list[tuple[type, int, list]] = []
+    i = 0
+    while True:
+        token = tokens[i]
+        i += 1
+        if token == "(":
+            op = tokens[i]
+            i += 1
+            if op not in _OPERATORS:
+                raise ExpressionSyntaxError(
+                    "unterminated '('" if op is None else f"unknown operator {op!r}")
+            frames.append((*_OPERATORS[op], []))
+            continue
+        if token == ")":
+            raise ExpressionSyntaxError("unexpected ')'")
+        if token is None:
+            raise ExpressionSyntaxError("unterminated '('")
+        node = _parse_atom(token)
+        while frames:
+            kind, arity, operands = frames[-1]
+            operands.append(node)
+            if len(operands) < arity:
+                break
+            frames.pop()
+            if kind is Pow:
+                try:
+                    node = Pow(operands[0], int(tokens[i]))
+                except TypeError:  # None: no token left
+                    raise ExpressionSyntaxError("'^' missing exponent") from None
+                except ValueError:
+                    raise ExpressionSyntaxError(
+                        f"'^' exponent must be an integer, got {tokens[i]!r}") from None
+                i += 1
+            else:
+                node = kind(*operands)
+            if tokens[i] != ")":
+                raise ExpressionSyntaxError(f"expected ')' to close '{_SYMBOLS[kind]}'")
+            i += 1
+        else:  # no frame is open: ``node`` is the whole expression
+            if tokens[i] is not None:
+                raise ExpressionSyntaxError(
+                    f"trailing tokens after expression: {' '.join(tokens[i:-1])}")
+            return node
 
 
 def _parse_atom(token: str) -> Expression:
-    if token == "x0":
-        return Var(0)
-    if token == "x1":
-        return Var(1)
+    var = _VARS.get(token)
+    if var is not None:
+        return var
     try:
         return Constant(float(token))
     except ValueError:
@@ -224,142 +281,74 @@ def _parse_atom(token: str) -> Expression:
 
 
 def format_expr(expr: Expression) -> str:
-    """Render an expression tree back to its s-expression string."""
-    match expr:
-        case Constant(value=v):
-            return repr(float(v))
-        case Var(slot=s):
-            return f"x{s}"
-        case Add(left=l, right=r):
-            return f"(+ {format_expr(l)} {format_expr(r)})"
-        case Sub(left=l, right=r):
-            return f"(- {format_expr(l)} {format_expr(r)})"
-        case Mul(left=l, right=r):
-            return f"(* {format_expr(l)} {format_expr(r)})"
-        case Div(left=l, right=r):
-            return f"(/ {format_expr(l)} {format_expr(r)})"
-        case Pow(base=base, exponent=n):
-            return f"(^ {format_expr(base)} {n})"
-        case Neg(operand=o):
-            return f"(neg {format_expr(o)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+    """Render an expression tree back to its s-expression string.
+
+    A pre-order walk with a stack of the nodes still to render and the text
+    that follows them, so the output is built once, at any depth.
+    """
+    parts: list[str] = []
+    stack: list = [expr]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            parts.append(item)
+        elif kind is Constant:
+            parts.append(repr(float(item.value)))
+        elif kind is Var:
+            parts.append(f"x{item.slot}")
+        else:
+            operands = _operands(item)
+            parts.append(f"({_SYMBOLS[kind]} ")
+            stack.append(f" {item.exponent})" if kind is Pow else ")")
+            if len(operands) == 2:
+                stack += (operands[1], " ")
+            stack.append(operands[0])
+    return "".join(parts)
 
 
 # --- compilation -------------------------------------------------------------
 
-def _check_nonzero(den) -> None:
-    if not np.all(den):
-        raise DivisionByZero("zero denominator in cost expression")
+def _emit(expr: Expression, consts: list) -> tuple[list, object]:
+    """The steps that compute ``expr`` over ``a``/``b``, and the operand that
+    holds its value.
 
-
-def _checked_div(num, den):
-    _check_nonzero(den)
-    return num / den
-
-
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-# repr() writes non-finite constants as inf and nan
-_NAN = float("nan")
-_GLOBALS = {"_div": _checked_div, "_pow": _pow, "inf": float("inf"), "nan": _NAN, "__builtins__": {}}
-
-
-def _emit(expr: Expression, steps: list, consts: list | None = None):
-    """Append to ``steps`` what computes ``expr`` over ``a``/``b``; return the
-    operand that holds its value.
-
-    Each operator node is one step ``(op, x, y)``, appended after the steps of
-    its operands, so the steps run in the order the tree evaluates and no
-    step nests another: any depth compiles. Step i's value is named ``_i``;
-    ``op`` is ``+ - * /``, ``**`` (``y`` the exponent) or ``neg``. With
-    ``consts`` given, a subtree that reads no variable emits no step and
-    returns its value as a float, folded as the compiled code computes it;
-    where such a subtree meets one that reads a variable it becomes a
-    parameter ``c0``, ``c1``, ..., and its value is appended to ``consts``.
+    Each operator node is one step ``(op, x, y)``, appended in post-order, so
+    the steps run in the order the tree evaluates and no step nests another.
+    Step i's value is named ``_i``; ``op`` is the node's symbol, and for
+    ``^`` ``y`` is the exponent. A subtree that reads no variable emits no
+    step: its value is folded to a float, and where it meets a subtree that
+    reads a variable it becomes a parameter ``c0``, ``c1``, ..., its value
+    appended to ``consts``.
     """
-    match expr:
-        case Constant(value=v):
-            if consts is None:
-                # parenthesized so a negative literal stays one operand
-                return f"({float(v)!r})"
-            value = float(v)
-            return value if value == value else _NAN  # the NaN the literal ``nan`` gives
-        case Var(slot=s):
-            return "a" if s == 0 else "b"
-        case Pow(base=base, exponent=n):
-            op, x, y = "**", _emit(base, steps, consts), n
-        case Neg(operand=o):
-            op, x, y = "neg", _emit(o, steps, consts), None
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-            op, x, y = _BINARY[type(expr)], _emit(l, steps, consts), _emit(r, steps, consts)
-        case _:
-            raise TypeError(f"not an expression node: {expr!r}")
-    if consts is not None and isinstance(x, float):
-        if op in ("**", "neg") or isinstance(y, float):
-            return _fold(op, x, y)
-        x = _lift(x, consts)
-    elif consts is not None and isinstance(y, float):
-        y = _lift(y, consts)
-    steps.append((op, x, y))
-    return f"_{len(steps) - 1}"
-
-
-def _fold(op: str, x: float, y):
-    """A step on constants, computed by the source the compiled code runs for it."""
-    return eval(_source(op, "x", "y"), _GLOBALS, {"x": x, "y": y})
+    steps: list = []
+    values: list = []  # the operand of each subtree walked and not yet consumed
+    for node in _postorder(expr):
+        kind = type(node)
+        if kind is Constant:
+            values.append(float(node.value))
+            continue
+        if kind is Var:
+            values.append("a" if node.slot == 0 else "b")
+            continue
+        y = None if kind is Pow or kind is Neg else values.pop()
+        x = values.pop()
+        if isinstance(x, float) and (y is None or isinstance(y, float)):
+            values.append(_apply(node, x, y))
+            continue
+        if isinstance(x, float):
+            x = _lift(x, consts)
+        elif isinstance(y, float):
+            y = _lift(y, consts)
+        steps.append((_SYMBOLS[kind], x, node.exponent if kind is Pow else y))
+        values.append(f"_{len(steps) - 1}")
+    return steps, values.pop()
 
 
 def _lift(value: float, consts: list) -> str:
     consts.append(value)
     return f"c{len(consts) - 1}"
 
-
-def _source(op: str, x: str, y) -> str:
-    """One step as a Python expression."""
-    match op:
-        case "**":
-            return f"_pow({x}, {y})"
-        case "neg":
-            return f"(-{x})"
-        case "/":
-            return f"_div({x}, {y})"
-    return f"({x} {op} {y})"
-
-
-# nested parentheses per assignment, well below the 200 Python's parser allows
-_MAX_NESTING = 50
-
-
-@lru_cache(maxsize=4096)
-def _compile_source(body: str):
-    return eval(f"lambda a, b: {body}", _GLOBALS)
-
-
-def compile_expr(expr: Expression):
-    """Compile a tree into a fast ``f(a, b)`` callable.
-
-    The compiled function is semantically identical to ``eval_expr`` and is
-    what each ``SwarmAgent`` evaluates; ``eval_expr`` remains the independent
-    reference used by the centralized oracle. Results are cached per source
-    text, not per tree: trees compare equal when their constants differ only
-    in the sign of a zero, and their compiled forms must not be shared.
-    """
-    steps: list = []
-    result = _emit(expr, steps)
-    # each step's source is inlined into the step that reads it, except where
-    # its nesting reaches _MAX_NESTING: then it is assigned to its name first
-    assigned, source, nesting = [], {}, {}
-    for i, (op, x, y) in enumerate(steps):
-        depth = 1 + max(nesting.pop(x, 0), nesting.pop(y, 0))
-        text = _source(op, source.pop(x, x), source.pop(y, y))
-        if depth < _MAX_NESTING:
-            source[f"_{i}"], nesting[f"_{i}"] = text, depth
-        else:
-            assigned.append(f"(_{i} := {text}), ")
-    body = source.pop(result, result)
-    return _compile_source(f"({''.join(assigned)}{body})[-1]" if assigned else body)
-
-
-# --- in-place compilation ----------------------------------------------------
 
 _UFUNCS = {"+": "_add", "-": "_subtract", "*": "_multiply", "/": "_divide"}
 _INPLACE_GLOBALS = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
@@ -395,15 +384,15 @@ def _compile_inplace(steps: tuple, result: str, num_consts: int):
     """``(fn, num_temps)``: ``steps`` (see ``_emit``) as ufunc calls with ``out=``,
     leaving ``result`` in ``out``.
 
-    Each call is the elementwise operation the compiled source runs for that
-    step, so every element gets the same bits.
+    Each call is the elementwise operation ``eval_expr`` runs for that step
+    on arrays, so every element gets the same bits.
     """
     lines: list[str] = []
     regs = _Registers()
     held: dict[str, str] = {}  # step value -> the buffer holding it
     for i, (op, x, y) in enumerate(steps):
         x = held.pop(x, x)
-        if op == "**":
+        if op == "^":
             dest = regs.take(x)
             # x ** 2 runs numpy's square, whose bits are x * x
             lines.append(f"_multiply({x}, {x}, out={dest})" if y == 2 else
@@ -438,20 +427,37 @@ def compile_skeleton(expr: Expression):
     """Split a tree into a shared in-place callable and its own constants.
 
     Returns ``(fn, consts, num_temps)``. ``fn(a, b, out, temps, *consts)``
-    writes into ``out`` what ``compile_expr(expr)(a, b)`` returns, element
-    for element and bit for bit, as a sequence of ufunc calls with ``out=``,
-    one per step of the same ``_emit`` output: ``temps`` holds ``num_temps`` scratch
-    arrays of ``out``'s shape, which it overwrites, and nothing else is
-    allocated. ``out`` and ``temps`` must not overlap ``a``, ``b`` or the
-    constants. Trees that differ only in their variable-free subtrees get
-    the same ``fn`` object, so edges can be grouped by it and evaluated
-    together, with each constant passed as per-edge values that broadcast
-    against ``out``.
+    writes into ``out`` what ``eval_expr(expr, a, b)`` gives on arrays,
+    element for element and bit for bit, as a sequence of ufunc calls with
+    ``out=``, one per step of ``_emit``'s output: ``temps`` holds
+    ``num_temps`` scratch arrays of ``out``'s shape, which it overwrites,
+    and nothing else is allocated. ``out`` and ``temps`` must not overlap
+    ``a``, ``b`` or the constants. Trees that differ only in their
+    variable-free subtrees get the same ``fn`` object, so edges can be
+    grouped by it and evaluated together, with each constant passed as
+    per-edge values that broadcast against ``out``.
     """
     consts: list[float] = []
-    steps: list = []
-    result = _emit(expr, steps, consts)
+    steps, result = _emit(expr, consts)
     if isinstance(result, float):
         result = _lift(result, consts)
     fn, num_temps = _compile_inplace(tuple(steps), result, len(consts))
     return fn, tuple(consts), num_temps
+
+
+def compile_expr(expr: Expression):
+    """``f(a, b)``: ``compile_skeleton(expr)``'s function run with its constants.
+
+    Each call evaluates into a new array of the broadcast shape of ``a`` and
+    ``b``, 0-d for scalars, and returns it. This is what each
+    ``SwarmAgent`` evaluates.
+    """
+    fn, consts, num_temps = compile_skeleton(expr)
+
+    def evaluate(a, b):
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        out = np.empty(shape)
+        fn(a, b, out, [np.empty(shape) for _ in range(num_temps)], *consts)
+        return out
+
+    return evaluate

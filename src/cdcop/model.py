@@ -197,32 +197,56 @@ def instance_to_json(inst: CdcopInstance) -> str:
 
 
 def instance_from_json(text: str) -> CdcopInstance:
+    """Parse and validate an instance file's text.
+
+    A missing key, a value of the wrong JSON type, an expression that does
+    not parse or a violated invariant raises InvalidInstanceError, which
+    names the field and, within a function, its id.
+    """
     doc = json.loads(text)
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise InvalidInstanceError(["an instance file must hold a JSON object"])
-    try:
-        inst = CdcopInstance(
-            num_agents=int(doc["num_agents"]),
-            domains=tuple(Domain(float(lb), float(ub)) for lb, ub in doc["domains"]),
-            functions=tuple(_function_from_json(f) for f in doc["functions"]),
-            objective=str(doc.get("objective", "min")),
-        )
-    except KeyError as e:
-        raise InvalidInstanceError([f"missing key {e.args[0]!r}"]) from None
+    domains = _field(doc, "domains", list)
+    if not all(type(d) is list and len(d) == 2 and all(type(b) in (int, float) for b in d)
+               for d in domains):
+        raise InvalidInstanceError(["'domains' must be a list of [lb, ub] pairs of numbers"])
+    functions = _field(doc, "functions", list)
+    inst = CdcopInstance(
+        num_agents=_field(doc, "num_agents", int),
+        domains=tuple(Domain(float(lb), float(ub)) for lb, ub in domains),
+        functions=tuple(_function_from_json(f, i) for i, f in enumerate(functions)),
+        objective=str(doc.get("objective", "min")),
+    )
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError(violations)
     return inst
 
 
-def _function_from_json(f: dict) -> CostFunction:
-    fid = int(f["id"])
-    scope = (int(f["scope"][0]), int(f["scope"][1]))
+def _field(doc: dict, key: str, kind: type, where: str = ""):
+    """``doc[key]``, which must be decoded JSON of type ``kind`` (so a bool is no int)."""
+    if key not in doc:
+        raise InvalidInstanceError([f"{where}missing key {key!r}"])
+    if type(doc[key]) is not kind:
+        raise InvalidInstanceError(
+            [f"{where}{key!r} must be of type {kind.__name__}, got {type(doc[key]).__name__}"])
+    return doc[key]
+
+
+def _function_from_json(f, index: int) -> CostFunction:
+    if type(f) is not dict:
+        raise InvalidInstanceError([f"functions[{index}] must be an object, got {type(f).__name__}"])
+    fid = _field(f, "id", int, f"functions[{index}]: ")
+    where = f"function {fid}: "
+    scope = _field(f, "scope", list, where)
+    if len(scope) != 2 or any(type(u) is not int for u in scope):
+        raise InvalidInstanceError([f"{where}'scope' must be a pair of agent indices"])
+    text = _field(f, "expr", str, where)
     try:
-        expr = parse_expr(f["expr"])
-    except RecursionError:  # the parser recurses once per nesting level
-        raise InvalidInstanceError([f"function {fid}: expression nests too deep to parse"]) from None
-    return CostFunction(fid, scope, expr)
+        expr = parse_expr(text)
+    except ValueError as e:  # a syntax error, or a node with a bad slot or exponent
+        raise InvalidInstanceError([f"{where}{e}"]) from None
+    return CostFunction(fid, (scope[0], scope[1]), expr)
 
 
 def save_instance(inst: CdcopInstance, path) -> None:

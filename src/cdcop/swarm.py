@@ -30,8 +30,9 @@ bit-identical traces.
 """
 
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,7 +133,26 @@ class SwarmConfig:
     seed: int = 0
 
 
+# what a field of each declared type accepts, and its name in the error
+_FIELD_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
+            "a finite real number"),
+}
+
+
 def validate_config(cfg: SwarmConfig) -> None:
+    """Raise ConfigError unless ``cfg`` can drive a run."""
+    if not isinstance(cfg.inertia, (FixedInertia, AdaptiveInertia, ConstrictionInertia)):
+        raise ConfigError(f"unknown inertia schedule: {cfg.inertia!r}")
+    for config in (cfg, cfg.inertia):
+        for f in fields(config):
+            value = getattr(config, f.name)
+            if f.type in _FIELD_TYPES and not _FIELD_TYPES[f.type][0](value):
+                raise ConfigError(f"{f.name} must be {_FIELD_TYPES[f.type][1]}, got {value!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.num_particles < 2:
         raise ConfigError(f"need at least 2 particles, got {cfg.num_particles}")
     if cfg.c1 <= 0 or cfg.c2 <= 0:

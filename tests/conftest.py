@@ -4,7 +4,7 @@ import pytest
 from functools import reduce
 
 from cdcop import CdcopInstance, CostFunction, Domain, parse_expr
-from cdcop.expressions import Add, Constant, Mul, Pow, Sub, Var
+from cdcop.expressions import Add, Constant, Mul, Neg, Pow, Sub, Var
 
 
 def make_instance(n, specs, domain=(-10.0, 10.0), objective="min"):
@@ -23,6 +23,14 @@ def sum_chain(num_terms):
     """A left-leaning sum of ``num_terms`` terms, nested ``num_terms - 1`` deep."""
     terms = [Var(0), Mul(Constant(0.5), Var(1)), Constant(0.25), Pow(Sub(Var(0), Constant(1.5)), 2)]
     return reduce(Add, (terms[i % len(terms)] for i in range(num_terms)))
+
+
+def neg_pow_chain(depth):
+    """``x0`` under ``depth`` alternating ``^ 1`` and ``neg`` nodes, times ``x1``."""
+    expr = Var(0)
+    for level in range(depth):
+        expr = Neg(expr) if level % 2 else Pow(expr, 1)
+    return Mul(expr, Var(1))
 
 
 @pytest.fixture

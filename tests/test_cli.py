@@ -3,8 +3,12 @@ import json
 import pytest
 
 from cdcop.cli import config_from_json, config_to_json, main
+from cdcop.expressions import format_expr
 from cdcop.model import load_instance
-from cdcop.swarm import AdaptiveInertia, ConstrictionInertia, FixedInertia, SwarmConfig
+from cdcop.swarm import (AdaptiveInertia, ConfigError, ConstrictionInertia, FixedInertia,
+                         SwarmConfig, validate_config)
+
+from conftest import neg_pow_chain, sum_chain
 
 
 def test_gen_writes_valid_instance(tmp_path, capsys):
@@ -143,20 +147,73 @@ def test_invalid_instance_rejected(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
-def test_deeply_nested_expression_is_usage_error(tmp_path, capsys):
-    expr = "x0"
-    for _ in range(1199):  # a 1200-term sum, nested past Python's recursion limit
-        expr = f"(+ {expr} x1)"
-    bad = tmp_path / "deep.json"
-    bad.write_text(json.dumps({
-        "num_agents": 2,
-        "domains": [[0.0, 1.0], [0.0, 1.0]],
-        "objective": "min",
-        "functions": [{"id": 7, "scope": [0, 1], "expr": expr}],
-    }))
+def test_deeply_nested_expression_solves(tmp_path, capsys):
+    for chain in (sum_chain(5000), neg_pow_chain(5000)):
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps({
+            "num_agents": 2,
+            "domains": [[0.0, 1.0], [0.0, 1.0]],
+            "objective": "min",
+            "functions": [{"id": 7, "scope": [0, 1], "expr": format_expr(chain)}],
+        }))
+        assert main(["solve", str(deep), "-K", "4", "--cycles", "2"]) == 0
+        assert "best cost:" in capsys.readouterr().out
+
+
+_INSTANCE = {
+    "num_agents": 2,
+    "domains": [[0.0, 1.0], [0.0, 1.0]],
+    "objective": "min",
+    "functions": [{"id": 7, "scope": [0, 1], "expr": "(* x0 x1)"}],
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"domains": 7}, "'domains' must be"),
+    ({"domains": [[0.0, 1.0], [0.0, "1"]]}, "'domains' must be"),
+    ({"num_agents": "2"}, "'num_agents' must be"),
+    ({"functions": {"id": 7}}, "'functions' must be"),
+    ({"functions": [5]}, "functions[0] must be an object"),
+    ({"functions": [{"id": "7", "scope": [0, 1], "expr": "(* x0 x1)"}]}, "functions[0]: 'id'"),
+    ({"functions": [{"id": 7, "scope": [0], "expr": "(* x0 x1)"}]}, "function 7: 'scope'"),
+    ({"functions": [{"id": 7, "scope": [0, 1], "expr": 5}]}, "function 7: 'expr' must be"),
+    ({"functions": [{"id": 7, "scope": [0, 1]}]}, "function 7: missing key 'expr'"),
+    ({"functions": [{"id": 7, "scope": [0, 1], "expr": "(* x0 x2)"}]}, "function 7: bad atom"),
+], ids=["domains", "bound", "num_agents", "functions", "entry", "id", "scope", "expr",
+        "no_expr", "atom"])
+def test_malformed_instance_is_usage_error(tmp_path, capsys, change, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_INSTANCE, **change}))
     assert main(["solve", str(bad), "-K", "4", "--cycles", "2"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: function 7: ") and "too deep" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"seed": "s"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"max_sc": [1]}, "max_sc"),
+    ({"num_particles": 2.5}, "num_particles"),
+    ({"max_fc": True}, "max_fc"),
+    ({"c1": "1.5"}, "c1"),
+    ({"c2": float("nan")}, "c2"),
+    ({"crossover": "yes"}, "crossover"),
+    ({"inertia": {"kind": "fixed", "w": "x"}}, "w"),
+    ({"inertia": {"kind": "adaptive", "w_max": None}}, "w_max"),
+    ({"inertia": {"kind": "adaptive", "literal_increasing": 1}}, "literal_increasing"),
+    ({"inertia": {"kind": "constriction", "phi": [4.1]}}, "phi"),
+], ids=["seed", "negative_seed", "max_sc", "num_particles", "max_fc", "c1", "c2", "crossover",
+        "w", "w_max", "literal_increasing", "phi"])
+def test_malformed_config_is_usage_error(tmp_path, capsys, doc, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be|^seed must be >= 0"):
+        validate_config(config_from_json(json.dumps(doc)))
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_INSTANCE))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["solve", str(inst_path), "--config", str(cfg_path), "--cycles", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

@@ -23,7 +23,7 @@ from cdcop.expressions import (
     referenced_slots,
 )
 
-from conftest import sum_chain
+from conftest import neg_pow_chain, sum_chain
 
 
 def test_difference_of_squares():
@@ -86,7 +86,7 @@ def test_parse_format_round_trip(text):
 
 @pytest.mark.parametrize("bad", [
     "", "(", ")", "(+ x0)", "(+ x0 x1", "(? x0 x1)", "(^ x0 x1)",
-    "(^ x0 2.5)", "x2", "(+ x0 x1) junk",
+    "(^ x0 2.5)", "x2", "(+ x0 x1) junk", "(+ x0", "(neg", "(^ x0", "(neg x0 x1)",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ExpressionSyntaxError):
@@ -176,17 +176,18 @@ def _run_skeleton(expr, x0, x1):
 @example(Sub(Constant(2.0), Mul(Constant(0.5), Constant(3.0))), 1.5, -2.0)
 @example(Add(Pow(Var(0), 0), Pow(Var(1), 1)), 1.5, -2.0)
 @example(Mul(Pow(Sub(Var(0), Var(1)), 2), Pow(Neg(Var(1)), 3)), 1.5, -2.0)
-def test_skeleton_is_bit_identical_to_compiled(expr, a, b):
+@example(*_OVERFLOWING)
+def test_skeleton_is_bit_identical_to_tree_walk(expr, a, b):
     x0 = np.array([[a, -b, 0.5, np.inf], [b, a, -1.5, np.nan]])
     x1 = np.array([[b, a, -1.5, 2.0], [-a, 0.25, b, -0.0]])
     with np.errstate(all="ignore"):
         try:
-            got = _run_skeleton(expr, x0, x1)
-        except (DivisionByZero, OverflowError) as e:
-            with pytest.raises(type(e)):
-                compile_expr(expr)(x0, x1)
+            want = eval_expr(expr, x0, x1)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                _run_skeleton(expr, x0, x1)
             return
-        want = compile_expr(expr)(x0, x1)
+        got = _run_skeleton(expr, x0, x1)
     assert got.tobytes() == np.broadcast_to(want, x0.shape).tobytes()
 
 
@@ -217,13 +218,19 @@ def test_non_finite_constants_compile():
 
 
 def test_deep_chain_compiles():
-    """A sum nested 399 deep compiles in both forms and equals the tree walk."""
-    chain = sum_chain(400)
+    """Trees nested 5000 deep format, parse back, evaluate and compile.
+
+    They are compared as text: the ``==`` dataclasses generate recurses.
+    """
     x0, x1 = np.array([[1.0, -2.5]]), np.array([[2.0, 0.75]])
-    want = eval_expr(chain, x0, x1)
-    assert compile_expr(chain)(x0, x1).tobytes() == want.tobytes()
-    assert _run_skeleton(chain, x0, x1).tobytes() == want.tobytes()
-    constants = reduce(Add, [Constant(0.1 * i) for i in range(400)])
+    for chain in (sum_chain(5000), neg_pow_chain(5000)):
+        text = format_expr(chain)
+        assert format_expr(parse_expr(text)) == text
+        assert referenced_slots(chain) == {0, 1}
+        want = eval_expr(chain, x0, x1)
+        assert compile_expr(chain)(x0, x1).tobytes() == want.tobytes()
+        assert _run_skeleton(chain, x0, x1).tobytes() == want.tobytes()
+    constants = reduce(Add, [Constant(0.1 * i) for i in range(5000)])
     assert compile_skeleton(constants)[1] == (eval_expr(constants, 0.0, 0.0),)
 
 

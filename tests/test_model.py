@@ -12,12 +12,14 @@ from cdcop import (
     incident_functions,
     instance_from_json,
     instance_to_json,
+    load_instance,
+    save_instance,
     validate_instance,
 )
-from cdcop.expressions import parse_expr
+from cdcop.expressions import eval_expr, format_expr, parse_expr
 from cdcop.benchmarks import quadratic_expr
 
-from conftest import make_instance
+from conftest import make_instance, neg_pow_chain, sum_chain
 
 
 def test_single_constraint_by_hand(kite_instance):
@@ -110,6 +112,21 @@ def test_json_round_trip(kite_instance):
     loaded = instance_from_json(text)
     assert loaded == kite_instance
     assert instance_to_json(loaded) == text
+
+
+@pytest.mark.parametrize("make_chain", [sum_chain, neg_pow_chain], ids=["sum", "neg_pow"])
+def test_deep_expression_instance_round_trips(make_chain, tmp_path):
+    """An instance whose function nests 5000 deep validates, saves, loads and costs.
+
+    Its trees are compared as text: the ``==`` dataclasses generate recurses.
+    """
+    expr = make_chain(5000)
+    inst = CdcopInstance(2, (Domain(-1.0, 1.0),) * 2, (CostFunction(0, (0, 1), expr),), "min")
+    assert validate_instance(inst) == []
+    save_instance(inst, tmp_path / "deep.json")
+    loaded = load_instance(tmp_path / "deep.json")
+    assert format_expr(loaded.functions[0].expr) == format_expr(expr)
+    assert global_cost(loaded, [0.25, -0.5]) == eval_expr(expr, 0.25, -0.5)
 
 
 def test_json_rejects_invalid():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cdcop import build_bfs, global_cost
+from cdcop import CdcopInstance, CostFunction, Domain, build_bfs, global_cost
+from cdcop.expressions import Mul, Var
 from cdcop.runtime import SyncRuntime
 from cdcop.swarm import (
     AdaptiveInertia,
@@ -35,7 +36,10 @@ from conftest import (
     KITE_ROOT_FITNESS,
     KITE_UPDATED_V,
     KITE_UPDATED_X,
+    neg_pow_chain,
+    sum_chain,
 )
+from test_engine_equivalence import assert_bit_identical, reference_solve
 
 TABLE = dict(rtol=0.0, atol=5e-3)  # two printed decimals
 
@@ -539,3 +543,16 @@ def test_max_instance_reports_restored_sign():
     assert all(c > 0 for c in display)
     assert all(b >= a for a, b in zip(display, display[1:]))
     assert trace.best_cost == pytest.approx(-trace.best_internal)
+
+
+@pytest.mark.parametrize("make_chain", [sum_chain, neg_pow_chain], ids=["sum", "neg_pow"])
+def test_deep_expression_solves_on_both_paths(make_chain, tmp_path):
+    """``solve`` and ``SwarmAgent`` on ``SyncRuntime`` run a function nested
+    5000 deep, bit for bit alike."""
+    inst = CdcopInstance(3, (Domain(-1.0, 1.0),) * 3,
+                         (CostFunction(0, (0, 1), make_chain(5000)),
+                          CostFunction(1, (1, 2), Mul(Var(0), Var(1)))), "min")
+    cfg = SwarmConfig(num_particles=6, t_max=5, crossover=True, seed=2)
+    assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
+                         reference_solve(inst, cfg, record_probes=True, log_messages=True),
+                         tmp_path)
