@@ -455,7 +455,7 @@ def compile_expr(expr: Expression):
     fn, consts, num_temps = compile_skeleton(expr)
 
     def evaluate(a, b):
-        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        shape = np.broadcast(a, b).shape
         out = np.empty(shape)
         fn(a, b, out, [np.empty(shape) for _ in range(num_temps)], *consts)
         return out
