@@ -252,11 +252,9 @@ def parse_expr(text: str) -> Expression:
             if kind is Pow:
                 try:
                     node = Pow(operands[0], int(tokens[i]))
-                except TypeError:  # None: no token left
-                    raise ExpressionSyntaxError("'^' missing exponent") from None
-                except ValueError:
+                except (TypeError, ValueError):  # no token left, or not an integer >= 0
                     raise ExpressionSyntaxError(
-                        f"'^' exponent must be an integer, got {tokens[i]!r}") from None
+                        f"'^' needs an integer exponent >= 0, got {tokens[i]!r}") from None
                 i += 1
             else:
                 node = kind(*operands)

@@ -210,10 +210,14 @@ def instance_from_json(text: str) -> CdcopInstance:
     if not all(type(d) is list and len(d) == 2 and all(type(b) in (int, float) for b in d)
                for d in domains):
         raise InvalidInstanceError(["'domains' must be a list of [lb, ub] pairs of numbers"])
+    try:
+        domains = tuple(Domain(float(lb), float(ub)) for lb, ub in domains)
+    except OverflowError:  # an integer bound past the largest float
+        raise InvalidInstanceError(["'domains' holds a bound too large for a float"]) from None
     functions = _field(doc, "functions", list)
     inst = CdcopInstance(
         num_agents=_field(doc, "num_agents", int),
-        domains=tuple(Domain(float(lb), float(ub)) for lb, ub in domains),
+        domains=domains,
         functions=tuple(_function_from_json(f, i) for i, f in enumerate(functions)),
         objective=str(doc.get("objective", "min")),
     )

@@ -151,8 +151,6 @@ def validate_config(cfg: SwarmConfig) -> None:
             value = getattr(config, f.name)
             if f.type in _FIELD_TYPES and not _FIELD_TYPES[f.type][0](value):
                 raise ConfigError(f"{f.name} must be {_FIELD_TYPES[f.type][1]}, got {value!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.num_particles < 2:
         raise ConfigError(f"need at least 2 particles, got {cfg.num_particles}")
     if cfg.c1 <= 0 or cfg.c2 <= 0:

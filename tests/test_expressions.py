@@ -86,7 +86,7 @@ def test_parse_format_round_trip(text):
 
 @pytest.mark.parametrize("bad", [
     "", "(", ")", "(+ x0)", "(+ x0 x1", "(? x0 x1)", "(^ x0 x1)",
-    "(^ x0 2.5)", "x2", "(+ x0 x1) junk", "(+ x0", "(neg", "(^ x0", "(neg x0 x1)",
+    "(^ x0 2.5)", "x2", "(+ x0 x1) junk", "(+ x0", "(neg", "(^ x0", "(^ x0 -1)", "(neg x0 x1)",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ExpressionSyntaxError):
