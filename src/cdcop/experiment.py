@@ -81,13 +81,9 @@ def trace_filename(instance_idx: int, repeat_idx: int, variant: str) -> str:
 
 def write_trace_csv(path, trace: RunTrace) -> None:
     hops = trace.hops_per_cycle
-    lines = [TRACE_HEADER]
-    for row in trace.rows:
-        st = row.stats
-        lines.append(
-            f"{row.cycle},0.0,{row.cycle * hops},{row.best_cost!r},"
-            f"{st.value_count},{st.cost_count},{st.best_count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = [f"{row.cycle},0.0,{row.cycle * hops},{row.best_cost!r},{row.stats.value_count},"
+             f"{row.stats.cost_count},{row.stats.best_count}\n" for row in trace.rows]
+    Path(path).write_text(TRACE_HEADER + "\n" + "".join(lines))
 
 
 def read_trace_csv(path) -> dict[str, list]:

@@ -19,7 +19,7 @@ formats, evaluates and compiles.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -53,13 +53,79 @@ class ExpressionSyntaxError(ValueError):
     """The s-expression text could not be parsed."""
 
 
-@dataclass(frozen=True)
-class Constant:
+class _Node:
+    """The ``==``, ``hash`` and ``repr`` that dataclasses generate for a node,
+    walked with a stack instead of recursing, so a tree of any depth has them.
+
+    As in the generated ``==``, two nodes are equal when they are of one
+    class and their fields are, where a field is equal when it is the same
+    object or compares ``==``: ``Constant(-0.0) == Constant(0.0)``, and two
+    ``Constant(nan)`` differ unless they hold the same float object.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            names = _FIELDS.get(a.__class__)
+            if names is not None and b.__class__ is a.__class__:
+                pairs.extend((getattr(a, name), getattr(b, name)) for name in reversed(names))
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        hashes = []  # the hash of each field walked and not yet combined
+        stack = [(self, False)]
+        while stack:
+            item, combine = stack.pop()
+            names = _FIELDS.get(item.__class__)
+            if names is None:
+                hashes.append(hash(item))
+            elif combine:  # its fields' hashes are the last len(names)
+                key = tuple(hashes[-len(names):])
+                del hashes[-len(names):]
+                hashes.append(hash(key))
+            else:
+                stack.append((item, True))
+                stack.extend((getattr(item, name), False) for name in reversed(names))
+        return hashes.pop()
+
+    def __repr__(self):
+        parts = []
+        stack = [(self,)]  # text to append as it is, or a 1-tuple holding a value to render
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            (value,) = item
+            names = _FIELDS.get(value.__class__)
+            if names is None:
+                parts.append(repr(value))
+                continue
+            parts.append(f"{value.__class__.__qualname__}(")
+            stack.append(")")
+            for i in reversed(range(len(names))):
+                stack += ((getattr(value, names[i]),), f"{', ' if i else ''}{names[i]}=")
+        return "".join(parts)
+
+
+# the generated __eq__ and __repr__ recurse; _Node's are used instead
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
+class Constant(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     slot: int  # 0 or 1, the position inside the function scope
 
     def __post_init__(self):
@@ -67,32 +133,32 @@ class Var:
             raise ValueError(f"variable slot must be 0 or 1, got {self.slot}")
 
 
-@dataclass(frozen=True)
-class Add:
+@_node
+class Add(_Node):
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Sub:
+@_node
+class Sub(_Node):
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Mul:
+@_node
+class Mul(_Node):
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Div:
+@_node
+class Div(_Node):
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Pow:
+@_node
+class Pow(_Node):
     base: "Expression"
     exponent: int
 
@@ -101,12 +167,16 @@ class Pow:
             raise ValueError(f"exponent must be a non-negative integer, got {self.exponent!r}")
 
 
-@dataclass(frozen=True)
-class Neg:
+@_node
+class Neg(_Node):
     operand: "Expression"
 
 
 Expression = Constant | Var | Add | Sub | Mul | Div | Pow | Neg
+
+# each node class's fields, in declaration order
+_FIELDS = {kind: tuple(f.name for f in fields(kind))
+           for kind in (Constant, Var, Add, Sub, Mul, Div, Pow, Neg)}
 
 # each operator node's s-expression symbol, which also names its compiled step
 _SYMBOLS = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^", Neg: "neg"}
@@ -122,7 +192,8 @@ def _pow(x, n: int):
 
 
 def _check_nonzero(den) -> None:
-    if not np.all(den):
+    # ndarray.all skips np.all's dispatch; a scalar is tested as itself
+    if not (den.all() if isinstance(den, np.ndarray) else den):
         raise DivisionByZero("zero denominator in cost expression")
 
 

@@ -201,38 +201,55 @@ def update_control(ctrl: GcpsoControl, improved: bool, cfg: SwarmConfig) -> None
 
 # --- update equations (shared by the agent and solve) ------------------------
 
-def velocity_global_best(v, x, g_best, w, radius, r2):
-    return -x + g_best + w * v + radius * (1.0 - 2.0 * r2)
+def velocity_global_best(v, x, g_best, w, radius, walk, scratch=None):
+    """The global best particle's velocity ``-x + g_best + w*v + radius*walk``,
+    added left to right, with ``walk = 1 - 2*r2``.
+
+    ``scratch``, three arrays shaped like ``x``, holds the terms and the
+    result; without it they are allocated. No call writes over one of its
+    operands: numpy's in-place add of one-element arrays keeps the other
+    operand's NaN.
+    """
+    a, b, c = scratch or (None, None, None)
+    pulled = np.add(np.negative(x, out=a), g_best, out=b)
+    moved = np.add(pulled, np.multiply(w, v, out=a), out=c)
+    return np.add(moved, np.multiply(radius, walk, out=a), out=b)
 
 
-def pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg: SwarmConfig, ctrl: GcpsoControl,
-             lb, ub, keep=None, scratch=None):
+def pso_step(x, v, p_best_x, g_best_x, r1c1, r2c2, walk, w, cfg: SwarmConfig,
+             ctrl: GcpsoControl, lb, ub, keep=None, scratch=None):
     """One velocity and position update of ``x`` and ``v``, in place; returns ``(x, v)``.
 
-    Takes one agent's particle vectors with scalar ``g_best_x``, ``r1``,
-    ``r2``, ``lb``, ``ub``, or all agents' ``(n, K)`` matrices with
-    ``g_best_x``, ``r1``, ``r2`` as ``(n, 1)`` columns and ``lb``, ``ub`` as
-    columns or full ``(n, K)`` matrices; every element sees the same
-    operations in the same order either way. With A = (p_best_x - x)*(r1*c1) and
-    B = (g_best_x - x)*(r2*c2) the velocity is (A + B) + w*v, or
-    ((A + B) + v)*w under constriction. The global best particle
-    ``ctrl.best_particle`` takes ``velocity_global_best`` instead, and the
-    elements at flat index ``keep``, already moved by crossover, keep their
-    velocity and position. Positions are clamped to ``[lb, ub]``.
-    ``scratch`` is a pair of arrays shaped like ``x`` that A and B are
-    computed in; without it the pair is allocated.
+    ``r1c1``, ``r2c2`` and ``walk`` are the cycle's ``r1*c1``, ``r2*c2`` and
+    ``1 - 2*r2``. Takes one agent's particle vectors with scalar
+    ``g_best_x``, ``r1c1``, ``r2c2``, ``walk``, ``lb``, ``ub``, or all agents'
+    ``(n, K)`` matrices with ``g_best_x``, ``r1c1``, ``r2c2``, ``walk`` as
+    ``(n, 1)`` columns and ``lb``, ``ub`` as columns or full ``(n, K)``
+    matrices; every element sees the same operations in the same order either
+    way. With A = (p_best_x - x)*r1c1 and B = (g_best_x - x)*r2c2 the velocity
+    is v*w + (A + B), or (v + (A + B))*w under constriction. The global best
+    particle ``ctrl.best_particle`` takes ``velocity_global_best`` instead,
+    and the elements at flat index ``keep``, already moved by crossover, keep
+    their velocity and position. Positions are clamped to ``[lb, ub]``.
+    ``scratch`` holds A and B, shaped like ``x``, then the three arrays
+    ``velocity_global_best`` works in, shaped like one column of ``x``;
+    without it they are allocated.
     """
-    cognitive, social = scratch or (np.empty_like(x), np.empty_like(x))
+    if scratch is None:
+        column = x[..., :1]
+        scratch = (np.empty_like(x), np.empty_like(x), *(np.empty_like(column) for _ in range(3)))
+    cognitive, social = scratch[:2]
     k = ctrl.best_particle
     if k is not None:
         best = np.s_[..., k:k + 1]  # one column keeps the broadcast shapes
-        v_best = velocity_global_best(v[best], x[best], g_best_x, w, ctrl.radius, r2)
+        v_best = velocity_global_best(v[best], x[best], g_best_x, w, ctrl.radius, walk,
+                                      scratch[2:])
     if keep is not None:
         kept_v, kept_x = v.take(keep), x.take(keep)
     np.subtract(p_best_x, x, out=cognitive)
-    cognitive *= r1 * cfg.c1
+    cognitive *= r1c1
     np.subtract(g_best_x, x, out=social)
-    social *= r2 * cfg.c2
+    social *= r2c2
     cognitive += social
     if isinstance(cfg.inertia, ConstrictionInertia):
         v += cognitive
@@ -277,16 +294,15 @@ def _draw_indices(cdf: np.ndarray, u: np.ndarray, index: np.ndarray, target: np.
 
     That draws an index with probability proportional to the row's
     increments. On a row sorted with NaN last, as a cumulative sum of
-    weights >= 0 is, the search gives the row length minus the number of
-    elements above the target: a NaN target (the row ends in NaN) is above
+    weights >= 0 is, the search gives the first column above the target, or
+    the last column if none is: a NaN target (the row ends in NaN) is above
     none. Writes the indices into ``index``, using ``target`` (one per row)
     and ``above`` (shaped like ``cdf``) as scratch.
     """
     np.multiply(u, cdf[:, -1], out=target[:, 0])
     np.greater(cdf, target, out=above)
-    np.add.reduce(above, axis=1, dtype=np.intp, out=index)
-    np.maximum(index, 1, out=index)  # caps the index at K - 1
-    return np.subtract(cdf.shape[1], index, out=index)
+    above[:, -1] = True  # caps the index at K - 1
+    return above.argmax(axis=1, out=index)
 
 
 class CrossoverDraws:
@@ -321,6 +337,8 @@ class CrossoverDraws:
         self.flat = np.empty((2, m), dtype=np.intp)  # their flat indices into (m, K)
         self.pair = np.empty((2, m))
         self.blend = np.empty((2, m))
+        self.rest = np.empty(m)  # 1 - r of each row
+        self.velocity_sum = np.empty(m)
 
     def _fill(self, i: int, column: int) -> None:
         rng = self.rngs[i]
@@ -376,11 +394,11 @@ def crossover_rows(x: np.ndarray, v: np.ndarray, local_fitness: np.ndarray,
     pair, blend = draws.pair, draws.blend
     x.take(draws.flat, out=pair, mode="clip")
     np.multiply(pair, r, out=blend)
-    pair *= 1.0 - r
+    pair *= np.subtract(1.0, r, out=draws.rest)
     blend += pair[::-1]
     x.put(draws.flat, blend)
     v.take(draws.flat, out=pair, mode="clip")
-    total = pair[0] + pair[1]
+    total = np.add(pair[0], pair[1], out=draws.velocity_sum)
     np.abs(pair, out=pair)
     pair *= _SIGNS.take(total > 0.0)
     if np.count_nonzero(total) == len(total):
@@ -439,7 +457,7 @@ class SwarmAgent:
         self.g_best_x = 0.0
         self.g_best_fit = np.inf
         self.control = GcpsoControl()
-        self._scratch = (np.empty(K), np.empty(K))  # the update's A and B
+        self._scratch = (np.empty(K), np.empty(K), *np.empty((3, 1)))  # pso_step's
         self._improved = False
         self._crossed_full: np.ndarray | None = None
         self.eval_x: np.ndarray | None = None
@@ -522,14 +540,15 @@ class SwarmAgent:
         cfg, ctrl = self.cfg, self.control
         w = inertia_weight(cfg.inertia, ctrl.cycle, cfg.t_max)
         r1, r2 = (float(r) for r in self.rng_update.random(2))
-        pso_step(self.x, self.v, self.p_best_x, self.g_best_x, r1, r2, w, cfg, ctrl,
-                 self.lb, self.ub, self._crossed_full, self._scratch)
+        pso_step(self.x, self.v, self.p_best_x, self.g_best_x, r1 * cfg.c1, r2 * cfg.c2,
+                 1.0 - 2.0 * r2, w, cfg, ctrl, self.lb, self.ub, self._crossed_full,
+                 self._scratch)
         self._crossed_full = None
 
 
 # --- solve ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
     cycle: int
     best_cost: float       # in the instance's stated objective sign
@@ -589,51 +608,61 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     # r1, r2 of cycle t sit in columns 2t-2, 2t-1: for PCG64 one draw of
     # 2*t_max doubles is the same stream as t_max draws of two
     draws = np.array([agent_stream(cfg.seed, i, 1).random(2 * cfg.t_max) for i in range(n)])
+    # what the update reads, made once per run: cycle t's inertia weight and
+    # its r1*c1, r2*c2 and walk 1 - 2*r2 as (n, 1) columns are item t-1 of each
+    r1c1, r2c2 = draws[:, 0::2], draws[:, 1::2]
+    walk = 1.0 - 2.0 * r2c2
+    r1c1 *= cfg.c1
+    r2c2 *= cfg.c2
+    weights = [inertia_weight(cfg.inertia, t, cfg.t_max) for t in range(1, cfg.t_max + 1)]
+    updates = zip(weights, *(a.T[:, :, None] for a in (r1c1, r2c2, walk)))
     cross_draws = (CrossoverDraws([agent_stream(cfg.seed, i, 2) for i in range(n)], cfg.t_max, K)
                    if cfg.crossover else None)
-    scratch = (np.empty((n, K)), np.empty((n, K)))  # the update's A and B
+    scratch = (np.empty((n, K)), np.empty((n, K)), *np.empty((3, n, 1)))  # pso_step's
+    improved = np.empty(K, dtype=bool)
     v = np.zeros((n, K))
     p_best_x = np.zeros((n, K))
     p_best_fit = np.full(K, np.inf)
     g_best_x = np.zeros((n, 1))
     g_best_fit = np.inf
-    assignment = (0.0,) * n  # rebuilt only when the global best moves: rows share it
+    # rebuilt only when the global best moves: rows share them
+    best_cost, assignment = inst.to_display(g_best_fit), (0.0,) * n
     ctrl = GcpsoControl()
 
     rows: list[TraceRow] = []
     probes: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_probes else None
     log: list | None = [] if log_messages else None
-    for t in range(1, cfg.t_max + 1):
+    for t, (w, r1c1_t, r2c2_t, walk_t) in enumerate(updates, start=1):
         start = time.perf_counter()
         local = local_costs(x)
         fit = schedule.convergecast(local)
         if probes is not None:
             probes.append((x.copy(), fit.copy()))
 
-        improved = fit < p_best_fit
+        np.less(fit, p_best_fit, out=improved)
         np.copyto(p_best_fit, fit, where=improved)
         np.copyto(p_best_x, x, where=improved)
         k = int(fit.argmin())
-        success = bool(fit[k] < g_best_fit)
+        fit_k = fit.item(k)
+        success = fit_k < g_best_fit
         if success:
-            g_best_fit = float(fit[k])
+            g_best_fit = fit_k
             g_best_x = x[:, k:k + 1].copy()
-            assignment = tuple(g_best_x[:, 0].tolist())
+            best_cost, assignment = inst.to_display(g_best_fit), tuple(g_best_x[:, 0].tolist())
             ctrl.best_particle = k
 
         ctrl.cycle += 1
         keep = None if cross_draws is None else crossover_rows(x, v, local, cross_draws, t)
         update_control(ctrl, success, cfg)
-        w = inertia_weight(cfg.inertia, ctrl.cycle, cfg.t_max)
-        r1, r2 = draws[:, 2 * t - 2:2 * t - 1], draws[:, 2 * t - 1:2 * t]
-        pso_step(x, v, p_best_x, g_best_x, r1, r2, w, cfg, ctrl, lb, ub, keep, scratch)
+        pso_step(x, v, p_best_x, g_best_x, r1c1_t, r2c2_t, walk_t, w, cfg, ctrl, lb, ub, keep,
+                 scratch)
 
         best_len = int(np.count_nonzero(improved)) + (2 if success else 0)
         stats = schedule.cycle_stats(t, best_len)
         if log is not None:
             log.extend(schedule.messages(t, best_len))
         stats.duration_s = time.perf_counter() - start
-        rows.append(TraceRow(t, inst.to_display(g_best_fit), g_best_fit, assignment, stats))
+        rows.append(TraceRow(t, best_cost, g_best_fit, assignment, stats))
 
     return RunTrace(
         objective=inst.objective,

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -224,13 +225,11 @@ def test_non_finite_constants_compile():
 
 
 def test_deep_chain_compiles():
-    """Trees nested 5000 deep format, parse back, evaluate and compile.
-
-    They are compared as text: the ``==`` dataclasses generate recurses.
-    """
+    """Trees nested 5000 deep format, parse back, evaluate and compile."""
     x0, x1 = np.array([[1.0, -2.5]]), np.array([[2.0, 0.75]])
     for chain in (sum_chain(5000), neg_pow_chain(5000)):
         text = format_expr(chain)
+        assert parse_expr(text) == chain
         assert format_expr(parse_expr(text)) == text
         assert referenced_slots(chain) == {0, 1}
         want = eval_expr(chain, x0, x1)
@@ -238,6 +237,50 @@ def test_deep_chain_compiles():
         assert _run_skeleton(chain, x0, x1).tobytes() == want.tobytes()
     constants = reduce(Add, [Constant(0.1 * i) for i in range(5000)])
     assert compile_skeleton(constants)[1] == (eval_expr(constants, 0.0, 0.0),)
+
+
+def _with_deepest_leaf(expr, leaf):
+    """``expr`` rebuilt with its deepest first-operand leaf replaced by ``leaf``."""
+    path = [expr]
+    while type(path[-1]) not in (Constant, Var):
+        path.append(getattr(path[-1], dataclasses.fields(path[-1])[0].name))
+    node = leaf
+    for parent in reversed(path[:-1]):
+        node = dataclasses.replace(parent, **{dataclasses.fields(parent)[0].name: node})
+    return node
+
+
+def test_node_equality_hash_and_repr_keep_the_dataclass_semantics():
+    assert Constant(-0.0) == Constant(0.0) and hash(Constant(-0.0)) == hash(Constant(0.0))
+    assert Constant(float("nan")) != Constant(float("nan"))
+    nan = float("nan")
+    assert Constant(nan) == Constant(nan)  # one float object: equal, as in a tuple
+    assert Add(Var(0), Var(1)) != Sub(Var(0), Var(1))
+    assert Pow(Var(0), 2) != Pow(Var(0), 3) and Constant(1) == Constant(1.0)
+    assert Var(0) != 0 and Var(0).__eq__(0) is NotImplemented
+    expr = Add(Neg(Var(0)), Pow(Constant(-0.0), 2))
+    assert repr(expr) == ("Add(left=Neg(operand=Var(slot=0)), "
+                          "right=Pow(base=Constant(value=-0.0), exponent=2))")
+    assert eval(repr(expr), {"Add": Add, "Neg": Neg, "Var": Var, "Pow": Pow,
+                             "Constant": Constant}) == expr
+
+
+@pytest.mark.parametrize("make_chain", [sum_chain, neg_pow_chain], ids=["sum", "neg_pow"])
+def test_deep_tree_equality_hash_and_repr(make_chain):
+    """``==``, ``!=``, ``hash`` and ``repr`` of trees nested 5000 deep."""
+    a, b = make_chain(5000), make_chain(5000)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    # the text has a token per node, and one per exponent of a ^
+    num_nodes = len(format_expr(a).replace("(", " ").split()) - format_expr(a).count("^")
+    assert repr(a).count("(") == repr(a).count(")") == num_nodes  # one pair per node
+    zero, neg_zero = _with_deepest_leaf(a, Constant(0.0)), _with_deepest_leaf(b, Constant(-0.0))
+    assert zero == neg_zero and hash(zero) == hash(neg_zero)
+    assert repr(zero) != repr(neg_zero)
+    assert _with_deepest_leaf(a, Constant(float("nan"))) != _with_deepest_leaf(
+        b, Constant(float("nan")))
+    assert a != _with_deepest_leaf(b, Var(1)) and not a == _with_deepest_leaf(b, Var(1))
 
 
 _INF = float("inf")

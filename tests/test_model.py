@@ -116,15 +116,13 @@ def test_json_round_trip(kite_instance):
 
 @pytest.mark.parametrize("make_chain", [sum_chain, neg_pow_chain], ids=["sum", "neg_pow"])
 def test_deep_expression_instance_round_trips(make_chain, tmp_path):
-    """An instance whose function nests 5000 deep validates, saves, loads and costs.
-
-    Its trees are compared as text: the ``==`` dataclasses generate recurses.
-    """
+    """An instance whose function nests 5000 deep validates, saves, loads and costs."""
     expr = make_chain(5000)
     inst = CdcopInstance(2, (Domain(-1.0, 1.0),) * 2, (CostFunction(0, (0, 1), expr),), "min")
     assert validate_instance(inst) == []
     save_instance(inst, tmp_path / "deep.json")
     loaded = load_instance(tmp_path / "deep.json")
+    assert loaded == inst
     assert format_expr(loaded.functions[0].expr) == format_expr(expr)
     assert global_cost(loaded, [0.25, -0.5]) == eval_expr(expr, 0.25, -0.5)
 

@@ -1,8 +1,9 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cdcop import CdcopInstance, CostFunction, Domain, build_bfs, global_cost
 from cdcop.expressions import Mul, Var
@@ -176,7 +177,8 @@ def test_one_cycle_reproduces_hand_tables(kite_instance):
     # fed the state the cycle left behind
     for i, agent in enumerate(agents):
         x, v = pso_step(KITE_POSITIONS[i].copy(), np.zeros(4), agent.p_best_x, agent.g_best_x,
-                        0.7, 0.4, 0.72, KITE_CONFIG, agent.control, agent.lb, agent.ub)
+                        0.7 * KITE_CONFIG.c1, 0.4 * KITE_CONFIG.c2, 1.0 - 2.0 * 0.4, 0.72,
+                        KITE_CONFIG, agent.control, agent.lb, agent.ub)
         np.testing.assert_allclose(v, KITE_UPDATED_V[i], **TABLE)
         np.testing.assert_allclose(x, KITE_UPDATED_X[i], **TABLE)
 
@@ -242,14 +244,41 @@ def test_crossover_velocity_alignment():
 
 
 def test_crossover_draws_follow_searchsorted():
+    """The draw is the first column above the target, found as an argmax, and
+    equals ``searchsorted(side="right")`` capped at K - 1 on every row a
+    cumulative sum of weights >= 0 can give."""
     from cdcop.swarm import _draw_indices
-    cdf = np.array([[0.1, 0.5, 1.0], [0.2, np.nan, np.nan], [0.0, 0.0, 0.0], [0.25, 0.5, 0.5],
-                    [0.1, 0.2, np.inf], [np.nan, np.nan, np.nan]])
-    u = np.array([0.3, 0.5, 0.7, 1.0, 0.0, 0.2])
-    index, target, above = np.empty(6, np.intp), np.empty((6, 1)), np.empty(cdf.shape, bool)
-    with np.errstate(invalid="ignore"):  # 0 * inf
-        want = [min(int(c.searchsorted(ui * c[-1], side="right")), 2) for c, ui in zip(cdf, u)]
-        assert _draw_indices(cdf, u, index, target, above).tolist() == want
+    below_one = np.nextafter(1.0, 0.0)
+    for K in (2, 3, 50):
+        head = np.cumsum(np.linspace(0.1, 1.0, K))
+        inf_tail, nan_tail = head.copy(), head.copy()
+        inf_tail[K // 2:] = np.inf
+        nan_tail[K // 2:] = np.nan
+        last = K - 1  # the draw of every row with no column above its target
+        cases = [(head, 0.3, None), (head, 0.0, 0), (head, below_one, last),
+                 (np.zeros(K), 0.5, last), (np.zeros(K), 0.0, last),
+                 (np.r_[np.zeros(K - 1), 2.0], 0.0, last),
+                 (np.r_[np.zeros(K - 1), 2.0], 0.5, last),
+                 (inf_tail, 0.4, last), (inf_tail, 0.0, last), (nan_tail, 0.6, last),
+                 (np.full(K, np.nan), 0.2, last)]
+        if K == 3:
+            cases += [([0.1, 0.5, 1.0], 0.3, 1), ([0.2, np.nan, np.nan], 0.5, 2),
+                      ([0.0, 0.0, 0.0], 0.7, 2), ([0.25, 0.5, 0.5], 1.0, 2),
+                      ([0.1, 0.2, np.inf], 0.0, 2), ([np.nan, np.nan, np.nan], 0.2, 2)]
+        cdf = np.array([row for row, _, _ in cases], dtype=float)
+        u = np.array([ui for _, ui, _ in cases])
+        m = len(cases)
+        # garbage-filled scratch: the draw writes every value it reads
+        index, target = np.full(m, 7, np.intp), np.full((m, 1), 7.0)
+        above = np.zeros(cdf.shape, bool)
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            want = [min(int(c.searchsorted(ui * c[-1], side="right")), last)
+                    for c, ui in zip(cdf, u)]
+            got = _draw_indices(cdf, u, index, target, above)
+        assert got is index
+        assert got.tolist() == want, K
+        assert [w for w, (_, _, pinned) in zip(want, cases) if pinned is not None] == [
+            pinned for _, _, pinned in cases if pinned is not None], K
 
 
 def _live_crossover(x, v, lf, rng):
@@ -353,9 +382,10 @@ def test_crossover_workspace_reuse_matches_fresh_buffers(m):
         crossed_x, crossed_v = x.copy(), v.copy()
         free_x, free_v = x.copy(), v.copy()
         rows = (lambda a: a[0]) if m == 1 else (lambda a: a)  # the agent updates 1-D vectors
-        pso_step(rows(free_x), rows(free_v), rows(p_best_x), 0.5, r1, r2, 0.7, cfg, ctrl,
+        products = (r1 * cfg.c1, r2 * cfg.c2, 1.0 - 2.0 * r2)
+        pso_step(rows(free_x), rows(free_v), rows(p_best_x), 0.5, *products, 0.7, cfg, ctrl,
                  -100.0, 100.0)
-        pso_step(rows(x), rows(v), rows(p_best_x), 0.5, r1, r2, 0.7, cfg, ctrl, -100.0, 100.0,
+        pso_step(rows(x), rows(v), rows(p_best_x), 0.5, *products, 0.7, cfg, ctrl, -100.0, 100.0,
                  keep=keep)
         kept = np.zeros(m * K, dtype=bool)
         kept[keep.ravel()] = True
@@ -385,8 +415,8 @@ def test_crossover_stays_in_parent_hull(xa, xb, r):
 def _velocity(v, x, p_best, g_best, w, c1, c2, r1, r2, inertia=FixedInertia(0.72)):
     """One particle's new velocity from the update kernel (no global best, no clamp)."""
     cfg = SwarmConfig(c1=c1, c2=c2, inertia=inertia)
-    _, v_new = pso_step(np.array([x]), np.array([v]), np.array([p_best]), g_best, r1, r2, w,
-                        cfg, GcpsoControl(), -np.inf, np.inf)
+    _, v_new = pso_step(np.array([x]), np.array([v]), np.array([p_best]), g_best, r1 * c1,
+                        r2 * c2, 1.0 - 2.0 * r2, w, cfg, GcpsoControl(), -np.inf, np.inf)
     return float(v_new[0])
 
 
@@ -397,7 +427,7 @@ def test_velocity_standard_by_hand():
 
 
 def test_velocity_global_best_by_hand():
-    v = velocity_global_best(0.0, 0.0, 0.0, 0.72, 1.0, 0.4)
+    v = velocity_global_best(0.0, 0.0, 0.0, 0.72, 1.0, 1.0 - 2.0 * 0.4)
     assert v == pytest.approx(0.20)
 
 
@@ -417,6 +447,124 @@ def test_clamp_pair_matches_clip_bitwise():
     x, lb, ub = (axis.ravel() for axis in np.meshgrid(grid, grid, grid, indexing="ij"))
     pair = np.minimum(np.maximum(x, lb), ub)
     assert pair.view(np.int64).tolist() == np.clip(x, lb, ub).view(np.int64).tolist()
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]
+_UPDATE_VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(-10.0, 10.0),
+                           st.floats(-1e308, 1e308))
+
+
+@st.composite
+def _update_case(draw):
+    """Inputs of one update: one agent's vectors with scalars (``agent``), or
+    ``(n, K)`` matrices with ``(n, 1)`` columns and full-size bounds."""
+    agent = draw(st.booleans())
+    n, K = 1 if agent else draw(st.integers(1, 3)), draw(st.integers(2, 4))
+
+    def matrix(rows, cols, elements=_UPDATE_VALUES):
+        values = draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols))
+        return np.array(values, dtype=float).reshape(rows, cols)
+
+    x, v, p_best = matrix(n, K), matrix(n, K), matrix(n, K)
+    # what ``random()`` yields: multiples of 2**-53 in [0, 1)
+    draws = st.integers(0, 2 ** 53 - 1).map(lambda i: i / 2 ** 53)
+    g_best, r1, r2 = matrix(n, 1), *matrix(2, n, draws)
+    r1, r2 = r1[:, None], r2[:, None]
+    lb, ub = draw(st.sampled_from([(-np.inf, np.inf), (-5.0, 5.0)]))
+    if agent:
+        x, v, p_best = x[0], v[0], p_best[0]
+        g_best, r1, r2 = float(g_best[0, 0]), float(r1[0, 0]), float(r2[0, 0])
+    else:
+        lb, ub = np.full((n, K), lb), np.full((n, K), ub)
+    kept = draw(st.lists(st.booleans(), min_size=n * K, max_size=n * K))
+    return dict(
+        x=x, v=v, p_best=p_best, g_best=g_best, r1=r1, r2=r2, lb=lb, ub=ub,
+        w=draw(st.sampled_from([0.72, 0.7298, 1.4, 0.4])),
+        c1=draw(st.sampled_from([1.49, 2.05])), c2=draw(st.sampled_from([1.49, 2.05])),
+        constricted=draw(st.booleans()), radius=draw(st.sampled_from([0.25, 1.0, 8.0])),
+        best=draw(st.none() | st.integers(0, K - 1)),
+        keep=np.flatnonzero(kept) if any(kept) else None, scratch=draw(st.booleans()))
+
+
+def _literal_update(x, v, p_best, g_best, r1, r2, w, c1, c2, constricted, radius, best, keep,
+                    lb, ub):
+    """The update's formulas written out with operators, on copies: the rule
+    ``pso_step`` must keep, operation for operation."""
+    x, v = x.copy(), v.copy()
+    if best is not None:
+        column = np.s_[..., best:best + 1]
+        v_best = -x[column] + g_best + w * v[column] + radius * (1.0 - 2.0 * r2)
+    if keep is not None:
+        kept_v, kept_x = v.take(keep), x.take(keep)
+    pulls = (p_best - x) * (r1 * c1) + (g_best - x) * (r2 * c2)
+    v = (v + pulls) * w if constricted else v * w + pulls
+    if best is not None:
+        v[column] = v_best
+    if keep is not None:
+        v.put(keep, kept_v)
+    x = x + v
+    if keep is not None:
+        x.put(keep, kept_x)
+    return np.minimum(np.maximum(x, lb), ub), v
+
+
+def _warnings_of(fn):
+    """``fn()``'s result and the messages of the RuntimeWarnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        result = fn()
+    return result, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _pinned_case(x, v, g_best, best, keep, constricted, **rest):
+    """An update case with the given values and plain defaults for the rest."""
+    x, v = np.array(x), np.array(v)
+    bounds = (-np.inf, np.inf) if x.ndim == 1 else (np.full(x.shape, -np.inf),
+                                                    np.full(x.shape, np.inf))
+    r1, r2 = (0.25, 0.75) if x.ndim == 1 else (np.full((len(x), 1), 0.25),
+                                                np.full((len(x), 1), 0.75))
+    return dict(dict(x=x, v=v, p_best=np.zeros_like(x), g_best=g_best, r1=r1, r2=r2,
+                     lb=bounds[0], ub=bounds[1], w=0.72, c1=1.49, c2=1.49,
+                     constricted=constricted, radius=1.0, best=best, keep=keep, scratch=True),
+                **rest)
+
+
+_NEG_NAN = np.copysign(np.nan, -1.0)
+
+
+# the best particle's column meets NaNs of both signs and inf - inf, which
+# tell -x + g from g - x by the NaN's sign and by the warning's text
+@example(_pinned_case(x=[[np.nan, 1.0, 0.0], [_NEG_NAN, -0.0, 2.0], [np.inf, np.inf, -1.0]],
+                      v=[[1.0, np.nan, 0.0], [_NEG_NAN, 1.0, -0.0], [np.nan, 0.5, np.inf]],
+                      g_best=np.array([[0.5], [np.nan], [np.inf]]), best=0,
+                      keep=np.array([2, 4]), constricted=False))
+@example(_pinned_case(x=[np.nan, 1.0], v=[np.nan, -0.0], g_best=0.5, best=0,
+                      keep=np.array([1]), constricted=True, scratch=False))
+@given(_update_case())
+def test_pso_step_matches_literal_formulas_bitwise(case):
+    """``pso_step`` on pre-scaled draws gives the bits and the warnings of the
+    formulas (p - x)*(r1*c1), (g - x)*(r2*c2) and, for the best particle,
+    -x + g + w*v + radius*(1 - 2*r2), on signed zeros, infinities and NaNs
+    of both signs."""
+    c = case
+    inertia = ConstrictionInertia(c["c1"] + c["c2"]) if c["constricted"] else FixedInertia(c["w"])
+    cfg = SwarmConfig(c1=c["c1"], c2=c["c2"], inertia=inertia)
+    ctrl = GcpsoControl(radius=c["radius"], best_particle=c["best"])
+    x, v = c["x"].copy(), c["v"].copy()
+    column = x[..., :1]
+    scratch = (tuple(np.full_like(a, 7.0) for a in (x, x, column, column, column))
+               if c["scratch"] else None)
+    r1, r2 = c["r1"], c["r2"]
+    products = (r1 * c["c1"], r2 * c["c2"], 1.0 - 2.0 * r2)  # as solve makes them, per run
+    (x_new, v_new), got = _warnings_of(lambda: pso_step(
+        x, v, c["p_best"], c["g_best"], *products, c["w"], cfg, ctrl, c["lb"], c["ub"],
+        c["keep"], scratch))
+    (x_want, v_want), want = _warnings_of(lambda: _literal_update(
+        c["x"], c["v"], c["p_best"], c["g_best"], r1, r2, c["w"], c["c1"], c["c2"],
+        c["constricted"], c["radius"], c["best"], c["keep"], c["lb"], c["ub"]))
+    assert v_new.view(np.int64).tolist() == v_want.view(np.int64).tolist()
+    assert x_new.view(np.int64).tolist() == x_want.view(np.int64).tolist()
+    assert got == want
 
 
 def test_fixed_point_particle_stays_put():
