@@ -15,6 +15,7 @@ from .experiment import (
     verify_trace,
     write_trace_csv,
 )
+from .expressions import DivisionByZero
 from .model import InvalidInstanceError, load_instance, save_instance
 from .oracle import GridSearchSpec, GridTooLargeError, grid_optimum
 from .pseudotree import build_bfs, tree_edge_dump
@@ -251,7 +252,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInstanceError, ConfigError, GenerationFailed, GridTooLargeError, ValueError) as e:
+    except (InvalidInstanceError, ConfigError, GenerationFailed, GridTooLargeError, ValueError,
+            DivisionByZero) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -16,7 +16,7 @@ bit-identical to the message-passing one:
 
 import numpy as np
 
-from .expressions import compile_skeleton
+from .expressions import DivisionByZero, compile_skeleton, eval_expr
 from .model import CdcopInstance, incident_functions
 from .pseudotree import PseudoTree
 from .runtime import BEST, COST, VALUE, CycleStats, Message
@@ -73,7 +73,8 @@ class LocalCosts:
         pool = np.empty((max((t for t, _ in groups.values()), default=0),
                          min(block_edges, num_edges), K))
         row_of: dict[int, int] = {}  # function id -> row of the value buffer
-        self.blocks = []  # (skeleton, slot-0 positions, slot-1 positions, values, temps, constants)
+        # (skeleton, slot-0 positions, slot-1 positions, values, temps, constants, functions)
+        self.blocks = []
         for fn, (num_temps, members) in groups.items():
             for lo in range(0, len(members), block_edges):
                 block = members[lo:lo + block_edges]
@@ -84,7 +85,8 @@ class LocalCosts:
                 consts = np.array([c for _, c in block], dtype=float).reshape(len(block), -1)
                 self.blocks.append((fn, self._ends[0, rows], self._ends[1, rows], self.values[rows],
                                     [temp[:len(block)] for temp in pool[:num_temps]],
-                                    [_constant_operand(c, K) for c in consts.T]))
+                                    [_constant_operand(c, K) for c in consts.T],
+                                    [f for f, _ in block]))
 
         incident = [[row_of[fid] for fid in incident_functions(inst, agent)]
                     for agent in range(inst.num_agents)]
@@ -93,32 +95,50 @@ class LocalCosts:
         self._place = np.argsort(order)
         width = len(incident[order[0]]) if order else 0
         self._accumulate = np.subtract if inst.sign < 0 else np.add
-        self._sorted = np.empty((inst.num_agents, K))
+        # rows of agents with no incident function stay +0.0 from here on
+        self._sorted = np.zeros((inst.num_agents, K))
         self._local = np.empty((inst.num_agents, K))
         # column j: the j-th incident value of every agent that has one, in that
         # order; all columns are gathered at once, each into its own block of
         # rows of ``_terms``, and column j is added into the leading rows of
-        # ``_sorted``
+        # ``_sorted``, column 0 onto +0.0 (a 0-d array: numpy converts a float
+        # operand on every call) and every later one onto the sums
         columns = [[incident[agent][j] for agent in order if len(incident[agent]) > j]
                    for j in range(width)]
         self._gather = np.array([row for column in columns for row in column], dtype=np.intp)
         self._terms = np.empty((len(self._gather), K))
         self.columns = []
         start = 0
+        zero = np.zeros(())
         for column in columns:
-            self.columns.append((self._terms[start:start + len(column)], self._sorted[:len(column)]))
+            total = self._sorted[:len(column)]
+            self.columns.append((total if self.columns else zero,
+                                 self._terms[start:start + len(column)], total))
             start += len(column)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Every agent's local fitness at positions ``x``.
+
+        A zero denominator raises DivisionByZero naming the first function
+        of the failing block that meets one, found with ``eval_expr``.
+        """
         # mode="clip" writes straight into ``out``; the default buffers it
         x.take(self._scope, axis=0, out=self._ends, mode="clip")
-        for fn, first, second, values, temps, consts in self.blocks:
-            fn(first, second, values, temps, *consts)
+        try:
+            for fn, first, second, values, temps, consts, functions in self.blocks:
+                fn(first, second, values, temps, *consts)
+        except DivisionByZero:
+            for f in functions:  # the failing block's
+                try:
+                    eval_expr(f.expr, x[f.scope[0]], x[f.scope[1]])
+                except DivisionByZero:
+                    raise DivisionByZero(
+                        f"zero denominator in function {f.id}, scope {f.scope}") from None
+            raise
         self.values.take(self._gather, axis=0, out=self._terms, mode="clip")
         accumulate = self._accumulate
-        self._sorted.fill(0.0)
-        for term, total in self.columns:
-            accumulate(total, term, out=total)
+        for start, term, total in self.columns:
+            accumulate(start, term, out=total)
         self._sorted.take(self._place, axis=0, out=self._local, mode="clip")
         return self._local
 
@@ -164,7 +184,7 @@ class TreeSchedule:
         The returned row is overwritten by the next call.
         """
         total = self._total
-        np.copyto(total, local)
+        total[...] = local
         for parent, child in self._adds:
             parent += child
         fitness = total[self.root]

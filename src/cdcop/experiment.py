@@ -80,10 +80,28 @@ def trace_filename(instance_idx: int, repeat_idx: int, variant: str) -> str:
 
 
 def write_trace_csv(path, trace: RunTrace) -> None:
+    """Write ``trace`` as CSV, one line per cycle.
+
+    A ``solve`` trace's rows share one best-cost float until the best moves
+    and repeat one count triple, so ``repr`` runs once per best-cost object
+    and each ``,value,cost,best`` tail is built once per distinct triple.
+    Sharing only saves work: rows that share nothing give the same bytes.
+    """
     hops = trace.hops_per_cycle
-    lines = [f"{row.cycle},0.0,{row.cycle * hops},{row.best_cost!r},{row.stats.value_count},"
-             f"{row.stats.cost_count},{row.stats.best_count}\n" for row in trace.rows]
-    Path(path).write_text(TRACE_HEADER + "\n" + "".join(lines))
+    cost = text = None
+    tails: dict[tuple[int, int, int], str] = {}
+    lines = [TRACE_HEADER, "\n"]
+    for row in trace.rows:
+        if row.best_cost is not cost:
+            cost = row.best_cost
+            text = repr(cost)
+        st = row.stats
+        counts = (st.value_count, st.cost_count, st.best_count)
+        tail = tails.get(counts)
+        if tail is None:
+            tail = tails[counts] = f",{st.value_count},{st.cost_count},{st.best_count}\n"
+        lines.append(f"{row.cycle},0.0,{row.cycle * hops},{text}{tail}")
+    Path(path).write_text("".join(lines))
 
 
 def read_trace_csv(path) -> dict[str, list]:
@@ -111,14 +129,22 @@ def verify_trace(trace: RunTrace, tree: PseudoTree, num_particles: int) -> dict[
     next. ``message_law``: every cycle moved exactly 2|E| VALUE, |A|-1 COST
     and |A|-1 BEST messages. ``payload_bound``: no agent sent more scalars
     in a cycle than ``message_stats`` allows.
+
+    The message law is checked on the set of distinct count triples and the
+    payload bound once per distinct ``sent_scalars_by_agent`` object, which
+    a ``solve`` trace shares between the rows of one BEST length. Sharing
+    only saves work: on rows that share nothing every row is checked.
     """
     expect = (2 * trace.num_edges, trace.num_agents - 1, trace.num_agents - 1)
     stats = [row.stats for row in trace.rows]
+    counts = {(st.value_count, st.cost_count, st.best_count) for st in stats}
+    # one row per sent map; ``stats`` keeps every map alive, so no id repeats
+    distinct = {id(st.sent_scalars_by_agent): st for st in stats}
     return {
         "anytime": check_anytime(trace.internal_series()) is None,
-        "message_law": all((st.value_count, st.cost_count, st.best_count) == expect
-                           for st in stats),
-        "payload_bound": not message_stats(stats, tree, num_particles)["violations"],
+        "message_law": counts <= {expect},
+        "payload_bound": not message_stats(list(distinct.values()), tree,
+                                           num_particles)["violations"],
     }
 
 

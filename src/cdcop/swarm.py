@@ -38,7 +38,7 @@ import numpy as np
 
 from .engine import LocalCosts, TreeSchedule
 from .model import CdcopInstance, incident_functions
-from .expressions import compile_expr
+from .expressions import DivisionByZero, compile_expr
 from .pseudotree import PseudoTree, build_bfs
 from .runtime import BestPayload, CycleStats
 
@@ -103,8 +103,12 @@ class ConstrictionInertia:
 InertiaSchedule = FixedInertia | AdaptiveInertia | ConstrictionInertia
 
 
-def inertia_weight(schedule: InertiaSchedule, t: int, t_max: int) -> float:
-    """Inertia weight at cycle ``t`` of ``t_max``."""
+def inertia_weight(schedule: InertiaSchedule, t, t_max: int):
+    """Inertia weight at cycle ``t`` of ``t_max``.
+
+    ``t`` may be an integer array of cycles: a schedule that varies then
+    gives each cycle's weight, with the bits the scalar call gives.
+    """
     match schedule:
         case FixedInertia(w=w):
             return w
@@ -288,23 +292,6 @@ def crossover_probabilities(local_fitness: np.ndarray, out=None, total=None) -> 
     return weights
 
 
-def _draw_indices(cdf: np.ndarray, u: np.ndarray, index: np.ndarray, target: np.ndarray,
-                  above: np.ndarray) -> np.ndarray:
-    """Per row, ``cdf.searchsorted(u * cdf[-1], side="right")`` capped at the last index.
-
-    That draws an index with probability proportional to the row's
-    increments. On a row sorted with NaN last, as a cumulative sum of
-    weights >= 0 is, the search gives the first column above the target, or
-    the last column if none is: a NaN target (the row ends in NaN) is above
-    none. Writes the indices into ``index``, using ``target`` (one per row)
-    and ``above`` (shaped like ``cdf``) as scratch.
-    """
-    np.multiply(u, cdf[:, -1], out=target[:, 0])
-    np.greater(cdf, target, out=above)
-    above[:, -1] = True  # caps the index at K - 1
-    return above.argmax(axis=1, out=index)
-
-
 class CrossoverDraws:
     """Each row's crossover stream for cycles 1 to ``t_max``, drawn ahead as doubles,
     and the scratch buffers ``crossover_rows`` works in for ``(m, K)`` matrices.
@@ -330,8 +317,12 @@ class CrossoverDraws:
         self.weights = np.empty((m, K))
         self.cdf = np.empty((m, K))
         self.above = np.empty((m, K), dtype=bool)
+        self.above[:, -1] = True  # caps :meth:`draw`'s index at K - 1; never overwritten
         self.total = np.empty((m, 1))
         self.target = np.empty((m, 1))
+        # the views :meth:`draw` reads and writes, made once
+        self._cdf_last, self._cdf_head = self.cdf[:, -1], self.cdf[:, :-1]
+        self._target_column, self._above_head = self.target[:, 0], self.above[:, :-1]
         self.offsets = np.arange(m, dtype=np.intp) * K  # flat index of each row's column 0
         self.columns = np.empty((2, m), dtype=np.intp)  # a and b of each row
         self.flat = np.empty((2, m), dtype=np.intp)  # their flat indices into (m, K)
@@ -345,6 +336,21 @@ class CrossoverDraws:
         self._states[i] = rng.bit_generator.state
         self._filled_from[i] = column
         rng.random(out=self.buffer[i, column:])
+
+    def draw(self, u: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Per row of ``cdf``, ``searchsorted(u * cdf[-1], side="right")`` capped
+        at the last index.
+
+        That draws an index with probability proportional to the row's
+        increments. On a row sorted with NaN last, as a cumulative sum of
+        weights >= 0 is, the search gives the first column above the target,
+        or the last column if none is: a NaN target (the row ends in NaN) is
+        above none. Writes the indices into ``index``, using ``target`` and
+        all but the last column of ``above`` as scratch.
+        """
+        np.multiply(u, self._cdf_last, out=self._target_column)
+        np.greater(self._cdf_head, self.target, out=self._above_head)
+        return self.above.argmax(axis=1, out=index)
 
     def integer(self, i: int, column: int, high: int) -> int:
         """Row ``i``'s draw at ``column`` taken as ``integers(0, high)``."""
@@ -379,11 +385,11 @@ def crossover_rows(x: np.ndarray, v: np.ndarray, local_fitness: np.ndarray,
     weights = crossover_probabilities(local_fitness, draws.weights, draws.total)
     # np.cumsum, without its Python wrapper
     cdf = np.add.accumulate(weights, axis=1, out=draws.cdf)
-    _draw_indices(cdf, draws.buffer[:, col], a, draws.target, draws.above)
+    draws.draw(draws.buffer[:, col], a)
     np.add(draws.offsets, a, out=flat_a)
     weights.put(flat_a, 0.0)
     np.add.accumulate(weights, axis=1, out=cdf)
-    _draw_indices(cdf, draws.buffer[:, col + 1], b, draws.target, draws.above)
+    draws.draw(draws.buffer[:, col + 1], b)
     if np.count_nonzero(cdf[:, -1]) < len(b):
         for i in np.flatnonzero(cdf[:, -1] == 0.0):  # rewrites row i's later columns, r included
             u = draws.integer(i, col + 1, K - 1)
@@ -614,7 +620,8 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     walk = 1.0 - 2.0 * r2c2
     r1c1 *= cfg.c1
     r2c2 *= cfg.c2
-    weights = [inertia_weight(cfg.inertia, t, cfg.t_max) for t in range(1, cfg.t_max + 1)]
+    cycles = np.arange(1, cfg.t_max + 1)
+    weights = np.full(cfg.t_max, inertia_weight(cfg.inertia, cycles, cfg.t_max)).tolist()
     updates = zip(weights, *(a.T[:, :, None] for a in (r1c1, r2c2, walk)))
     cross_draws = (CrossoverDraws([agent_stream(cfg.seed, i, 2) for i in range(n)], cfg.t_max, K)
                    if cfg.crossover else None)
@@ -634,14 +641,19 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     log: list | None = [] if log_messages else None
     for t, (w, r1c1_t, r2c2_t, walk_t) in enumerate(updates, start=1):
         start = time.perf_counter()
-        local = local_costs(x)
+        try:
+            local = local_costs(x)
+        except DivisionByZero as exc:
+            raise DivisionByZero(f"cycle {t}: {exc}") from None
         fit = schedule.convergecast(local)
         if probes is not None:
             probes.append((x.copy(), fit.copy()))
 
         np.less(fit, p_best_fit, out=improved)
-        np.copyto(p_best_fit, fit, where=improved)
-        np.copyto(p_best_x, x, where=improved)
+        num_improved = int(np.count_nonzero(improved))
+        if num_improved:
+            np.copyto(p_best_fit, fit, where=improved)
+            np.copyto(p_best_x, x, where=improved)
         k = int(fit.argmin())
         fit_k = fit.item(k)
         success = fit_k < g_best_fit
@@ -657,7 +669,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         pso_step(x, v, p_best_x, g_best_x, r1c1_t, r2c2_t, walk_t, w, cfg, ctrl, lb, ub, keep,
                  scratch)
 
-        best_len = int(np.count_nonzero(improved)) + (2 if success else 0)
+        best_len = num_improved + (2 if success else 0)
         stats = schedule.cycle_stats(t, best_len)
         if log is not None:
             log.extend(schedule.messages(t, best_len))

@@ -4,12 +4,14 @@
 
 Each run records probes and the message log and is reduced to SHA-256
 digests of its trace rows (without timings), its probes, its trace CSV and
-its message-log CSV. ``tests/test_trace_digests.py`` recomputes them and
-compares them with ``trace_digests.json``, so a change to any bit of a
-trace shows up across commits, which the in-commit equivalence test cannot
-see when both of its sides change together. The file also records the
-Python and numpy versions it was made with. A change that rewrites it says
-why and lists the digests that changed.
+its message-log CSV. A tiny ``run_experiment`` ensemble is reduced to the
+digest of every file it writes: each trace CSV and ``summary.json``.
+``tests/test_trace_digests.py`` recomputes them and compares them with
+``trace_digests.json``, so a change to any bit of a trace or a summary
+shows up across commits, which the in-commit equivalence test cannot see
+when both of its sides change together. The file also records the Python
+and numpy versions it was made with. A change that rewrites it says why
+and lists the digests that changed.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import json
 import platform
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ if str(TESTS) not in sys.path:
     sys.path.insert(0, str(TESTS))
 
 from cdcop.benchmarks import BenchSpec, generate  # noqa: E402
-from cdcop.experiment import write_trace_csv  # noqa: E402
+from cdcop.experiment import ExperimentConfig, run_experiment, write_trace_csv  # noqa: E402
 from cdcop.runtime import write_message_log_csv  # noqa: E402
 from cdcop.swarm import SwarmConfig, solve  # noqa: E402
 
@@ -74,6 +77,12 @@ def runs():
                SwarmConfig(num_particles=2, t_max=40, crossover=True, seed=seed))
 
 
+# 2 instances x 2 repeats x both variants at the criterion-2 family shape
+EXPERIMENT = ExperimentConfig(swarm=SwarmConfig(num_particles=8, t_max=15),
+                              bench=BenchSpec("er", n=6, p=0.4), num_instances=2, repeats=2,
+                              master_seed=27)
+
+
 def _sha256(*chunks: bytes) -> str:
     h = hashlib.sha256()
     for chunk in chunks:
@@ -113,8 +122,15 @@ def compute() -> dict[str, dict[str, str]]:
         return {name: digest_run(inst, cfg, Path(tmp)) for name, inst, cfg in runs()}
 
 
+def compute_experiment() -> dict[str, str]:
+    """The digest of every file ``EXPERIMENT`` writes, by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_experiment(replace(EXPERIMENT, out_dir=tmp))
+        return {path.name: _sha256(path.read_bytes()) for path in sorted(Path(tmp).iterdir())}
+
+
 def main() -> None:
-    doc = {**versions(), "runs": compute()}
+    doc = {**versions(), "runs": compute(), "experiment": compute_experiment()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(doc['runs'])} runs to {GOLDEN}")
 

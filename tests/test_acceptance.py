@@ -126,6 +126,7 @@ def test_criterion_1_golden_trace(kite_instance):
         assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_2_anytime_over_ensemble(ensemble):
     records, elapsed = ensemble
     with criterion(2, "anytime property across the benchmark ensemble"):
@@ -156,6 +157,7 @@ def test_criterion_3_fitness_equivalence():
                 probes_checked += 1
 
 
+@pytest.mark.slow
 def test_criterion_4_message_count_law(ensemble, kite_instance):
     records, _ = ensemble
     with criterion(4, "exact per-cycle message counts"):
@@ -166,6 +168,7 @@ def test_criterion_4_message_count_law(ensemble, kite_instance):
             assert (st.value_count, st.cost_count, st.best_count) == (8, 3, 3)
 
 
+@pytest.mark.slow
 def test_criterion_5_message_size_bound(ensemble):
     records, _ = ensemble
     with criterion(5, "per-agent payload bound K*(|N|+1+|CH|)+c"):
@@ -182,6 +185,7 @@ def test_criterion_6_convex_sanity(two_agent_convex):
         assert hits >= 95, f"only {hits}/100 seeds converged"
 
 
+@pytest.mark.slow
 def test_criterion_7_crossover_direction():
     with criterion(7, "crossover variant wins >= 60% of sparse-graph instances"):
         master = 99

@@ -4,11 +4,11 @@ import pytest
 
 from cdcop.cli import config_from_json, config_to_json, main
 from cdcop.expressions import format_expr
-from cdcop.model import load_instance
+from cdcop.model import load_instance, save_instance
 from cdcop.swarm import (AdaptiveInertia, ConfigError, ConstrictionInertia, FixedInertia,
                          SwarmConfig, validate_config)
 
-from conftest import neg_pow_chain, sum_chain
+from conftest import make_instance, neg_pow_chain, sum_chain
 
 
 def test_gen_writes_valid_instance(tmp_path, capsys):
@@ -243,3 +243,17 @@ def test_instance_without_domains_is_usage_error(tmp_path, capsys):
     }))
     assert main(["solve", str(bad), "-K", "4", "--cycles", "2"]) == 2
     assert "'domains'" in capsys.readouterr().err
+
+
+def test_zero_denominator_is_one_error_line(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(make_instance(2, [((0, 1), "(/ 1 (- x0 x1))")], domain=(-1.0, 1.0)), inst_path)
+    flags = ["-K", "10", "--cycles", "200", "--seed", "1"]
+    assert main(["solve", str(inst_path), *flags]) == 2
+    assert capsys.readouterr().err == (
+        "error: cycle 9: zero denominator in function 0, scope (0, 1)\n")
+    assert main(["experiment", "--instance", str(inst_path), *flags, "--repeats", "2",
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cycle ") and err.count("\n") == 1
+    assert err.endswith(": zero denominator in function 0, scope (0, 1)\n")

@@ -142,10 +142,21 @@ def test_recording_options_do_not_change_the_run():
 def test_zero_denominator_raises_in_both():
     inst = make_instance(2, [((0, 1), "(/ x0 (- x1 x1))")])
     cfg = SwarmConfig(num_particles=4, t_max=3)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero,
+                       match=r"^cycle 1: zero denominator in function 0, scope \(0, 1\)$"):
         solve(inst, cfg)
     with pytest.raises(DivisionByZero):
         reference_solve(inst, cfg)
+
+
+def test_zero_denominator_names_the_function_that_meets_it():
+    # one skeleton, so one block: only function 1's denominator is zero
+    inst = make_instance(4, [((0, 1), "(/ x0 (* x1 1.0))"), ((2, 1), "(/ x0 (* x1 0.0))"),
+                             ((2, 3), "(/ x0 (* x1 2.0))")])
+    assert len(LocalCosts(inst, 4).blocks) == 1
+    with pytest.raises(DivisionByZero,
+                       match=r"^cycle 1: zero denominator in function 1, scope \(2, 1\)$"):
+        solve(inst, SwarmConfig(num_particles=4, t_max=3))
 
 
 def test_cycle_timing_is_recorded():

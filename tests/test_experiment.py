@@ -1,10 +1,13 @@
 import filecmp
 import json
+from dataclasses import replace
 
 import pytest
 
-from cdcop.benchmarks import BenchSpec
+from cdcop import build_bfs
+from cdcop.benchmarks import BenchSpec, generate
 from cdcop.experiment import (
+    TRACE_HEADER,
     ExperimentConfig,
     derive_instance_seed,
     derive_run_seed,
@@ -12,10 +15,13 @@ from cdcop.experiment import (
     read_trace_csv,
     run_experiment,
     trace_filename,
+    verify_trace,
     write_trace_csv,
 )
 from cdcop.oracle import check_anytime
 from cdcop.swarm import SwarmConfig, solve
+
+from test_engine_equivalence import reference_solve
 
 
 def _tiny_config(out_dir, **kw):
@@ -140,3 +146,61 @@ def test_summary_json_parses(tmp_path):
     run_experiment(_tiny_config(out))
     doc = json.loads((out / "summary.json").read_text())
     assert doc["checks"] == {"anytime": True, "message_law": True, "payload_bound": True}
+
+
+def _corrupt_counts(trace, k):
+    trace.rows[k].stats.value_count += 1
+
+
+def _corrupt_payload(trace, k):
+    # a copy: on a solve trace rows of one BEST length share one sent map
+    row = trace.rows[k]
+    sent = dict(row.stats.sent_scalars_by_agent)
+    sent[next(iter(sent))] += 10 ** 6
+    row.stats = replace(row.stats, sent_scalars_by_agent=sent)
+
+
+def _corrupt_best(trace, k):
+    trace.rows[k].best_internal = trace.rows[k - 1].best_internal + 1.0
+
+
+@pytest.mark.parametrize("source", ["solve", "reference"])
+@pytest.mark.parametrize("corrupt, check", [(None, None), (_corrupt_counts, "message_law"),
+                                            (_corrupt_payload, "payload_bound"),
+                                            (_corrupt_best, "anytime")],
+                         ids=["intact", "message_law", "payload_bound", "anytime"])
+def test_verify_trace_verdicts(source, corrupt, check):
+    """Each corruption of one cycle turns exactly its own check False, on a
+    ``solve`` trace, whose rows share objects, and on a ``SyncRuntime``
+    reference trace, whose rows share nothing."""
+    inst = generate(BenchSpec("er", n=6, p=0.5, seed=3))
+    tree = build_bfs(inst, 0)
+    cfg = SwarmConfig(num_particles=8, t_max=30, crossover=True, seed=4)
+    trace = solve(inst, cfg, tree=tree) if source == "solve" else reference_solve(inst, cfg)
+    # a row whose sent map, on a solve trace, rows before and after it share
+    maps = [id(row.stats.sent_scalars_by_agent) for row in solve(inst, cfg, tree=tree).rows]
+    k = next(i for i in range(1, len(maps)) if maps[i] in maps[:i] and maps[i] in maps[i + 1:])
+    if corrupt is not None:
+        corrupt(trace, k)
+    want = {"anytime": True, "message_law": True, "payload_bound": True}
+    if check is not None:
+        want[check] = False
+    assert verify_trace(trace, tree, cfg.num_particles) == want
+
+
+def test_trace_csv_matches_the_per_row_format(tmp_path):
+    """Shared best-cost floats and count triples only save work: the file is
+    the per-row format's, also where rows stop sharing."""
+    inst = generate(BenchSpec("er", n=6, p=0.5, seed=3))
+    trace = solve(inst, SwarmConfig(num_particles=8, t_max=30, seed=4))
+    trace.rows[5].stats.value_count += 1
+    trace.rows[6].best_cost = float(repr(trace.rows[6].best_cost))  # equal, not shared
+    trace.rows[7].best_cost = -0.0
+    trace.rows[8].best_cost = float("nan")
+    hops = trace.hops_per_cycle
+    want = "".join(
+        [TRACE_HEADER + "\n"]
+        + [f"{row.cycle},0.0,{row.cycle * hops},{row.best_cost!r},{row.stats.value_count},"
+           f"{row.stats.cost_count},{row.stats.best_count}\n" for row in trace.rows])
+    write_trace_csv(tmp_path / "t.csv", trace)
+    assert (tmp_path / "t.csv").read_text() == want

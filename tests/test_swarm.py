@@ -73,6 +73,17 @@ def test_fixed_inertia():
     assert inertia_weight(FixedInertia(0.72), 5, 10) == 0.72
 
 
+@pytest.mark.parametrize("schedule", [AdaptiveInertia(), AdaptiveInertia(1.3, 0.3, True),
+                                      AdaptiveInertia(0.9, 0.9), FixedInertia(0.72),
+                                      ConstrictionInertia(4.1)], ids=repr)
+@pytest.mark.parametrize("t_max", [1, 7, 200, 500, 999])
+def test_inertia_weights_of_an_array_have_the_scalar_bits(schedule, t_max):
+    cycles = np.arange(1, t_max + 1)
+    weights = np.full(t_max, inertia_weight(schedule, cycles, t_max))
+    assert [w.hex() for w in weights.tolist()] == [
+        float(inertia_weight(schedule, t, t_max)).hex() for t in range(1, t_max + 1)]
+
+
 # --- configuration --------------------------------------------------------------
 
 def test_config_defaults_valid():
@@ -247,7 +258,6 @@ def test_crossover_draws_follow_searchsorted():
     """The draw is the first column above the target, found as an argmax, and
     equals ``searchsorted(side="right")`` capped at K - 1 on every row a
     cumulative sum of weights >= 0 can give."""
-    from cdcop.swarm import _draw_indices
     below_one = np.nextafter(1.0, 0.0)
     for K in (2, 3, 50):
         head = np.cumsum(np.linspace(0.1, 1.0, K))
@@ -268,13 +278,17 @@ def test_crossover_draws_follow_searchsorted():
         cdf = np.array([row for row, _, _ in cases], dtype=float)
         u = np.array([ui for _, ui, _ in cases])
         m = len(cases)
-        # garbage-filled scratch: the draw writes every value it reads
-        index, target = np.full(m, 7, np.intp), np.full((m, 1), 7.0)
-        above = np.zeros(cdf.shape, bool)
+        draws = CrossoverDraws([agent_stream(0, i, 2) for i in range(m)], 1, K)
+        draws.cdf[...] = cdf
+        # garbage-filled scratch: the draw writes every value it reads, and
+        # ``above`` keeps the True last column CrossoverDraws gave it
+        index = np.full(m, 7, np.intp)
+        draws.target.fill(7.0)
+        draws.above[:, :-1] = True
         with np.errstate(invalid="ignore"):  # 0 * inf
             want = [min(int(c.searchsorted(ui * c[-1], side="right")), last)
                     for c, ui in zip(cdf, u)]
-            got = _draw_indices(cdf, u, index, target, above)
+            got = draws.draw(u, index)
         assert got is index
         assert got.tolist() == want, K
         assert [w for w, (_, _, pinned) in zip(want, cases) if pinned is not None] == [
@@ -364,10 +378,14 @@ def test_crossover_workspace_reuse_matches_fresh_buffers(m):
             case 5:
                 lf[0] = 0.0
                 lf[0, 2] = 1.5  # one weight: b is an integer draw
-        fresh = copy.deepcopy(draws)
+        # new scratch, garbage-filled in place (some buffers are views of others),
+        # with a copy of the streams as they stand
+        fresh = CrossoverDraws([agent_stream(8, i, 2) for i in range(m)], t_max, K)
+        for name in ("rngs", "buffer", "_states", "_filled_from"):
+            setattr(fresh, name, copy.deepcopy(getattr(draws, name)))
         for name, buf in vars(fresh).items():  # every scratch buffer: all arrays but the draws
             if isinstance(buf, np.ndarray) and name not in ("buffer", "offsets"):
-                setattr(fresh, name, np.full_like(buf, 7 if buf.dtype != bool else True))
+                buf[...] = 7 if buf.dtype != bool else True
         x_fresh, v_fresh = x.copy(), v.copy()
         with np.errstate(invalid="ignore"):
             keep = crossover_rows(x, v, lf, draws, t).copy()
