@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Add, Constant, Div, Mul, Pow, Sub, Var, Expression
-from .model import CdcopInstance, CostFunction, Domain, validate_instance
+from .model import CdcopInstance, CostFunction, Domain, unreachable, validate_instance
 
 __all__ = [
     "GenerationFailed",
@@ -56,16 +56,15 @@ class BenchSpec:
 
 
 def generate(spec: BenchSpec) -> CdcopInstance:
-    coeff = spec.coeff_range or DEFAULT_COEFF
+    """The instance ``spec`` describes; ``domain`` and ``coeff_range`` are passed on
+    only when set, so each generator's signature holds its family's defaults."""
+    given = {k: v for k, v in (("domain", spec.domain), ("coeff_range", spec.coeff_range)) if v}
     if spec.family == "er":
-        domain = spec.domain or DEFAULT_DOMAIN
-        return gen_erdos_renyi(spec.n, spec.p, domain, coeff, spec.seed)
+        return gen_erdos_renyi(spec.n, spec.p, seed=spec.seed, **given)
     if spec.family == "tree":
-        domain = spec.domain or DEFAULT_DOMAIN
-        return gen_random_tree(spec.n, domain, coeff, spec.seed)
+        return gen_random_tree(spec.n, seed=spec.seed, **given)
     if spec.family == "ba":
-        domain = spec.domain or SCALE_FREE_DOMAIN
-        return gen_barabasi_albert(spec.n, spec.m, domain, coeff, spec.seed)
+        return gen_barabasi_albert(spec.n, spec.m, seed=spec.seed, **given)
     if spec.family == "sensor":
         return gen_sensor_grid(spec.rows, spec.cols, spec.seed)
     raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
@@ -102,39 +101,21 @@ def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_rang
     return inst
 
 
-def _is_connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
-
-
-def gen_erdos_renyi(n: int = 50, p: float = 0.2, domain=DEFAULT_DOMAIN,
-                    coeff_range=DEFAULT_COEFF, seed: int = 0) -> CdcopInstance:
+def gen_erdos_renyi(n: int, p: float, domain=DEFAULT_DOMAIN, coeff_range=DEFAULT_COEFF,
+                    seed: int = 0) -> CdcopInstance:
     """Each of the C(n,2) pairs gets an edge with probability p; retries until connected."""
     if n < 2 or not 0.0 < p <= 1.0:
         raise ValueError(f"need n >= 2 and 0 < p <= 1, got n={n}, p={p}")
     rng = _rng(seed)
     for _ in range(CONNECT_RETRIES):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        if _is_connected(n, edges):
+        if not unreachable(n, edges):
             return _quadratic_instance(n, edges, domain, coeff_range, rng)
     raise GenerationFailed(
         f"no connected graph in {CONNECT_RETRIES} attempts (n={n}, p={p}); increase p")
 
 
-def gen_random_tree(n: int = 50, domain=DEFAULT_DOMAIN, coeff_range=DEFAULT_COEFF,
+def gen_random_tree(n: int, domain=DEFAULT_DOMAIN, coeff_range=DEFAULT_COEFF,
                     seed: int = 0) -> CdcopInstance:
     """Uniform random attachment: node i >= 1 links to a uniformly chosen earlier node."""
     if n < 2:
@@ -144,7 +125,7 @@ def gen_random_tree(n: int = 50, domain=DEFAULT_DOMAIN, coeff_range=DEFAULT_COEF
     return _quadratic_instance(n, edges, domain, coeff_range, rng)
 
 
-def gen_barabasi_albert(n: int = 100, m: int = 3, domain=SCALE_FREE_DOMAIN,
+def gen_barabasi_albert(n: int, m: int, domain=SCALE_FREE_DOMAIN,
                         coeff_range=DEFAULT_COEFF, seed: int = 0) -> CdcopInstance:
     """Preferential attachment on a complete seed graph of m nodes.
 
@@ -189,7 +170,7 @@ def _sensor_distance_sq(cell_a: tuple[int, int], cell_b: tuple[int, int]) -> Exp
     return Add(Add(Pow(along, 2), Constant(dy * dy)), Constant(1.0))
 
 
-def gen_sensor_grid(rows: int = 8, cols: int = 8, seed: int = 0) -> CdcopInstance:
+def gen_sensor_grid(rows: int, cols: int, seed: int = 0) -> CdcopInstance:
     """Sensors on a rows x cols grid maximize pairwise radio signal strength.
 
     Each sensor moves along its cell, domain [0, 10]; 4-neighborhood pairs

@@ -74,21 +74,26 @@ def config_from_json(text: str) -> SwarmConfig:
 def _add_swarm_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("swarm configuration")
     g.add_argument("--config", type=Path, help="JSON file with SwarmConfig keys; flags override")
-    g.add_argument("--particles", "-K", type=int, help="particle count (default 200)")
-    g.add_argument("--c1", type=float, help="cognitive constant (default 1.49)")
-    g.add_argument("--c2", type=float, help="social constant (default 1.49)")
-    g.add_argument("--max-sc", type=int, help="success-streak threshold (default 15)")
-    g.add_argument("--max-fc", type=int, help="failure-streak threshold (default 5)")
-    g.add_argument("--cycles", "-t", type=int, help="cycle budget t_max (default 500)")
-    g.add_argument("--seed", type=int, help="run seed (default 0)")
+    d = SwarmConfig
+    g.add_argument("--particles", "-K", type=int,
+                   help=f"particle count (default {d.num_particles})")
+    g.add_argument("--c1", type=float, help=f"cognitive constant (default {d.c1})")
+    g.add_argument("--c2", type=float, help=f"social constant (default {d.c2})")
+    g.add_argument("--max-sc", type=int, help=f"success-streak threshold (default {d.max_sc})")
+    g.add_argument("--max-fc", type=int, help=f"failure-streak threshold (default {d.max_fc})")
+    g.add_argument("--cycles", "-t", type=int, help=f"cycle budget t_max (default {d.t_max})")
+    g.add_argument("--seed", type=int, help=f"run seed (default {d.seed})")
     g.add_argument("--inertia", choices=["adaptive", "constriction", "fixed"],
-                   help="inertia schedule (default adaptive)")
-    g.add_argument("--w-max", type=float, default=1.4, help="adaptive schedule start weight")
-    g.add_argument("--w-min", type=float, default=0.4, help="adaptive schedule end weight")
+                   help=f"inertia schedule (default {_INERTIA_NAMES[type(d.inertia)]})")
+    g.add_argument("--w-max", type=float, default=AdaptiveInertia.w_max,
+                   help="adaptive schedule start weight")
+    g.add_argument("--w-min", type=float, default=AdaptiveInertia.w_min,
+                   help="adaptive schedule end weight")
     g.add_argument("--literal-increasing", action="store_true",
                    help="use the increasing adaptive ramp instead of the decreasing one")
-    g.add_argument("--phi", type=float, default=4.1, help="constriction phi = c1 + c2 > 4")
-    g.add_argument("--w", type=float, default=0.72, help="fixed inertia weight")
+    g.add_argument("--phi", type=float, default=ConstrictionInertia.phi,
+                   help="constriction phi = c1 + c2 > 4")
+    g.add_argument("--w", type=float, default=FixedInertia.w, help="fixed inertia weight")
 
 
 def _build_config(args) -> SwarmConfig:
@@ -122,30 +127,32 @@ def _add_bench_flags(p: argparse.ArgumentParser, required: bool) -> None:
     g = p.add_argument_group("benchmark family")
     g.add_argument("--family", choices=FAMILIES, required=required,
                    help="er | tree | ba | sensor")
-    g.add_argument("--n", type=int, default=50, help="number of agents (er/tree/ba)")
-    g.add_argument("--p", type=float, default=0.2, help="edge probability (er)")
-    g.add_argument("--m", type=int, default=3, help="attachments per new node (ba)")
-    g.add_argument("--rows", type=int, default=8, help="sensor grid rows")
-    g.add_argument("--cols", type=int, default=8, help="sensor grid cols")
+    g.add_argument("--n", type=int, default=BenchSpec.n, help="number of agents (er/tree/ba)")
+    g.add_argument("--p", type=float, default=BenchSpec.p, help="edge probability (er)")
+    g.add_argument("--m", type=int, default=BenchSpec.m, help="attachments per new node (ba)")
+    g.add_argument("--rows", type=int, default=BenchSpec.rows, help="sensor grid rows")
+    g.add_argument("--cols", type=int, default=BenchSpec.cols, help="sensor grid cols")
     g.add_argument("--domain", type=float, nargs=2, metavar=("LB", "UB"),
                    help="variable bounds override")
     g.add_argument("--coeff", type=float, nargs=2, metavar=("LO", "HI"),
                    help="quadratic coefficient range override")
 
 
-def _bench_spec(args, seed: int) -> BenchSpec:
+def _bench_spec(args) -> BenchSpec:
     return BenchSpec(
         family=args.family,
         n=args.n, p=args.p, m=args.m, rows=args.rows, cols=args.cols,
         domain=tuple(args.domain) if args.domain else None,
         coeff_range=tuple(args.coeff) if args.coeff else None,
-        seed=seed,
     )
 
 
+def _names(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
 def _cmd_gen(args) -> int:
-    spec = _bench_spec(args, args.seed if args.seed is not None else 0)
-    inst = generate(spec)
+    inst = generate(replace(_bench_spec(args), seed=args.seed))
     save_instance(inst, args.out)
     print(f"wrote {args.out}: {inst.num_agents} agents, {inst.num_edges} functions, "
           f"objective {inst.objective}")
@@ -188,22 +195,20 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    swarm = _build_config(args)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    given = {"variants": args.variants, "master_seed": args.seed}
     cfg = ExperimentConfig(
-        swarm=swarm,
-        variants=variants,
-        bench=_bench_spec(args, 0) if args.family else None,
+        swarm=_build_config(args),
+        bench=_bench_spec(args) if args.family else None,
         instance_file=args.instance,
         num_instances=args.num_instances,
         repeats=args.repeats,
-        master_seed=args.seed if args.seed is not None else 0,
         root=args.root,
         out_dir=args.out_dir,
+        **{k: v for k, v in given.items() if v is not None},
     )
     summary = run_experiment(cfg)
-    print(emit_anytime_table(summary, variants))
-    print(f"traces in {args.out_dir}, checks passed: {summary['all_checks_passed']}")
+    print(emit_anytime_table(summary, cfg.variants))
+    print(f"traces in {cfg.out_dir}, checks passed: {summary['all_checks_passed']}")
     return 0 if summary["all_checks_passed"] else 1
 
 
@@ -214,7 +219,7 @@ def main(argv=None) -> int:
 
     p_gen = sub.add_parser("gen", help="generate a benchmark instance file")
     _add_bench_flags(p_gen, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=BenchSpec.seed)
     p_gen.add_argument("--out", type=Path, required=True, help="instance JSON output path")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -222,7 +227,8 @@ def main(argv=None) -> int:
     p_solve.add_argument("instance", nargs="?", type=Path, help="instance JSON file")
     _add_swarm_flags(p_solve)
     p_solve.add_argument("--variant", choices=sorted(VARIANTS), default="pcd")
-    p_solve.add_argument("--root", type=int, default=0, help="pseudo-tree root agent")
+    p_solve.add_argument("--root", type=int, default=ExperimentConfig.root,
+                         help="pseudo-tree root agent")
     p_solve.add_argument("--trace", type=Path, help="write the anytime trace CSV here")
     p_solve.add_argument("--dump-tree", action="store_true", help="print tagged edge list")
     p_solve.add_argument("--log-messages", type=Path, help="write per-message CSV log here")
@@ -232,8 +238,8 @@ def main(argv=None) -> int:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive lattice optimum of a small instance")
     p_oracle.add_argument("instance", type=Path)
-    p_oracle.add_argument("--points-per-dim", type=int, default=21)
-    p_oracle.add_argument("--max-dims", type=int, default=8)
+    p_oracle.add_argument("--points-per-dim", type=int, default=GridSearchSpec.points_per_dim)
+    p_oracle.add_argument("--max-dims", type=int, default=GridSearchSpec.max_dims)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_exp = sub.add_parser("experiment", help="run a seed ensemble and emit traces + summary")
@@ -241,12 +247,12 @@ def main(argv=None) -> int:
     group.add_argument("--instance", type=Path, help="use one instance file instead of a family")
     _add_bench_flags(p_exp, required=False)
     _add_swarm_flags(p_exp)
-    p_exp.add_argument("--variants", default="pcd,pcd_crossover",
-                       help="comma-separated list (default both)")
-    p_exp.add_argument("--num-instances", type=int, default=25)
-    p_exp.add_argument("--repeats", type=int, default=20)
-    p_exp.add_argument("--root", type=int, default=0)
-    p_exp.add_argument("--out-dir", type=Path, default=Path("runs"))
+    p_exp.add_argument("--variants", type=_names, help="comma-separated list (default both)")
+    p_exp.add_argument("--num-instances", type=int, default=ExperimentConfig.num_instances)
+    p_exp.add_argument("--repeats", type=int, default=ExperimentConfig.repeats)
+    p_exp.add_argument("--root", type=int, default=ExperimentConfig.root)
+    # argparse passes a string default through ``type``, so this is Path("runs")
+    p_exp.add_argument("--out-dir", type=Path, default=ExperimentConfig.out_dir)
     p_exp.set_defaults(func=_cmd_experiment)
 
     args = parser.parse_args(argv)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BenchSpec, generate
+from .expressions import DivisionByZero
 from .model import CdcopInstance, load_instance
 from .oracle import check_anytime
 from .pseudotree import PseudoTree, build_bfs
@@ -180,7 +181,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 run_cfg = replace(cfg.swarm,
                                   seed=derive_run_seed(cfg.master_seed, idx, rep, variant),
                                   crossover=VARIANTS[variant])
-                trace = solve(inst, run_cfg, tree=tree)
+                try:
+                    trace = solve(inst, run_cfg, tree=tree)
+                except DivisionByZero as exc:  # name the run, so it can be rerun alone
+                    raise DivisionByZero(f"instance {idx}, repeat {rep}, variant {variant}, "
+                                         f"run seed {run_cfg.seed}: {exc}") from None
                 write_trace_csv(out_dir / trace_filename(idx, rep, variant), trace)
                 run_count += 1
 

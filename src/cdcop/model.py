@@ -49,9 +49,6 @@ class Domain:
     lb: float
     ub: float
 
-    def contains(self, value: float) -> bool:
-        return self.lb <= value <= self.ub
-
 
 @dataclass(frozen=True)
 class CostFunction:
@@ -85,18 +82,33 @@ class CdcopInstance:
         return self.sign * internal_cost
 
 
-def _neighbor_table(inst: CdcopInstance) -> tuple[tuple[int, ...], ...]:
-    sets: list[set[int]] = [set() for _ in range(inst.num_agents)]
-    for f in inst.functions:
-        u, v = f.scope
+def neighbor_table(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Each of ``n`` agents' neighbours under the ``(u, v)`` edges, ascending."""
+    sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
         sets[u].add(v)
         sets[v].add(u)
     return tuple(tuple(sorted(s)) for s in sets)
 
 
+def unreachable(n: int, edges) -> list[int]:
+    """The agents, ascending, that no path of ``edges`` joins to agent 0."""
+    table = neighbor_table(n, edges)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in table[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return [a for a in range(n) if a not in seen]
+
+
 def constraint_cost(inst: CdcopInstance, fn_id: int, assignment) -> float:
     """Internal (minimization-sign) cost of one function under a full assignment."""
-    fn = inst.functions[_function_index(inst, fn_id)]
+    fn = next((f for f in inst.functions if f.id == fn_id), None)
+    if fn is None:
+        raise KeyError(f"no function with id {fn_id}")
     u, v = fn.scope
     return inst.sign * eval_expr(fn.expr, assignment[u], assignment[v])
 
@@ -114,13 +126,6 @@ def global_cost(inst: CdcopInstance, assignment) -> float:
 def incident_functions(inst: CdcopInstance, agent: int) -> list[int]:
     """Ids of the functions whose scope contains the agent, ascending."""
     return sorted(f.id for f in inst.functions if agent in f.scope)
-
-
-def _function_index(inst: CdcopInstance, fn_id: int) -> int:
-    for i, f in enumerate(inst.functions):
-        if f.id == fn_id:
-            return i
-    raise KeyError(f"no function with id {fn_id}")
 
 
 def validate_instance(inst: CdcopInstance) -> list[str]:
@@ -160,25 +165,10 @@ def validate_instance(inst: CdcopInstance) -> list[str]:
         if slots != {0, 1}:
             out.append(f"function {f.id} must reference both scope slots, uses {sorted(slots)}")
 
-    if inst.num_agents > 1 and not out:
-        reached = _reachable_from(inst, 0)
-        if len(reached) != inst.num_agents:
-            missing = sorted(set(range(inst.num_agents)) - reached)
-            out.append(f"disconnected graph: agents {missing} unreachable from agent 0")
+    missing = [] if out else unreachable(inst.num_agents, (f.scope for f in inst.functions))
+    if missing:
+        out.append(f"disconnected graph: agents {missing} unreachable from agent 0")
     return out
-
-
-def _reachable_from(inst: CdcopInstance, start: int) -> set[int]:
-    table = _neighbor_table(inst)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in table[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
 
 
 # --- JSON instance files -----------------------------------------------------

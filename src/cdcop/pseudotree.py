@@ -9,7 +9,7 @@ enqueued in ascending agent id.
 
 from dataclasses import dataclass
 
-from .model import CdcopInstance, _neighbor_table
+from .model import CdcopInstance, neighbor_table
 
 __all__ = ["PseudoTree", "DisconnectedGraphError", "build_bfs", "validate_pseudo_tree", "tree_edge_dump"]
 
@@ -44,7 +44,7 @@ def build_bfs(inst: CdcopInstance, root: int = 0) -> PseudoTree:
     n = inst.num_agents
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for {n} agents")
-    neighbors = _neighbor_table(inst)
+    neighbors = neighbor_table(n, (f.scope for f in inst.functions))
     parent: list[int | None] = [None] * n
     depth = [0] * n
     visited = [False] * n
@@ -110,7 +110,7 @@ def validate_pseudo_tree(tree: PseudoTree, inst: CdcopInstance) -> list[str]:
             out.append(f"parent chain from agent {v} does not reach the root")
 
     # neighbor sets must mirror the constraint graph, children must be neighbors
-    expected = _neighbor_table(inst)
+    expected = neighbor_table(n, (f.scope for f in inst.functions))
     for v in range(n):
         if tuple(tree.neighbors[v]) != expected[v]:
             out.append(f"neighbor set of agent {v} does not match the constraint graph")

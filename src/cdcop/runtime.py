@@ -35,6 +35,7 @@ __all__ = [
 VALUE = "VALUE"
 COST = "COST"
 BEST = "BEST"
+PAYLOAD_SLACK = 64  # bookkeeping scalars an agent may send per cycle beyond its K-per-link share
 
 
 class DeadlockDetected(RuntimeError):
@@ -107,11 +108,6 @@ class SyncRuntime:
         self._value_box: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
         self._cost_box: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
         self._best_box: list[BestPayload | None] = [None] * n
-
-    @property
-    def hops_per_cycle(self) -> int:
-        """Logical hop count of one cycle: one exchange plus both tree sweeps."""
-        return 1 + 2 * self.tree.height
 
     def run_cycle(self, handlers, cycle: int) -> CycleStats:
         start = time.perf_counter()
@@ -191,24 +187,22 @@ class SyncRuntime:
             self.log.append(Message(stats.cycle, kind, sender, receiver, size))
 
 
-def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles: int,
-                  slack: int = 64) -> dict:
-    """Aggregate per-agent traffic and check the per-cycle payload bound.
+def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles: int) -> dict:
+    """Check the per-cycle payload bound; ``violations`` lists each
+    ``(cycle, agent, sent, bound)`` that breaks it.
 
     Each agent sends at most ``K`` scalars to each of its neighbors, ``K`` to
     its parent, and ``K`` plus a couple of bookkeeping scalars to each child,
-    so its per-cycle total must stay within K*(|N_i| + 1 + |CH_i|) + slack.
+    so its per-cycle total must stay within K*(|N_i| + 1 + |CH_i|) + PAYLOAD_SLACK.
     """
-    totals = {agent: 0 for agent in range(tree.num_agents)}
-    bounds = [num_particles * (len(tree.neighbors[agent]) + 1 + len(tree.children[agent])) + slack
-              for agent in range(tree.num_agents)]
+    bounds = [num_particles * (len(tree.neighbors[agent]) + 1 + len(tree.children[agent]))
+              + PAYLOAD_SLACK for agent in range(tree.num_agents)]
     violations = []
     for st in cycle_stats:
         for agent, sent in st.sent_scalars_by_agent.items():
-            totals[agent] += sent
             if sent > bounds[agent]:
                 violations.append((st.cycle, agent, sent, bounds[agent]))
-    return {"totals": totals, "violations": violations}
+    return {"violations": violations}
 
 
 def write_message_log_csv(messages: list[Message], path) -> None:

@@ -77,7 +77,7 @@ class MissingMessage(RuntimeError):
 
 @dataclass(frozen=True)
 class FixedInertia:
-    w: float
+    w: float = 0.72
 
 
 @dataclass(frozen=True)
@@ -427,7 +427,7 @@ class SwarmAgent:
     """One agent's slice of the swarm plus its runtime phase handlers."""
 
     def __init__(self, agent_id: int, inst: CdcopInstance, tree: PseudoTree,
-                 cfg: SwarmConfig, record_eval: bool = False):
+                 cfg: SwarmConfig):
         self.id = agent_id
         self.cfg = cfg
         self.is_root = agent_id == tree.root
@@ -436,7 +436,6 @@ class SwarmAgent:
         self.parent = tree.parent[agent_id]
         dom = inst.domains[agent_id]
         self.lb, self.ub = dom.lb, dom.ub
-        self._record_eval = record_eval
 
         # incident cost terms: (compiled fn, my scope slot is 0?, neighbor id)
         sign = inst.sign
@@ -466,7 +465,6 @@ class SwarmAgent:
         self._scratch = (np.empty(K), np.empty(K), *np.empty((3, 1)))  # pso_step's
         self._improved = False
         self._crossed_full: np.ndarray | None = None
-        self.eval_x: np.ndarray | None = None
 
     # -- runtime handlers, in phase order --
 
@@ -478,8 +476,6 @@ class SwarmAgent:
             raise MissingMessage(
                 f"agent {self.id} expected positions from {len(self.neighbors)} neighbors, "
                 f"got {len(by_sender)}")
-        if self._record_eval:
-            self.eval_x = self.x.copy()
         lf = np.zeros(len(self.x))
         x = self.x
         for fn, self_first, peer, sign in self.terms:
@@ -503,21 +499,15 @@ class SwarmAgent:
         return self.fitness
 
     def best_payload(self) -> BestPayload:
+        """The root's verdict, which it applies to itself as every receiver does."""
         fit = self.fitness
-        mask = fit < self.p_best_fit
-        improved = np.flatnonzero(mask)
+        improved = np.flatnonzero(fit < self.p_best_fit)
         self.p_best_fit[improved] = fit[improved]
-        self.p_best_x[improved] = self.x[improved]
         k = int(np.argmin(fit))
-        if fit[k] < self.g_best_fit:
-            self.g_best_fit = float(fit[k])
-            self.g_best_x = float(self.x[k])
-            self.control.best_particle = k
-            best_index, best_fitness = k, float(fit[k])
-        else:
-            best_index, best_fitness = None, None
-        self._improved = best_index is not None
-        return BestPayload(tuple(int(i) for i in improved), best_index, best_fitness)
+        best = (k, float(fit[k])) if fit[k] < self.g_best_fit else (None, None)
+        payload = BestPayload(tuple(improved.tolist()), *best)
+        self.handle_best(payload)
+        return payload
 
     def handle_best(self, payload: BestPayload) -> None:
         if payload.improved:
@@ -578,6 +568,7 @@ class RunTrace:
 
     @property
     def hops_per_cycle(self) -> int:
+        """Logical hop count of one cycle: one exchange plus both tree sweeps."""
         return 1 + 2 * self.tree_height
 
     def internal_series(self) -> list[float]:
@@ -588,21 +579,22 @@ class RunTrace:
 
 
 def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
-          root: int = 0, record_probes: bool = False,
-          log_messages: bool = False) -> RunTrace:
+          record_probes: bool = False, log_messages: bool = False) -> RunTrace:
     """Run the swarm for ``cfg.t_max`` cycles and return the anytime trace.
 
     The whole swarm is held as ``(n, K)`` arrays, one row per agent, and a
     cycle is a few array operations; the trace is bit-identical to driving
     one ``SwarmAgent`` per agent through ``SyncRuntime``, and so are the
     message counts, payload sizes and, with ``log_messages``, the message
-    log, which are derived from the tree. ``record_probes`` additionally
+    log, which are derived from the tree. Without ``tree`` the pseudo-tree
+    is ``build_bfs(inst)``, rooted at agent 0; ``tree=build_bfs(inst, r)``
+    roots it at ``r``. ``record_probes`` additionally
     stores, per cycle, the full position matrix that was evaluated and the
     root's fitness vector, for cross-checking against the centralized oracle.
     """
     validate_config(cfg)
     if tree is None:
-        tree = build_bfs(inst, root)
+        tree = build_bfs(inst)
     n, K = inst.num_agents, cfg.num_particles
     local_costs = LocalCosts(inst, K)
     schedule = TreeSchedule(tree, K)

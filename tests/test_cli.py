@@ -1,12 +1,14 @@
 import json
+import re
 
 import pytest
 
+from cdcop import cli
 from cdcop.cli import config_from_json, config_to_json, main
 from cdcop.expressions import format_expr
 from cdcop.model import load_instance, save_instance
 from cdcop.swarm import (AdaptiveInertia, ConfigError, ConstrictionInertia, FixedInertia,
-                         SwarmConfig, validate_config)
+                         SwarmConfig, solve, validate_config)
 
 from conftest import make_instance, neg_pow_chain, sum_chain
 
@@ -255,5 +257,27 @@ def test_zero_denominator_is_one_error_line(tmp_path, capsys):
     assert main(["experiment", "--instance", str(inst_path), *flags, "--repeats", "2",
                  "--out-dir", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cycle ") and err.count("\n") == 1
-    assert err.endswith(": zero denominator in function 0, scope (0, 1)\n")
+    assert err.count("\n") == 1
+    run = re.fullmatch(r"error: instance 0, repeat (\d), variant (\w+), run seed (\d+): "
+                       r"(cycle \d+: zero denominator in function 0, scope \(0, 1\))\n", err)
+    assert run, err
+    # the named run fails alone with the same error
+    repeat, variant, seed, cause = run.groups()
+    assert repeat == "0" and variant == "pcd"  # the first run the ensemble starts
+    assert main(["solve", str(inst_path), *flags, "--seed", seed, "--variant", variant]) == 2
+    assert capsys.readouterr().err == f"error: {cause}\n"
+
+
+def test_fixed_inertia_config_without_w_matches_the_flag(tmp_path, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    save_instance(make_instance(2, [((0, 1), "(* x0 x1)")]), inst_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"inertia": {"kind": "fixed"}}')
+    seen = []
+    monkeypatch.setattr(cli, "solve",
+                        lambda inst, cfg, **kw: seen.append(cfg) or solve(inst, cfg, **kw))
+    flags = ["-K", "4", "--cycles", "3"]
+    assert main(["solve", str(inst_path), "--config", str(cfg_path), *flags]) == 0
+    assert main(["solve", str(inst_path), "--inertia", "fixed", *flags]) == 0
+    assert config_to_json(seen[0]) == config_to_json(seen[1])
+    assert seen[0].inertia == FixedInertia(0.72)

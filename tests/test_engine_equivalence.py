@@ -31,17 +31,18 @@ from cdcop.swarm import (
 from conftest import make_instance, sum_chain
 
 
-def reference_solve(inst, cfg, root=0, record_probes=False, log_messages=False) -> RunTrace:
-    tree = build_bfs(inst, root)
-    agents = [SwarmAgent(i, inst, tree, cfg, record_eval=record_probes)
-              for i in range(inst.num_agents)]
+def reference_solve(inst, cfg, tree=None, record_probes=False, log_messages=False) -> RunTrace:
+    tree = tree or build_bfs(inst)
+    agents = [SwarmAgent(i, inst, tree, cfg) for i in range(inst.num_agents)]
     runtime = SyncRuntime(tree, log_messages=log_messages)
     top = agents[tree.root]
     rows, probes = [], []
     for t in range(1, cfg.t_max + 1):
+        # a cycle evaluates the positions held before it: x changes only in end_cycle
+        evaluated = np.stack([a.x for a in agents]) if record_probes else None
         stats = runtime.run_cycle(agents, t)
         if record_probes:
-            probes.append((np.stack([a.eval_x for a in agents]), top.fitness.copy()))
+            probes.append((evaluated, top.fitness.copy()))
         rows.append(TraceRow(t, inst.to_display(top.g_best_fit), top.g_best_fit,
                              tuple(a.g_best_x for a in agents), stats))
     return RunTrace(inst.objective, inst.num_agents, inst.num_edges, tree.height, rows,
@@ -125,8 +126,10 @@ def test_special_instances_match_reference(name, crossover, tmp_path):
 def test_other_root_matches_reference(tmp_path):
     inst = generate(FAMILIES["ba"])
     cfg = SwarmConfig(num_particles=12, t_max=30, crossover=True, seed=9)
-    assert_bit_identical(solve(inst, cfg, root=4, record_probes=True, log_messages=True),
-                         reference_solve(inst, cfg, root=4, record_probes=True, log_messages=True),
+    tree = build_bfs(inst, 4)
+    assert_bit_identical(solve(inst, cfg, tree=tree, record_probes=True, log_messages=True),
+                         reference_solve(inst, cfg, tree=tree, record_probes=True,
+                                         log_messages=True),
                          tmp_path)
 
 

@@ -25,6 +25,8 @@ from conftest import make_instance, neg_pow_chain, sum_chain
 def test_single_constraint_by_hand(kite_instance):
     # 2*(-1)^2 - 2*(2)^2 = -6
     assert constraint_cost(kite_instance, 2, [-1.0, 0.0, 0.0, 2.0]) == pytest.approx(-6.0)
+    with pytest.raises(KeyError, match="no function with id 9"):
+        constraint_cost(kite_instance, 9, [-1.0, 0.0, 0.0, 2.0])
 
 
 def test_all_zero_assignment_vanishes(kite_instance):

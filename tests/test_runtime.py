@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdcop import CdcopInstance, Domain, build_bfs
+from cdcop import CdcopInstance, Domain, build_bfs, runtime
 from cdcop.runtime import (
     BestPayload,
     DeadlockDetected,
@@ -10,6 +10,7 @@ from cdcop.runtime import (
     message_stats,
     write_message_log_csv,
 )
+from cdcop.swarm import SwarmConfig, solve
 
 from conftest import make_instance
 
@@ -89,8 +90,9 @@ def test_every_send_delivered_once(kite_instance):
 
 
 def test_hops_per_cycle(kite_instance, path3_instance):
-    assert SyncRuntime(build_bfs(kite_instance, 0)).hops_per_cycle == 3
-    assert SyncRuntime(build_bfs(path3_instance, 0)).hops_per_cycle == 5
+    cfg = SwarmConfig(num_particles=2, t_max=1)
+    assert solve(kite_instance, cfg).hops_per_cycle == 3
+    assert solve(path3_instance, cfg).hops_per_cycle == 5
 
 
 def test_per_agent_scalar_accounting(kite_instance):
@@ -105,14 +107,12 @@ def test_per_agent_scalar_accounting(kite_instance):
     assert stats[0].payload_scalars == sum(sent.values())
 
 
-def test_payload_bound_check(kite_instance):
+def test_payload_bound_check(kite_instance, monkeypatch):
     tree, _, _, stats = _run(kite_instance, cycles=3)
-    report = message_stats(stats, tree, num_particles=3)
-    assert report["violations"] == []
-    assert report["totals"][0] == 3 * (3 * 3 + 3 * 4)
+    assert message_stats(stats, tree, num_particles=3)["violations"] == []
     # one scalar below each agent's exact per-cycle traffic: every send violates
-    tight = message_stats(stats, tree, num_particles=3, slack=-1)
-    assert tight["totals"] == report["totals"]
+    monkeypatch.setattr(runtime, "PAYLOAD_SLACK", -1)
+    tight = message_stats(stats, tree, num_particles=3)
     assert sorted(tight["violations"]) == [
         (cycle, agent, sent, sent - 1) for cycle in (1, 2, 3)
         for agent, sent in ((0, 21), (1, 6), (2, 9), (3, 9))]
