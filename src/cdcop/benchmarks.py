@@ -57,7 +57,8 @@ class BenchSpec:
 
 def generate(spec: BenchSpec) -> CdcopInstance:
     """The instance ``spec`` describes; ``domain`` and ``coeff_range`` are passed on
-    only when set, so each generator's signature holds its family's defaults."""
+    only when set, so each generator's signature holds its family's defaults. The
+    sensor family's domains and utilities are fixed: it takes neither."""
     given = {k: v for k, v in (("domain", spec.domain), ("coeff_range", spec.coeff_range)) if v}
     if spec.family == "er":
         return gen_erdos_renyi(spec.n, spec.p, seed=spec.seed, **given)
@@ -66,6 +67,8 @@ def generate(spec: BenchSpec) -> CdcopInstance:
     if spec.family == "ba":
         return gen_barabasi_albert(spec.n, spec.m, seed=spec.seed, **given)
     if spec.family == "sensor":
+        if given:
+            raise ValueError(f"the sensor family takes no {' or '.join(given)} override")
         return gen_sensor_grid(spec.rows, spec.cols, spec.seed)
     raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
 

@@ -26,6 +26,7 @@ from .swarm import (
     ConstrictionInertia,
     FixedInertia,
     SwarmConfig,
+    check_field_types,
     solve,
     validate_config,
 )
@@ -54,73 +55,73 @@ def _from_keys(cls, doc, what: str):
     return cls(**doc)
 
 
-def config_from_json(text: str) -> SwarmConfig:
-    doc = json.loads(text)
+def _schedule(entry) -> dict:
+    """A document's ``inertia`` entry, checked to name a known kind; if absent, the default's."""
+    if entry is not None and (not isinstance(entry, dict)
+                              or entry.get("kind") not in _INERTIA_NAMES.values()):
+        raise ConfigError(f"'inertia' needs a 'kind' of {', '.join(_INERTIA_KINDS)}, got {entry!r}")
+    return entry or {"kind": _INERTIA_NAMES[type(SwarmConfig.inertia)]}
+
+
+def _load_config(doc) -> SwarmConfig:
+    """The validated SwarmConfig of a config document; absent keys keep their defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("a config file must hold a JSON object")
-    inertia_doc = doc.pop("inertia", None)
-    cfg = _from_keys(SwarmConfig, doc, "config")
-    if inertia_doc is not None:
-        if not isinstance(inertia_doc, dict) or "kind" not in inertia_doc:
-            raise ConfigError("config key 'inertia' needs a 'kind' key: "
-                              + ", ".join(_INERTIA_KINDS))
-        kind = inertia_doc.pop("kind")
-        if kind not in _INERTIA_KINDS:
-            raise ConfigError(f"unknown inertia kind {kind!r}")
-        cfg = replace(cfg, inertia=_from_keys(_INERTIA_KINDS[kind], inertia_doc, f"{kind} inertia"))
+    schedule = _schedule(doc.pop("inertia", None))
+    kind = schedule.pop("kind")
+    cfg = replace(_from_keys(SwarmConfig, doc, "config"),
+                  inertia=_from_keys(_INERTIA_KINDS[kind], schedule, f"{kind} inertia"))
+    check_field_types(cfg.inertia)  # phi must be a number before it is halved
+    if kind == "constriction" and "c1" not in doc and "c2" not in doc:  # c1 + c2 = phi
+        cfg = replace(cfg, c1=cfg.inertia.phi / 2.0, c2=cfg.inertia.phi / 2.0)
+    validate_config(cfg)
     return cfg
+
+
+def config_from_json(text: str) -> SwarmConfig:
+    return _load_config(json.loads(text))
 
 
 def _add_swarm_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("swarm configuration")
     g.add_argument("--config", type=Path, help="JSON file with SwarmConfig keys; flags override")
     d = SwarmConfig
-    g.add_argument("--particles", "-K", type=int,
+    g.add_argument("--particles", "-K", dest="num_particles", metavar="PARTICLES", type=int,
                    help=f"particle count (default {d.num_particles})")
     g.add_argument("--c1", type=float, help=f"cognitive constant (default {d.c1})")
     g.add_argument("--c2", type=float, help=f"social constant (default {d.c2})")
     g.add_argument("--max-sc", type=int, help=f"success-streak threshold (default {d.max_sc})")
     g.add_argument("--max-fc", type=int, help=f"failure-streak threshold (default {d.max_fc})")
-    g.add_argument("--cycles", "-t", type=int, help=f"cycle budget t_max (default {d.t_max})")
+    g.add_argument("--cycles", "-t", dest="t_max", metavar="CYCLES", type=int,
+                   help=f"cycle budget t_max (default {d.t_max})")
     g.add_argument("--seed", type=int, help=f"run seed (default {d.seed})")
-    g.add_argument("--inertia", choices=["adaptive", "constriction", "fixed"],
+    g.add_argument("--inertia", dest="kind", choices=["adaptive", "constriction", "fixed"],
                    help=f"inertia schedule (default {_INERTIA_NAMES[type(d.inertia)]})")
-    g.add_argument("--w-max", type=float, default=AdaptiveInertia.w_max,
-                   help="adaptive schedule start weight")
-    g.add_argument("--w-min", type=float, default=AdaptiveInertia.w_min,
-                   help="adaptive schedule end weight")
-    g.add_argument("--literal-increasing", action="store_true",
+    g.add_argument("--w-max", type=float, help="adaptive schedule start weight")
+    g.add_argument("--w-min", type=float, help="adaptive schedule end weight")
+    g.add_argument("--literal-increasing", action="store_const", const=True,
                    help="use the increasing adaptive ramp instead of the decreasing one")
-    g.add_argument("--phi", type=float, default=ConstrictionInertia.phi,
-                   help="constriction phi = c1 + c2 > 4")
-    g.add_argument("--w", type=float, default=FixedInertia.w, help="fixed inertia weight")
+    g.add_argument("--phi", type=float, help="constriction phi = c1 + c2 > 4")
+    g.add_argument("--w", type=float, help="fixed inertia weight")
+
+
+def _given(args, *classes) -> dict:
+    return {f.name: getattr(args, f.name) for cls in classes for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
 
 
 def _build_config(args) -> SwarmConfig:
-    if getattr(args, "config", None):
-        cfg = config_from_json(Path(args.config).read_text())
-    else:
-        cfg = SwarmConfig()
-    if args.inertia == "adaptive":
-        cfg = replace(cfg, inertia=AdaptiveInertia(args.w_max, args.w_min, args.literal_increasing))
-    elif args.inertia == "constriction":
-        cfg = replace(cfg, inertia=ConstrictionInertia(args.phi))
-        if args.c1 is None and args.c2 is None:
-            cfg = replace(cfg, c1=args.phi / 2.0, c2=args.phi / 2.0)
-    elif args.inertia == "fixed":
-        cfg = replace(cfg, inertia=FixedInertia(args.w))
-    overrides = {
-        "num_particles": args.particles,
-        "c1": args.c1,
-        "c2": args.c2,
-        "max_sc": args.max_sc,
-        "max_fc": args.max_fc,
-        "t_max": args.cycles,
-        "seed": args.seed,
-    }
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    validate_config(cfg)
-    return cfg
+    """Load the config file's document, or an empty one, with the given flags written over it."""
+    doc = json.loads(args.config.read_text()) if args.config else {}
+    if isinstance(doc, dict):  # else the loader rejects it
+        doc.update(_given(args, SwarmConfig))
+        if getattr(args, "variant", None):
+            doc["crossover"] = VARIANTS[args.variant]
+        schedule = _schedule(doc.get("inertia"))
+        kind = args.kind or schedule["kind"]
+        doc["inertia"] = {**(schedule if schedule["kind"] == kind else {"kind": kind}),
+                          **_given(args, *_INERTIA_KINDS.values())}
+    return _load_config(doc)
 
 
 def _add_bench_flags(p: argparse.ArgumentParser, required: bool) -> None:
@@ -167,7 +168,6 @@ def _cmd_solve(args) -> int:
         print("error: an instance file is required (or use --print-defaults)", file=sys.stderr)
         return 2
     cfg = _build_config(args)
-    cfg = replace(cfg, crossover=VARIANTS[args.variant])
     inst = load_instance(args.instance)
     tree = build_bfs(inst, args.root)
     if args.dump_tree:
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance", nargs="?", type=Path, help="instance JSON file")
     _add_swarm_flags(p_solve)
-    p_solve.add_argument("--variant", choices=sorted(VARIANTS), default="pcd")
+    p_solve.add_argument("--variant", choices=sorted(VARIANTS))
     p_solve.add_argument("--root", type=int, default=ExperimentConfig.root,
                          help="pseudo-tree root agent")
     p_solve.add_argument("--trace", type=Path, help="write the anytime trace CSV here")

@@ -17,11 +17,11 @@ bit-identical to the message-passing one:
 import numpy as np
 
 from .expressions import DivisionByZero, compile_skeleton, eval_expr
-from .model import CdcopInstance, incident_functions
+from .model import CdcopInstance, CostFunction, incident_functions
 from .pseudotree import PseudoTree
 from .runtime import BEST, COST, VALUE, CycleStats, Message
 
-__all__ = ["LocalCosts", "TreeSchedule"]
+__all__ = ["LocalCosts", "TreeSchedule", "zero_denominator"]
 
 # elements (edges x particles) per block: keeps each block's (edges, K)
 # operands in cache; er n=50 at K=200 ran fastest near this size
@@ -35,6 +35,11 @@ def _constant_operand(column: np.ndarray, K: int):
     if np.all(column.view(np.int64) == column[:1].view(np.int64)):
         return float(column[0])
     return np.repeat(column[:, None], K, axis=1)
+
+
+def zero_denominator(f: CostFunction) -> DivisionByZero:
+    """The error for a zero denominator met while evaluating ``f``."""
+    return DivisionByZero(f"zero denominator in function {f.id}, scope {f.scope}")
 
 
 class LocalCosts:
@@ -132,8 +137,7 @@ class LocalCosts:
                 try:
                     eval_expr(f.expr, x[f.scope[0]], x[f.scope[1]])
                 except DivisionByZero:
-                    raise DivisionByZero(
-                        f"zero denominator in function {f.id}, scope {f.scope}") from None
+                    raise zero_denominator(f) from None
             raise
         self.values.take(self._gather, axis=0, out=self._terms, mode="clip")
         accumulate = self._accumulate

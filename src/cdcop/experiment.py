@@ -56,11 +56,15 @@ class ExperimentConfig:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if not self.variants:
             raise ValueError("variant list is empty")
-        for v in self.variants:
+        for i, v in enumerate(self.variants):
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}; choose from {sorted(VARIANTS)}")
+            if v in self.variants[:i]:
+                raise ValueError(f"variant {v!r} is named twice")
         if (self.bench is None) == (self.instance_file is None):
             raise ValueError("exactly one of bench spec or instance file must be given")
+        if self.bench is not None and self.num_instances < 1:
+            raise ValueError(f"num_instances must be >= 1, got {self.num_instances}")
 
 
 def _mix(master: int, key: tuple[int, ...]) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import LocalCosts, TreeSchedule
+from .engine import LocalCosts, TreeSchedule, zero_denominator
 from .model import CdcopInstance, incident_functions
 from .expressions import DivisionByZero, compile_expr
 from .pseudotree import PseudoTree, build_bfs
@@ -47,6 +47,7 @@ __all__ = [
     "AdaptiveInertia",
     "ConstrictionInertia",
     "SwarmConfig",
+    "check_field_types",
     "validate_config",
     "GcpsoControl",
     "ConfigError",
@@ -116,8 +117,6 @@ def inertia_weight(schedule: InertiaSchedule, t, t_max: int):
             frac = t / t_max
             return (hi - lo) * frac if inc else hi - (hi - lo) * frac
         case ConstrictionInertia(phi=phi):
-            if phi <= 4.0:
-                raise ConfigError(f"constriction requires phi > 4, got {phi}")
             return 2.0 / abs(2.0 - phi - math.sqrt(phi * phi - 4.0 * phi))
     raise TypeError(f"unknown inertia schedule: {schedule!r}")
 
@@ -146,15 +145,21 @@ _FIELD_TYPES = {
 }
 
 
+def check_field_types(config) -> None:
+    """Raise ConfigError naming the first field of ``config``, a SwarmConfig or an
+    inertia schedule, whose value its declared type does not accept."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in _FIELD_TYPES and not _FIELD_TYPES[f.type][0](value):
+            raise ConfigError(f"{f.name} must be {_FIELD_TYPES[f.type][1]}, got {value!r}")
+
+
 def validate_config(cfg: SwarmConfig) -> None:
     """Raise ConfigError unless ``cfg`` can drive a run."""
     if not isinstance(cfg.inertia, (FixedInertia, AdaptiveInertia, ConstrictionInertia)):
         raise ConfigError(f"unknown inertia schedule: {cfg.inertia!r}")
-    for config in (cfg, cfg.inertia):
-        for f in fields(config):
-            value = getattr(config, f.name)
-            if f.type in _FIELD_TYPES and not _FIELD_TYPES[f.type][0](value):
-                raise ConfigError(f"{f.name} must be {_FIELD_TYPES[f.type][1]}, got {value!r}")
+    check_field_types(cfg)
+    check_field_types(cfg.inertia)
     if cfg.num_particles < 2:
         raise ConfigError(f"need at least 2 particles, got {cfg.num_particles}")
     if cfg.c1 <= 0 or cfg.c2 <= 0:
@@ -437,7 +442,7 @@ class SwarmAgent:
         dom = inst.domains[agent_id]
         self.lb, self.ub = dom.lb, dom.ub
 
-        # incident cost terms: (compiled fn, my scope slot is 0?, neighbor id)
+        # incident cost terms: (compiled fn, my scope slot is 0?, neighbor id, sign, function)
         sign = inst.sign
         self.terms = []
         by_id = {f.id: f for f in inst.functions}
@@ -445,7 +450,7 @@ class SwarmAgent:
             f = by_id[fid]
             first = f.scope[0] == agent_id
             peer = f.scope[1] if first else f.scope[0]
-            self.terms.append((compile_expr(f.expr), first, peer, sign))
+            self.terms.append((compile_expr(f.expr), first, peer, sign, f))
 
         rng_init = agent_stream(cfg.seed, agent_id, 0)
         self.rng_update = agent_stream(cfg.seed, agent_id, 1)
@@ -478,9 +483,12 @@ class SwarmAgent:
                 f"got {len(by_sender)}")
         lf = np.zeros(len(self.x))
         x = self.x
-        for fn, self_first, peer, sign in self.terms:
+        for fn, self_first, peer, sign, f in self.terms:
             other = by_sender[peer]
-            val = fn(x, other) if self_first else fn(other, x)
+            try:
+                val = fn(x, other) if self_first else fn(other, x)
+            except DivisionByZero:
+                raise zero_denominator(f) from None
             if sign < 0:
                 lf -= val
             else:

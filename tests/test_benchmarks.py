@@ -126,6 +126,11 @@ class TestSensorGrid:
         with pytest.raises(ValueError):
             gen_sensor_grid(rows=1, cols=5)
 
+    @pytest.mark.parametrize("override", ["domain", "coeff_range"])
+    def test_rejects_overrides(self, override):
+        with pytest.raises(ValueError, match=f"takes no {override} override"):
+            generate(BenchSpec("sensor", rows=2, cols=2, **{override: (-1.0, 1.0)}))
+
 
 @pytest.mark.parametrize("spec", [
     BenchSpec("er", n=12, p=0.4, seed=9),

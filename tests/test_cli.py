@@ -75,16 +75,6 @@ def test_config_json_round_trip():
         assert config_from_json(config_to_json(cfg)) == cfg
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(config_to_json(SwarmConfig(num_particles=33, t_max=44)))
-    inst_path = tmp_path / "inst.json"
-    main(["gen", "--family", "er", "--n", "4", "--p", "1.0", "--out", str(inst_path)])
-    # flag overrides file: 10 particles, file keeps t_max=44
-    assert main(["solve", str(inst_path), "--config", str(cfg_path), "-K", "10",
-                 "--cycles", "5"]) == 0
-
-
 def test_oracle_command(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen", "--family", "er", "--n", "3", "--p", "1.0", "--seed", "2",
@@ -281,3 +271,47 @@ def test_fixed_inertia_config_without_w_matches_the_flag(tmp_path, monkeypatch):
     assert main(["solve", str(inst_path), "--inertia", "fixed", *flags]) == 0
     assert config_to_json(seen[0]) == config_to_json(seen[1])
     assert seen[0].inertia == FixedInertia(0.72)
+
+
+_ADAPTIVE = {"inertia": {"kind": "adaptive", "w_max": 1.0, "w_min": 0.3}}
+_CONSTRICTION = {"c1": 2.1, "c2": 2.1, "inertia": {"kind": "constriction", "phi": 4.2}}
+_UNDER_ADAPTIVE = ("error: unknown adaptive inertia key {!r}; "
+                   "expected one of w_max, w_min, literal_increasing\n")
+
+
+@pytest.mark.parametrize("doc, flags, want", [
+    (None, ["--w-max", "1.2"], SwarmConfig(inertia=AdaptiveInertia(1.2, 0.4))),
+    (None, ["--literal-increasing"], SwarmConfig(inertia=AdaptiveInertia(literal_increasing=True))),
+    (_ADAPTIVE, ["--w-min", "0.2"], SwarmConfig(inertia=AdaptiveInertia(1.0, 0.2))),
+    (_ADAPTIVE, ["--inertia", "adaptive"], SwarmConfig(inertia=AdaptiveInertia(1.0, 0.3))),
+    (_CONSTRICTION, ["--inertia", "constriction"],
+     SwarmConfig(c1=2.1, c2=2.1, inertia=ConstrictionInertia(4.2))),
+    ({"inertia": {"kind": "constriction"}}, [],
+     SwarmConfig(c1=2.05, c2=2.05, inertia=ConstrictionInertia(4.1))),
+    (None, ["--inertia", "constriction"],
+     SwarmConfig(c1=2.05, c2=2.05, inertia=ConstrictionInertia(4.1))),
+    ({"crossover": True}, [], SwarmConfig(crossover=True)),
+    (None, ["--phi", "4.2"], _UNDER_ADAPTIVE.format("phi")),
+    (None, ["--w", "0.5"], _UNDER_ADAPTIVE.format("w")),
+    ({"num_particles": 33, "t_max": 44}, ["-K", "10"], SwarmConfig(num_particles=10, t_max=44)),
+    ({"inertia": {"kind": []}}, [], "error: 'inertia' needs a 'kind' of fixed, adaptive, "
+                                    "constriction, got {'kind': []}\n"),
+], ids=["w_max", "literal_increasing", "file_then_w_min", "file_then_same_kind",
+        "file_constriction_then_kind", "file_constriction_kind_only", "constriction",
+        "file_crossover", "phi_under_adaptive", "w_under_adaptive", "file_then_K",
+        "file_kind_not_a_name"])
+def test_config_file_then_flags(tmp_path, monkeypatch, capsys, doc, flags, want):
+    """Defaults < file < flags for every field; a flag no field takes is one error line."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_INSTANCE))
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        flags = ["--config", str(tmp_path / "cfg.json"), *flags]
+    seen = []
+    monkeypatch.setattr(cli, "solve",
+                        lambda inst, cfg, **kw: seen.append(cfg) or solve(inst, cfg, **kw))
+    rc = main(["solve", str(inst_path), *flags])
+    if isinstance(want, str):
+        assert (rc, seen, capsys.readouterr().err) == (2, [], want)
+    else:
+        assert (rc, seen) == (0, [want])

@@ -148,7 +148,7 @@ def test_zero_denominator_raises_in_both():
     with pytest.raises(DivisionByZero,
                        match=r"^cycle 1: zero denominator in function 0, scope \(0, 1\)$"):
         solve(inst, cfg)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match=r"^zero denominator in function 0, scope \(0, 1\)$"):
         reference_solve(inst, cfg)
 
 

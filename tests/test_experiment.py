@@ -115,10 +115,14 @@ def test_instance_file_source(tmp_path, kite_instance):
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError, match="variant"):
         run_experiment(_tiny_config(tmp_path, variants=["hcms"]))
+    with pytest.raises(ValueError, match="variant 'pcd' is named twice"):
+        run_experiment(_tiny_config(tmp_path, variants=["pcd", "pcd"]))
     with pytest.raises(ValueError, match="repeats"):
         run_experiment(_tiny_config(tmp_path, repeats=0))
     with pytest.raises(ValueError, match="exactly one"):
         run_experiment(_tiny_config(tmp_path, bench=None))
+    with pytest.raises(ValueError, match="num_instances"):
+        run_experiment(_tiny_config(tmp_path, num_instances=0))
 
 
 def test_emit_anytime_table(tmp_path):

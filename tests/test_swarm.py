@@ -64,11 +64,6 @@ def test_constriction_weight_value():
     assert inertia_weight(ConstrictionInertia(4.1), 3, 10) == pytest.approx(0.7298, abs=1e-4)
 
 
-def test_constriction_rejects_small_phi():
-    with pytest.raises(ConfigError):
-        inertia_weight(ConstrictionInertia(4.0), 0, 1)
-
-
 def test_fixed_inertia():
     assert inertia_weight(FixedInertia(0.72), 5, 10) == 0.72
 
