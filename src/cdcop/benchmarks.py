@@ -12,11 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Add, Constant, Div, Mul, Pow, Sub, Var, Expression
-from .model import CdcopInstance, CostFunction, Domain, unreachable, validate_instance
+from .model import (CdcopInstance, CostFunction, Domain, InvalidInstanceError, unreachable,
+                    validate_instance)
 
 __all__ = [
     "GenerationFailed",
     "BenchSpec",
+    "FAMILIES",
+    "check_reads",
     "generate",
     "quadratic_expr",
     "gen_erdos_renyi",
@@ -37,9 +40,6 @@ class GenerationFailed(RuntimeError):
     """Could not produce a connected graph within the retry budget."""
 
 
-FAMILIES = ("er", "tree", "ba", "sensor")
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     """One benchmark family plus its knobs; ``generate`` dispatches on it."""
@@ -55,22 +55,30 @@ class BenchSpec:
     seed: int = 0
 
 
+def check_reads(family: str | None, given) -> None:
+    """Raise ValueError naming each field in ``given`` that ``family`` does not read.
+
+    ``family`` None stands for an instance file (``--instance``), which reads none.
+    """
+    unread = [name for name in given if family is None or name not in FAMILIES[family][1]]
+    if unread:
+        owner = f"the {family} family" if family else "--instance"
+        raise ValueError(f"{owner} takes no {' or '.join(unread)} override")
+
+
 def generate(spec: BenchSpec) -> CdcopInstance:
-    """The instance ``spec`` describes; ``domain`` and ``coeff_range`` are passed on
-    only when set, so each generator's signature holds its family's defaults. The
-    sensor family's domains and utilities are fixed: it takes neither."""
-    given = {k: v for k, v in (("domain", spec.domain), ("coeff_range", spec.coeff_range)) if v}
-    if spec.family == "er":
-        return gen_erdos_renyi(spec.n, spec.p, seed=spec.seed, **given)
-    if spec.family == "tree":
-        return gen_random_tree(spec.n, seed=spec.seed, **given)
-    if spec.family == "ba":
-        return gen_barabasi_albert(spec.n, spec.m, seed=spec.seed, **given)
-    if spec.family == "sensor":
-        if given:
-            raise ValueError(f"the sensor family takes no {' or '.join(given)} override")
-        return gen_sensor_grid(spec.rows, spec.cols, spec.seed)
-    raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
+    """The instance ``spec`` describes, from the fields its family reads.
+
+    ``domain`` and ``coeff_range`` are passed on only when set, so each
+    generator's signature holds its family's defaults; set for a family that
+    does not read them, they raise ValueError.
+    """
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}; choose from {tuple(FAMILIES)}")
+    generator, reads = FAMILIES[spec.family]
+    check_reads(spec.family, [k for k in ("domain", "coeff_range") if getattr(spec, k) is not None])
+    return generator(**{k: getattr(spec, k) for k in reads if getattr(spec, k) is not None},
+                     seed=spec.seed)
 
 
 def quadratic_expr(a: float, b: float, c: float) -> Expression:
@@ -89,6 +97,8 @@ def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_rang
                         rng: np.random.Generator) -> CdcopInstance:
     lb, ub = domain
     lo, hi = coeff_range
+    if not -np.inf < lo <= hi < np.inf:
+        raise ValueError(f"coeff_range must be finite with low <= high, got {coeff_range}")
     functions = []
     for fid, (u, v) in enumerate(edges):
         a, b, c = (float(w) for w in rng.uniform(lo, hi, size=3))
@@ -100,7 +110,8 @@ def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_rang
         objective="min",
     )
     violations = validate_instance(inst)
-    assert not violations, violations
+    if violations:
+        raise InvalidInstanceError(violations)
     return inst
 
 
@@ -210,5 +221,16 @@ def gen_sensor_grid(rows: int, cols: int, seed: int = 0) -> CdcopInstance:
         objective="max",
     )
     violations = validate_instance(inst)
-    assert not violations, violations
+    if violations:
+        raise InvalidInstanceError(violations)
     return inst
+
+
+# Each family's generator and the BenchSpec fields it reads, besides ``family``
+# and ``seed``; each field is a parameter of that generator.
+FAMILIES = {
+    "er": (gen_erdos_renyi, ("n", "p", "domain", "coeff_range")),
+    "tree": (gen_random_tree, ("n", "domain", "coeff_range")),
+    "ba": (gen_barabasi_albert, ("n", "m", "domain", "coeff_range")),
+    "sensor": (gen_sensor_grid, ("rows", "cols")),
+}

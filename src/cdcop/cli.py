@@ -6,7 +6,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .benchmarks import FAMILIES, BenchSpec, GenerationFailed, generate
+from .benchmarks import FAMILIES, BenchSpec, GenerationFailed, check_reads, generate
 from .experiment import (
     VARIANTS,
     ExperimentConfig,
@@ -128,24 +128,21 @@ def _add_bench_flags(p: argparse.ArgumentParser, required: bool) -> None:
     g = p.add_argument_group("benchmark family")
     g.add_argument("--family", choices=FAMILIES, required=required,
                    help="er | tree | ba | sensor")
-    g.add_argument("--n", type=int, default=BenchSpec.n, help="number of agents (er/tree/ba)")
-    g.add_argument("--p", type=float, default=BenchSpec.p, help="edge probability (er)")
-    g.add_argument("--m", type=int, default=BenchSpec.m, help="attachments per new node (ba)")
-    g.add_argument("--rows", type=int, default=BenchSpec.rows, help="sensor grid rows")
-    g.add_argument("--cols", type=int, default=BenchSpec.cols, help="sensor grid cols")
+    g.add_argument("--n", type=int, help="number of agents (er/tree/ba)")
+    g.add_argument("--p", type=float, help="edge probability (er)")
+    g.add_argument("--m", type=int, help="attachments per new node (ba)")
+    g.add_argument("--rows", type=int, help="sensor grid rows")
+    g.add_argument("--cols", type=int, help="sensor grid cols")
     g.add_argument("--domain", type=float, nargs=2, metavar=("LB", "UB"),
                    help="variable bounds override")
-    g.add_argument("--coeff", type=float, nargs=2, metavar=("LO", "HI"),
+    g.add_argument("--coeff", dest="coeff_range", type=float, nargs=2, metavar=("LO", "HI"),
                    help="quadratic coefficient range override")
 
 
-def _bench_spec(args) -> BenchSpec:
-    return BenchSpec(
-        family=args.family,
-        n=args.n, p=args.p, m=args.m, rows=args.rows, cols=args.cols,
-        domain=tuple(args.domain) if args.domain else None,
-        coeff_range=tuple(args.coeff) if args.coeff else None,
-    )
+def _family_fields(args) -> dict:
+    """The given BenchSpec fields that depend on the family, argparse's lists as tuples."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in _given(args, BenchSpec).items()
+            if k not in ("family", "seed")}
 
 
 def _names(text: str) -> list[str]:
@@ -153,7 +150,9 @@ def _names(text: str) -> list[str]:
 
 
 def _cmd_gen(args) -> int:
-    inst = generate(replace(_bench_spec(args), seed=args.seed))
+    given = _family_fields(args)
+    check_reads(args.family, given)
+    inst = generate(BenchSpec(args.family, seed=args.seed, **given))
     save_instance(inst, args.out)
     print(f"wrote {args.out}: {inst.num_agents} agents, {inst.num_edges} functions, "
           f"objective {inst.objective}")
@@ -195,16 +194,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    given = {"variants": args.variants, "master_seed": args.seed}
+    bench, given = _family_fields(args), _given(args, ExperimentConfig)
+    if args.family:
+        check_reads(args.family, bench)
+    elif args.instance:  # an instance file reads no family field, nor a count of instances
+        check_reads(None, [*bench, *given.keys() & {"num_instances"}])
     cfg = ExperimentConfig(
         swarm=_build_config(args),
-        bench=_bench_spec(args) if args.family else None,
+        bench=BenchSpec(args.family, **bench) if args.family else None,
         instance_file=args.instance,
-        num_instances=args.num_instances,
-        repeats=args.repeats,
-        root=args.root,
-        out_dir=args.out_dir,
-        **{k: v for k, v in given.items() if v is not None},
+        **given,
+        **({} if args.seed is None else {"master_seed": args.seed}),
     )
     summary = run_experiment(cfg)
     print(emit_anytime_table(summary, cfg.variants))
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     _add_bench_flags(p_exp, required=False)
     _add_swarm_flags(p_exp)
     p_exp.add_argument("--variants", type=_names, help="comma-separated list (default both)")
-    p_exp.add_argument("--num-instances", type=int, default=ExperimentConfig.num_instances)
+    p_exp.add_argument("--num-instances", type=int)
     p_exp.add_argument("--repeats", type=int, default=ExperimentConfig.repeats)
     p_exp.add_argument("--root", type=int, default=ExperimentConfig.root)
     # argparse passes a string default through ``type``, so this is Path("runs")

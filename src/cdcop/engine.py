@@ -78,7 +78,7 @@ class LocalCosts:
         pool = np.empty((max((t for t, _ in groups.values()), default=0),
                          min(block_edges, num_edges), K))
         row_of: dict[int, int] = {}  # function id -> row of the value buffer
-        # (skeleton, slot-0 positions, slot-1 positions, values, temps, constants, functions)
+        # (skeleton, slot-0 positions, slot-1 positions, values, temps, constants)
         self.blocks = []
         for fn, (num_temps, members) in groups.items():
             for lo in range(0, len(members), block_edges):
@@ -90,9 +90,9 @@ class LocalCosts:
                 consts = np.array([c for _, c in block], dtype=float).reshape(len(block), -1)
                 self.blocks.append((fn, self._ends[0, rows], self._ends[1, rows], self.values[rows],
                                     [temp[:len(block)] for temp in pool[:num_temps]],
-                                    [_constant_operand(c, K) for c in consts.T],
-                                    [f for f, _ in block]))
+                                    [_constant_operand(c, K) for c in consts.T]))
 
+        self._functions = inst.functions
         incident = [[row_of[fid] for fid in incident_functions(inst, agent)]
                     for agent in range(inst.num_agents)]
         # agents by descending degree (stable), and each agent's place in that order
@@ -124,16 +124,17 @@ class LocalCosts:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Every agent's local fitness at positions ``x``.
 
-        A zero denominator raises DivisionByZero naming the first function
-        of the failing block that meets one, found with ``eval_expr``.
+        A zero denominator raises DivisionByZero naming the function that
+        the agents would meet first, found with ``eval_expr``.
         """
         # mode="clip" writes straight into ``out``; the default buffers it
         x.take(self._scope, axis=0, out=self._ends, mode="clip")
         try:
-            for fn, first, second, values, temps, consts, functions in self.blocks:
+            for fn, first, second, values, temps, consts in self.blocks:
                 fn(first, second, values, temps, *consts)
         except DivisionByZero:
-            for f in functions:  # the failing block's
+            # the agents meet the functions agent by agent, each in ascending id
+            for f in sorted(self._functions, key=lambda f: (min(f.scope), f.id)):
                 try:
                     eval_expr(f.expr, x[f.scope[0]], x[f.scope[1]])
                 except DivisionByZero:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from functools import reduce
 
 from cdcop import CdcopInstance, CostFunction, Domain, parse_expr
-from cdcop.expressions import Add, Constant, Mul, Neg, Pow, Sub, Var
+from cdcop.expressions import Add, Constant, Div, Mul, Neg, Pow, Sub, Var
 
 
 def make_instance(n, specs, domain=(-10.0, 10.0), objective="min"):
@@ -31,6 +32,28 @@ def neg_pow_chain(depth):
     for level in range(depth):
         expr = Neg(expr) if level % 2 else Pow(expr, 1)
     return Mul(expr, Var(1))
+
+
+# random expression trees, for the compiled-vs-interpreted cross-checks and the
+# random-instance differential test
+_leaf = st.one_of(
+    st.floats(-5, 5, allow_nan=False).map(lambda v: Constant(round(v, 3))),
+    st.sampled_from([Var(0), Var(1)]),
+)
+
+
+def _branch(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda p: Add(*p)),
+        st.tuples(children, children).map(lambda p: Sub(*p)),
+        st.tuples(children, children).map(lambda p: Mul(*p)),
+        st.tuples(children, children).map(lambda p: Div(*p)),
+        st.tuples(children, st.integers(0, 3)).map(lambda p: Pow(*p)),
+        children.map(Neg),
+    )
+
+
+_trees = st.recursive(_leaf, _branch, max_leaves=12)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import pytest
 
 from cdcop import build_bfs, constraint_cost, validate_instance
 from cdcop.benchmarks import (
+    FAMILIES,
     BenchSpec,
     GenerationFailed,
     gen_barabasi_albert,
@@ -12,7 +13,7 @@ from cdcop.benchmarks import (
     generate,
 )
 from cdcop.expressions import Div
-from cdcop.model import instance_to_json
+from cdcop.model import Domain, InvalidInstanceError, instance_to_json
 from cdcop.pseudotree import tree_edge_dump
 
 
@@ -130,6 +131,30 @@ class TestSensorGrid:
     def test_rejects_overrides(self, override):
         with pytest.raises(ValueError, match=f"takes no {override} override"):
             generate(BenchSpec("sensor", rows=2, cols=2, **{override: (-1.0, 1.0)}))
+
+
+@pytest.mark.parametrize("override", ["domain", "coeff_range"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_overrides_follow_the_family_table(family, override):
+    spec = BenchSpec(family, n=4, m=2, rows=2, cols=2, **{override: (-1.0, 1.0)})
+    if override not in FAMILIES[family][1]:
+        with pytest.raises(ValueError, match=f"^the {family} family takes no {override} override$"):
+            generate(spec)
+        return
+    inst = generate(spec)
+    assert inst.num_agents == 4
+    assert (inst.domains[0] == Domain(-1.0, 1.0)) == (override == "domain")
+
+
+@pytest.mark.parametrize("domain, coeff_range, error", [
+    ((1.0, -1.0), (-5.0, 5.0), InvalidInstanceError),
+    ((-1.0, float("nan")), (-5.0, 5.0), InvalidInstanceError),
+    ((-1.0, 1.0), (3.0, -3.0), ValueError),
+    ((-1.0, 1.0), (float("-inf"), 3.0), ValueError),
+])
+def test_bad_overrides_raise(domain, coeff_range, error):
+    with pytest.raises(error, match="domain 0|coeff_range"):
+        gen_random_tree(4, domain=domain, coeff_range=coeff_range)
 
 
 @pytest.mark.parametrize("spec", [

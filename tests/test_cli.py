@@ -1,10 +1,13 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from cdcop import cli
+from cdcop.benchmarks import BenchSpec
 from cdcop.cli import config_from_json, config_to_json, main
+from cdcop.experiment import ExperimentConfig
 from cdcop.expressions import format_expr
 from cdcop.model import load_instance, save_instance
 from cdcop.swarm import (AdaptiveInertia, ConfigError, ConstrictionInertia, FixedInertia,
@@ -315,3 +318,63 @@ def test_config_file_then_flags(tmp_path, monkeypatch, capsys, doc, flags, want)
         assert (rc, seen, capsys.readouterr().err) == (2, [], want)
     else:
         assert (rc, seen) == (0, [want])
+
+
+_ER = ["--family", "er", "--n", "5", "--p", "0.5"]
+_RUN = ["-K", "4", "--cycles", "2", "--repeats", "1", "--variants", "pcd"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["gen", "--family", "sensor", "--rows", "2", "--cols", "2", "--n", "5", "--p", "0.9"],
+     "the sensor family takes no n or p override"),
+    (["gen", "--family", "tree", "--n", "4", "--p", "0.9", "--m", "3"],
+     "the tree family takes no p or m override"),
+    (["gen", "--family", "er", "--n", "4", "--p", "0.8", "--rows", "3"],
+     "the er family takes no rows override"),
+    (["experiment", "--instance", "e.json", "--num-instances", "5", *_RUN],
+     "--instance takes no num_instances override"),
+    (["experiment", "--instance", "e.json", "--n", "40", *_RUN], "--instance takes no n override"),
+    (["experiment", "--instance", "e.json", "--domain", "-1", "1", *_RUN],
+     "--instance takes no domain override"),
+    (["experiment", "--family", "sensor", "--rows", "2", "--cols", "2", "--n", "9",
+      "--num-instances", "1", *_RUN], "the sensor family takes no n override"),
+    (["gen", *_ER, "--domain", "1", "-1"], "degenerate domain 0: [1.0, -1.0]; "),
+    (["gen", *_ER, "--domain", "nan", "1"], "domain 0 has non-finite bounds [nan, 1.0]; "),
+    (["gen", *_ER, "--coeff", "3", "-3"],
+     "coeff_range must be finite with low <= high, got (3.0, -3.0)"),
+], ids=["gen_sensor_n_p", "gen_tree_p_m", "gen_er_rows", "instance_num_instances", "instance_n",
+        "instance_domain", "experiment_sensor_n", "gen_domain_reversed", "gen_domain_nan",
+        "gen_coeff_reversed"])
+def test_unread_or_bad_family_value_is_one_error_line(tmp_path, monkeypatch, capsys, argv, error):
+    """A value the family or ``--instance`` does not read, or cannot use, exits 2 before
+    anything is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--family", "er", "--n", "4", "--p", "0.8", "--out", "e.json"]) == 0
+    capsys.readouterr()
+    rc = main([*argv, *(["--out", "x.json"] if argv[0] == "gen" else [])])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n"), err.startswith(f"error: {error}")) == (2, 1, True), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
+
+
+class _Built(Exception):
+    """Carries what the CLI built, in place of running it."""
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["gen", "--family", "sensor", "--rows", "3", "--cols", "2", "--out", "x.json"],
+     BenchSpec("sensor", rows=3, cols=2)),
+    (["gen", "--family", "ba", "--n", "9", "--m", "2", "--coeff", "-1", "1", "--out", "x.json"],
+     BenchSpec("ba", n=9, m=2, coeff_range=(-1.0, 1.0))),
+    (["experiment", "--instance", "e.json", "--repeats", "3"],
+     ExperimentConfig(SwarmConfig(), bench=None, instance_file=Path("e.json"), num_instances=25,
+                      repeats=3, out_dir=Path("runs"))),
+], ids=["gen_sensor", "gen_ba_coeff", "experiment_instance"])
+def test_given_family_values_build_the_spec(monkeypatch, argv, want):
+    def capture(built):
+        raise _Built(built)
+    monkeypatch.setattr(cli, "generate", capture)
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Built) as built:
+        main(argv)
+    assert built.value.args == (want,)

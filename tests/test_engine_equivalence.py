@@ -5,13 +5,18 @@ drives one ``SwarmAgent`` per agent through ``SyncRuntime``, the executable
 specification of a cycle. Every output must match bit for bit.
 """
 
+import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cdcop import (CdcopInstance, CostFunction, Domain, DivisionByZero, build_bfs, engine,
-                   parse_expr)
+                   parse_expr, swarm)
 from cdcop.benchmarks import BenchSpec, generate
 from cdcop.engine import LocalCosts
 from cdcop.expressions import compile_expr
@@ -20,6 +25,7 @@ from cdcop.runtime import SyncRuntime, write_message_log_csv
 from cdcop.swarm import (
     AdaptiveInertia,
     ConstrictionInertia,
+    CrossoverDraws,
     FixedInertia,
     RunTrace,
     SwarmAgent,
@@ -28,7 +34,7 @@ from cdcop.swarm import (
     solve,
 )
 
-from conftest import make_instance, sum_chain
+from conftest import _trees, make_instance, sum_chain
 
 
 def reference_solve(inst, cfg, tree=None, record_probes=False, log_messages=False) -> RunTrace:
@@ -217,3 +223,89 @@ def test_constant_column_keeps_a_lone_negative_zero():
     want = np.array([compile_expr(f.expr)(x[f.scope[0]], x[f.scope[1]]) for f in inst.functions])
     assert np.signbit(want[2]).all()
     assert local_costs.values.tobytes() == want.tobytes()
+
+
+# two distinct floats (0.0 and -0.0 are equal) in ascending order
+_DOMAINS = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True).map(
+    lambda bounds: Domain(*sorted(bounds)))
+
+
+@st.composite
+def _random_runs(draw):
+    """A connected instance of 1-7 agents with random cost trees and domains, a
+    swarm config, a root, and the number of edges per ``LocalCosts`` block."""
+    n = draw(st.integers(1, 7))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    if n > 2:
+        pairs |= draw(st.sets(st.sampled_from([(u, v) for v in range(n) for u in range(v)])))
+    ids = draw(st.permutations(range(len(pairs))))
+    functions = tuple(CostFunction(fid, draw(st.sampled_from([(u, v), (v, u)])), draw(_trees))
+                      for fid, (u, v) in zip(ids, sorted(pairs)))
+    inst = CdcopInstance(n, tuple(draw(_DOMAINS) for _ in range(n)), functions,
+                         draw(st.sampled_from(["min", "max"])))
+    inertia, c = SCHEDULES[draw(st.sampled_from(sorted(SCHEDULES)))]
+    cfg = SwarmConfig(num_particles=draw(st.integers(2, 11)), t_max=draw(st.integers(1, 25)),
+                      c1=c, c2=c, inertia=inertia, crossover=draw(st.booleans()),
+                      seed=draw(st.integers(0, 2 ** 64 - 1)))
+    return inst, cfg, draw(st.integers(0, n - 1)), draw(st.integers(1, max(1, len(pairs))))
+
+
+class _LiveDraws(CrossoverDraws):
+    """``CrossoverDraws`` whose integer draw replays its row's stream from the
+    start, live: one double per column before it, or an integer at each column
+    that took one. The class under test rewinds to a saved state instead."""
+
+    def __init__(self, rngs, t_max, num_particles):
+        self._start = [rng.bit_generator.state for rng in rngs]
+        self._taken = [{} for _ in rngs]  # per row: column -> high of its integer draw
+        super().__init__(rngs, t_max, num_particles)
+
+    def integer(self, i, column, high):
+        rng, taken = self.rngs[i], self._taken[i]
+        rng.bit_generator.state = self._start[i]
+        for c in range(column):
+            rng.integers(0, taken[c]) if c in taken else rng.random()
+        taken[column] = high
+        value = int(rng.integers(0, high))
+        rng.random(out=self.buffer[i, column + 1:])
+        return value
+
+
+def _outcome(run):
+    try:
+        return run(record_probes=True, log_messages=True), None
+    except DivisionByZero as e:
+        return None, str(e)
+
+
+@np.errstate(all="ignore")  # wide domains overflow
+def _check_random_run(inst, cfg, root, block_edges):
+    tree = build_bfs(inst, root)
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_edges * cfg.num_particles):
+        got, got_error = _outcome(lambda **kw: solve(inst, cfg, tree=tree, **kw))
+    with mock.patch.object(swarm, "CrossoverDraws", _LiveDraws):
+        want, want_error = _outcome(lambda **kw: reference_solve(inst, cfg, tree=tree, **kw))
+    if got_error is None and want_error is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_bit_identical(got, want, Path(tmp))
+    else:  # solve names the cycle, unless compiling a constant subtree raised
+        assert re.fullmatch(rf"(cycle \d+: )?{re.escape(str(want_error))}", str(got_error))
+
+
+_RANDOM = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(_RANDOM, max_examples=200)
+@given(_random_runs())
+# particles clamped to 0.0 leave one nonzero crossover weight, so b is an integer draw
+@example((make_instance(2, [((0, 1), "(* x0 x1)")], domain=(0.0, 1.0)),
+          SwarmConfig(num_particles=3, t_max=10, crossover=True, seed=2), 0, 1))
+def test_random_instances_match_reference(run):
+    _check_random_run(*run)
+
+
+@pytest.mark.slow
+@settings(_RANDOM, max_examples=2000)
+@given(_random_runs())
+def test_many_random_instances_match_reference(run):
+    _check_random_run(*run)

@@ -24,7 +24,7 @@ from cdcop.expressions import (
     referenced_slots,
 )
 
-from conftest import neg_pow_chain, sum_chain
+from conftest import _trees, neg_pow_chain, sum_chain
 
 
 def test_difference_of_squares():
@@ -106,27 +106,6 @@ def test_vectorized_matches_scalar():
     vec = eval_expr(expr, a, b)
     for i in range(3):
         assert vec[i] == pytest.approx(eval_expr(expr, a[i], b[i]))
-
-
-# random expression trees for the compiled-vs-interpreted cross-check
-_leaf = st.one_of(
-    st.floats(-5, 5, allow_nan=False).map(lambda v: Constant(round(v, 3))),
-    st.sampled_from([Var(0), Var(1)]),
-)
-
-
-def _branch(children):
-    return st.one_of(
-        st.tuples(children, children).map(lambda p: Add(*p)),
-        st.tuples(children, children).map(lambda p: Sub(*p)),
-        st.tuples(children, children).map(lambda p: Mul(*p)),
-        st.tuples(children, children).map(lambda p: Div(*p)),
-        st.tuples(children, st.integers(0, 3)).map(lambda p: Pow(*p)),
-        children.map(Neg),
-    )
-
-
-_trees = st.recursive(_leaf, _branch, max_leaves=12)
 
 
 # 1/a squared overflows a float: a power must give inf, as + and * do, not raise
