@@ -271,9 +271,9 @@ class _LiveDraws(CrossoverDraws):
         return value
 
 
-def _outcome(run):
+def _outcome(run, inst, cfg, tree):
     try:
-        return run(record_probes=True, log_messages=True), None
+        return run(inst, cfg, tree=tree, record_probes=True, log_messages=True), None
     except DivisionByZero as e:
         return None, str(e)
 
@@ -282,9 +282,9 @@ def _outcome(run):
 def _check_random_run(inst, cfg, root, block_edges):
     tree = build_bfs(inst, root)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_edges * cfg.num_particles):
-        got, got_error = _outcome(lambda **kw: solve(inst, cfg, tree=tree, **kw))
+        got, got_error = _outcome(solve, inst, cfg, tree)
     with mock.patch.object(swarm, "CrossoverDraws", _LiveDraws):
-        want, want_error = _outcome(lambda **kw: reference_solve(inst, cfg, tree=tree, **kw))
+        want, want_error = _outcome(reference_solve, inst, cfg, tree)
     if got_error is None and want_error is None:
         with tempfile.TemporaryDirectory() as tmp:
             assert_bit_identical(got, want, Path(tmp))
