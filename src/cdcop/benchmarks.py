@@ -96,6 +96,8 @@ def _rng(seed: int) -> np.random.Generator:
 def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_range,
                         rng: np.random.Generator) -> CdcopInstance:
     lb, ub = domain
+    if not -np.inf < lb < ub < np.inf:
+        raise ValueError(f"domain must be finite with low < high, got {domain}")
     lo, hi = coeff_range
     if not -np.inf < lo <= hi < np.inf:
         raise ValueError(f"coeff_range must be finite with low <= high, got {coeff_range}")

@@ -6,7 +6,9 @@ every agent at once, in the same floating-point order, so a fused run is
 bit-identical to the message-passing one:
 
 * :class:`LocalCosts` evaluates each constraint once per cycle (the agents
-  evaluate it at both endpoints), in place, and sums every agent's incident
+  evaluate it at both endpoints). Constraints with equal compiled programs
+  share blocks; each block's program is bound to its buffers once, and a
+  cycle runs every bound call in place. It sums every agent's incident
   values in ascending function id, starting from +0.0, as ``handle_values``
   does.
 * :class:`TreeSchedule` adds children into parents level by level, deepest
@@ -16,7 +18,7 @@ bit-identical to the message-passing one:
 
 import numpy as np
 
-from .expressions import DivisionByZero, compile_skeleton, eval_expr
+from .expressions import DivisionByZero, bind, compile_skeleton, eval_expr
 from .model import CdcopInstance, CostFunction, incident_functions
 from .pseudotree import PseudoTree
 from .runtime import BEST, COST, VALUE, CycleStats, Message
@@ -45,12 +47,15 @@ def zero_denominator(f: CostFunction) -> DivisionByZero:
 class LocalCosts:
     """Every agent's local fitness from an ``(n, K)`` position matrix.
 
-    Edges are grouped by expression skeleton and evaluated in blocks of
-    about ``BLOCK_ELEMENTS`` elements. Every operand of a block's ufunc calls
-    is full size: its constants are built once as ``(edges, K)`` arrays, or
-    passed as Python floats where the whole block shares one. Both endpoints
-    of every edge are gathered once per call, and each block writes its
-    values in place into its rows of the value buffer, one row per function.
+    Edges are grouped by the program ``compile_skeleton`` gives their
+    expression and evaluated in blocks of about ``BLOCK_ELEMENTS`` elements.
+    Each block's program is bound once to its registers: its rows of the
+    gathered endpoints and of the value buffer, shared temps, and its
+    constants. Every operand is full size: the constants are built once as
+    ``(edges, K)`` arrays, or passed as Python floats where the whole block
+    shares one. A call gathers both endpoints of every edge once, then runs
+    the bound calls of all blocks in one loop, which writes each function's
+    values in place into its row of the value buffer.
 
     Each agent's sum starts at +0.0 and adds, or for maximization subtracts,
     its incident values in ascending function id, as ``handle_values`` does.
@@ -66,8 +71,8 @@ class LocalCosts:
         K = num_particles
         groups: dict = {}
         for f in inst.functions:
-            fn, consts, num_temps = compile_skeleton(f.expr)
-            groups.setdefault(fn, (num_temps, []))[1].append((f, consts))
+            program, consts, num_temps = compile_skeleton(f.expr)
+            groups.setdefault(program, (num_temps, []))[1].append((f, consts))
 
         num_edges = inst.num_edges
         block_edges = max(1, BLOCK_ELEMENTS // K)
@@ -78,9 +83,8 @@ class LocalCosts:
         pool = np.empty((max((t for t, _ in groups.values()), default=0),
                          min(block_edges, num_edges), K))
         row_of: dict[int, int] = {}  # function id -> row of the value buffer
-        # (skeleton, slot-0 positions, slot-1 positions, values, temps, constants)
-        self.blocks = []
-        for fn, (num_temps, members) in groups.items():
+        self.blocks = []  # each block's program, bound to its registers
+        for program, (num_temps, members) in groups.items():
             for lo in range(0, len(members), block_edges):
                 block = members[lo:lo + block_edges]
                 rows = slice(len(row_of), len(row_of) + len(block))
@@ -88,9 +92,11 @@ class LocalCosts:
                     row_of[f.id] = len(row_of)
                 self._scope[:, rows] = np.array([f.scope for f, _ in block], dtype=np.intp).T
                 consts = np.array([c for _, c in block], dtype=float).reshape(len(block), -1)
-                self.blocks.append((fn, self._ends[0, rows], self._ends[1, rows], self.values[rows],
-                                    [temp[:len(block)] for temp in pool[:num_temps]],
-                                    [_constant_operand(c, K) for c in consts.T]))
+                self.blocks.append(bind(program, [
+                    self._ends[0, rows], self._ends[1, rows], self.values[rows],
+                    *(temp[:len(block)] for temp in pool[:num_temps]),
+                    *(_constant_operand(c, K) for c in consts.T)]))
+        self._calls = [call for block in self.blocks for call in block]
 
         self._functions = inst.functions
         incident = [[row_of[fid] for fid in incident_functions(inst, agent)]
@@ -130,8 +136,8 @@ class LocalCosts:
         # mode="clip" writes straight into ``out``; the default buffers it
         x.take(self._scope, axis=0, out=self._ends, mode="clip")
         try:
-            for fn, first, second, values, temps, consts in self.blocks:
-                fn(first, second, values, temps, *consts)
+            for fn, args in self._calls:
+                fn(*args)
         except DivisionByZero:
             # the agents meet the functions agent by agent, each in ascending id
             for f in sorted(self._functions, key=lambda f: (min(f.scope), f.id)):

@@ -12,15 +12,17 @@ Grammar (atoms and binary operators only)::
              | '(' 'neg' expr ')'
 
 Evaluation works on scalars or numpy arrays (elementwise). ``eval_expr``
-walks a tree; ``compile_skeleton`` is the one compiler, and ``compile_expr``
-wraps it. No function here recurses, so a tree of any depth parses,
-formats, evaluates and compiles.
+walks a tree and is the reference. ``compile_skeleton`` is the one
+compiler: it turns a tree into a program, a tuple of ufunc calls over
+numbered registers, and its constants. ``bind`` resolves the registers to
+arrays once, so a bound program runs as a plain loop of ``fn(*args)``;
+``compile_expr`` binds and runs one per call. No function here recurses, so
+a tree of any depth parses, formats, evaluates, compiles and compares.
 """
 
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +42,7 @@ __all__ = [
     "parse_expr",
     "format_expr",
     "referenced_slots",
+    "bind",
     "compile_expr",
     "compile_skeleton",
 ]
@@ -55,45 +58,31 @@ class ExpressionSyntaxError(ValueError):
 
 class _Node:
     """The ``==``, ``hash`` and ``repr`` that dataclasses generate for a node,
-    walked with a stack instead of recursing, so a tree of any depth has them.
+    built without recursing, so a tree of any depth has them.
 
-    As in the generated ``==``, two nodes are equal when they are of one
-    class and their fields are, where a field is equal when it is the same
-    object or compares ``==``: ``Constant(-0.0) == Constant(0.0)``, and two
-    ``Constant(nan)`` differ unless they hold the same float object.
+    ``==`` and ``hash`` compare the trees' keys: each node in post-order as
+    ``(type, leaf field)``, where the leaf field is a Constant's value, a
+    Var's slot or a Pow's exponent, and None for the other nodes. Each type
+    fixes its number of operands, so the key determines the tree. As in the
+    generated ``==``, fields compare as in a tuple, the same object or
+    ``==``: ``Constant(-0.0) == Constant(0.0)``, and two ``Constant(nan)``
+    differ unless they hold the same float object.
     """
+
+    def _key(self) -> tuple:
+        key = []
+        for node in _postorder(self):
+            leaf = _LEAVES.get(type(node))
+            key.append((type(node), leaf and getattr(node, leaf)))
+        return tuple(key)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            names = _FIELDS.get(a.__class__)
-            if names is not None and b.__class__ is a.__class__:
-                pairs.extend((getattr(a, name), getattr(b, name)) for name in reversed(names))
-            elif not a == b:
-                return False
-        return True
+        return self._key() == other._key()
 
     def __hash__(self):
-        hashes = []  # the hash of each field walked and not yet combined
-        stack = [(self, False)]
-        while stack:
-            item, combine = stack.pop()
-            names = _FIELDS.get(item.__class__)
-            if names is None:
-                hashes.append(hash(item))
-            elif combine:  # its fields' hashes are the last len(names)
-                key = tuple(hashes[-len(names):])
-                del hashes[-len(names):]
-                hashes.append(hash(key))
-            else:
-                stack.append((item, True))
-                stack.extend((getattr(item, name), False) for name in reversed(names))
-        return hashes.pop()
+        return hash(self._key())
 
     def __repr__(self):
         parts = []
@@ -178,7 +167,10 @@ Expression = Constant | Var | Add | Sub | Mul | Div | Pow | Neg
 _FIELDS = {kind: tuple(f.name for f in fields(kind))
            for kind in (Constant, Var, Add, Sub, Mul, Div, Pow, Neg)}
 
-# each operator node's s-expression symbol, which also names its compiled step
+# the field that tells apart two nodes of one type with equal operands
+_LEAVES = {Constant: "value", Var: "slot", Pow: "exponent"}
+
+# each operator node's s-expression symbol
 _SYMBOLS = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^", Neg: "neg"}
 
 
@@ -378,155 +370,122 @@ def format_expr(expr: Expression) -> str:
 
 # --- compilation -------------------------------------------------------------
 
-def _emit(expr: Expression, consts: list) -> tuple[list, object]:
-    """The steps that compute ``expr`` over ``a``/``b``, and the operand that
-    holds its value.
+# the registers of ``out`` and of the first temp; ``a`` and ``b`` are 0 and 1, a slot's number
+_OUT, _TEMP = 2, 3
+_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
-    Each operator node is one step ``(op, x, y)``, appended in post-order, so
-    the steps run in the order the tree evaluates and no step nests another.
-    Step i's value is named ``_i``; ``op`` is the node's symbol, and for
-    ``^`` ``y`` is the exponent. A subtree that reads no variable emits no
-    step: its value is folded to a float, and where it meets a subtree that
-    reads a variable it becomes a parameter ``c0``, ``c1``, ..., its value
-    appended to ``consts``.
+
+def _lift(value: float, consts: list) -> int:
+    """Constant j's register until the temps are counted: -1 - j."""
+    consts.append(value)
+    return -len(consts)
+
+
+def compile_skeleton(expr: Expression):
+    """Split a tree into a program of ufunc calls and its own constants.
+
+    Returns ``(program, consts, num_temps)``. ``program`` is a tuple of calls
+    ``(fn, operands)`` in post-order. Each operand is an index into the
+    registers ``[a, b, out, *temps, *consts]``, with ``num_temps`` temps of
+    ``out``'s shape, or the exponent of an ``np.power`` call, which is kept
+    as a float so it is not read as an index. Bound with ``bind``, the calls
+    write into ``out`` what ``eval_expr(expr, a, b)`` gives on arrays,
+    element for element and bit for bit, and allocate no array; they
+    overwrite the temps, which with ``out`` must not overlap ``a``, ``b`` or
+    the constants.
+
+    A subtree that reads no variable is folded to a float with
+    ``eval_expr``'s arithmetic; where it meets one that does, it becomes a
+    constant. A variable-free division by zero is not folded: it raises
+    DivisionByZero when the program runs, as any other zero denominator
+    does. Otherwise trees that differ only in their variable-free subtrees
+    get equal programs, so edges can be grouped by program and evaluated
+    together, with each constant passed as per-edge values that broadcast
+    against ``out``.
     """
-    steps: list = []
-    values: list = []  # the operand of each subtree walked and not yet consumed
+    consts: list[float] = []
+    calls: list = []
+    values: list = []  # each walked subtree not yet consumed: its float, or its register
+    free: list[int] = []  # temps whose value was consumed
+    num_temps = 0
     for node in _postorder(expr):
         kind = type(node)
         if kind is Constant:
             values.append(float(node.value))
             continue
         if kind is Var:
-            values.append("a" if node.slot == 0 else "b")
+            values.append(node.slot)
             continue
         y = None if kind is Pow or kind is Neg else values.pop()
         x = values.pop()
-        if isinstance(x, float) and (y is None or isinstance(y, float)):
+        if type(x) is float and (y is None or type(y) is float) and not (kind is Div and y == 0):
             values.append(_apply(node, x, y))
             continue
-        if isinstance(x, float):
-            x = _lift(x, consts)
-        elif isinstance(y, float):
-            y = _lift(y, consts)
-        steps.append((_SYMBOLS[kind], x, node.exponent if kind is Pow else y))
-        values.append(f"_{len(steps) - 1}")
-    return steps, values.pop()
-
-
-def _lift(value: float, consts: list) -> str:
-    consts.append(value)
-    return f"c{len(consts) - 1}"
-
-
-_UFUNCS = {"+": "_add", "-": "_subtract", "*": "_multiply", "/": "_divide"}
-_INPLACE_GLOBALS = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
-                    "_divide": np.divide, "_power": np.power, "_negative": np.negative,
-                    "_copyto": np.copyto, "_check_nonzero": _check_nonzero, "__builtins__": {}}
-
-
-class _Registers:
-    """Temporary buffers of an in-place function, reused once consumed.
-
-    Buffer ``i`` is written ``{i}`` in the emitted lines, which are
-    formatted with the buffers' names once the root's buffer is known.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self.free: list[str] = []
-
-    def take(self, *operands: str) -> str:
-        """Where a result goes: the first operand held in a buffer, else a free buffer."""
-        held = [op for op in operands if op[0] == "{"]
-        self.free.extend(held[1:])
+        x, y = (_lift(v, consts) if type(v) is float else v for v in (x, y))
+        # the result goes into the first operand's temp, else a free or a new temp
+        held = [v for v in (x, y) if v is not None and v >= _TEMP]
+        free += held[1:]
         if held:
-            return held[0]
-        if self.free:
-            return self.free.pop()
-        self.count += 1
-        return f"{{{self.count - 1}}}"
-
-
-@lru_cache(maxsize=4096)
-def _compile_inplace(steps: tuple, result: str, num_consts: int):
-    """``(fn, num_temps)``: ``steps`` (see ``_emit``) as ufunc calls with ``out=``,
-    leaving ``result`` in ``out``.
-
-    Each call is the elementwise operation ``eval_expr`` runs for that step
-    on arrays, so every element gets the same bits.
-    """
-    lines: list[str] = []
-    regs = _Registers()
-    held: dict[str, str] = {}  # step value -> the buffer holding it
-    for i, (op, x, y) in enumerate(steps):
-        x = held.pop(x, x)
-        if op == "^":
-            dest = regs.take(x)
-            # x ** 2 runs numpy's square, whose bits are x * x
-            lines.append(f"_multiply({x}, {x}, out={dest})" if y == 2 else
-                         f"_power({x}, {y}, out={dest})")
-        elif op == "neg":
-            dest = regs.take(x)
-            lines.append(f"_negative({x}, out={dest})")
+            dest = held[0]
+        elif free:
+            dest = free.pop()
         else:
-            y = held.pop(y, y)
-            if op == "/":
-                lines.append(f"_check_nonzero({y})")
-            dest = regs.take(x, y)
-            lines.append(f"{_UFUNCS[op]}({x}, {y}, out={dest})")
-        held[f"_{i}"] = dest
-    result = held.get(result, result)
-    temps = [f"t{i}" for i in range(regs.count)]
-    names = list(temps)
-    if result[0] == "{":  # the root's buffer is ``out`` itself
-        root = int(result[1:-1])
-        temps.pop()
-        names = temps[:root] + ["out"] + temps[root:]
-    else:
-        lines.append(f"_copyto(out, {result})")
-    source = "\n    ".join(([f"{', '.join(temps)}, = temps"] if temps else []) + lines)
-    params = ", ".join(["a", "b", "out", "temps"] + [f"c{i}" for i in range(num_consts)])
-    namespace = {}
-    exec(f"def skeleton({params}):\n    {source.format(*names)}\n", _INPLACE_GLOBALS, namespace)
-    return namespace["skeleton"], len(temps)
+            dest = _TEMP + num_temps
+            num_temps += 1
+        if kind is Pow:
+            # x ** 2 runs numpy's square, whose bits are x * x
+            calls.append((np.multiply, (x, x, dest)) if node.exponent == 2 else
+                         (np.power, (x, float(node.exponent), dest)))
+        elif kind is Neg:
+            calls.append((np.negative, (x, dest)))
+        else:
+            if kind is Div:
+                calls.append((_check_nonzero, (y,)))
+            calls.append((_UFUNCS[kind], (x, y, dest)))
+        values.append(dest)
 
-
-def compile_skeleton(expr: Expression):
-    """Split a tree into a shared in-place callable and its own constants.
-
-    Returns ``(fn, consts, num_temps)``. ``fn(a, b, out, temps, *consts)``
-    writes into ``out`` what ``eval_expr(expr, a, b)`` gives on arrays,
-    element for element and bit for bit, as a sequence of ufunc calls with
-    ``out=``, one per step of ``_emit``'s output: ``temps`` holds
-    ``num_temps`` scratch arrays of ``out``'s shape, which it overwrites,
-    and nothing else is allocated. ``out`` and ``temps`` must not overlap
-    ``a``, ``b`` or the constants. Trees that differ only in their
-    variable-free subtrees get the same ``fn`` object, so edges can be
-    grouped by it and evaluated together, with each constant passed as
-    per-edge values that broadcast against ``out``.
-    """
-    consts: list[float] = []
-    steps, result = _emit(expr, consts)
-    if isinstance(result, float):
+    result = values.pop()
+    if type(result) is float:
         result = _lift(result, consts)
-    fn, num_temps = _compile_inplace(tuple(steps), result, len(consts))
-    return fn, tuple(consts), num_temps
+    if result >= _TEMP:  # the temp that holds the root's value is ``out`` itself
+        num_temps -= 1
+    else:
+        calls.append((np.copyto, (_OUT, result)))
+        result = _TEMP + num_temps  # no temp is above it
+
+    def register(op):
+        if type(op) is float or 0 <= op < _TEMP:  # an exponent, a, b or out
+            return op
+        if op < 0:
+            return _TEMP + num_temps - 1 - op
+        return _OUT if op == result else op - (op > result)
+
+    program = tuple((fn, tuple(map(register, operands))) for fn, operands in calls)
+    return program, tuple(consts), num_temps
+
+
+def bind(program: tuple, registers: list) -> tuple:
+    """``program``'s calls as ``(fn, args)``, each run by ``fn(*args)``: every
+    register index replaced by ``registers[index]``, the ufunc's ``out`` last."""
+    return tuple((fn, tuple(registers[op] if type(op) is int else op for op in operands))
+                 for fn, operands in program)
 
 
 def compile_expr(expr: Expression):
-    """``f(a, b)``: ``compile_skeleton(expr)``'s function run with its constants.
+    """``f(a, b)``: ``compile_skeleton(expr)``'s program run with its constants.
 
     Each call evaluates into a new array of the broadcast shape of ``a`` and
     ``b``, 0-d for scalars, and returns it. This is what each
     ``SwarmAgent`` evaluates.
     """
-    fn, consts, num_temps = compile_skeleton(expr)
+    program, consts, num_temps = compile_skeleton(expr)
 
     def evaluate(a, b):
         shape = np.broadcast(a, b).shape
         out = np.empty(shape)
-        fn(a, b, out, [np.empty(shape) for _ in range(num_temps)], *consts)
+        temps = [np.empty(shape) for _ in range(num_temps)]
+        for fn, args in bind(program, [a, b, out, *temps, *consts]):
+            fn(*args)
         return out
 
     return evaluate

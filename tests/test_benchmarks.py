@@ -13,7 +13,7 @@ from cdcop.benchmarks import (
     generate,
 )
 from cdcop.expressions import Div
-from cdcop.model import Domain, InvalidInstanceError, instance_to_json
+from cdcop.model import Domain, instance_to_json
 from cdcop.pseudotree import tree_edge_dump
 
 
@@ -147,13 +147,13 @@ def test_overrides_follow_the_family_table(family, override):
 
 
 @pytest.mark.parametrize("domain, coeff_range, error", [
-    ((1.0, -1.0), (-5.0, 5.0), InvalidInstanceError),
-    ((-1.0, float("nan")), (-5.0, 5.0), InvalidInstanceError),
+    ((1.0, -1.0), (-5.0, 5.0), ValueError),
+    ((-1.0, float("nan")), (-5.0, 5.0), ValueError),
     ((-1.0, 1.0), (3.0, -3.0), ValueError),
     ((-1.0, 1.0), (float("-inf"), 3.0), ValueError),
 ])
 def test_bad_overrides_raise(domain, coeff_range, error):
-    with pytest.raises(error, match="domain 0|coeff_range"):
+    with pytest.raises(error, match="^(domain|coeff_range) must be finite"):
         gen_random_tree(4, domain=domain, coeff_range=coeff_range)
 
 

@@ -261,6 +261,14 @@ def test_zero_denominator_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cause}\n"
 
 
+def test_constant_zero_denominator_fails_at_cycle_1(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(make_instance(2, [((0, 1), "(+ (* x0 x1) (/ 1 0))")]), inst_path)
+    assert main(["solve", str(inst_path), "-K", "4", "--cycles", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cycle 1: zero denominator in function 0, scope (0, 1)\n")
+
+
 def test_fixed_inertia_config_without_w_matches_the_flag(tmp_path, monkeypatch):
     inst_path = tmp_path / "inst.json"
     save_instance(make_instance(2, [((0, 1), "(* x0 x1)")]), inst_path)
@@ -338,8 +346,10 @@ _RUN = ["-K", "4", "--cycles", "2", "--repeats", "1", "--variants", "pcd"]
      "--instance takes no domain override"),
     (["experiment", "--family", "sensor", "--rows", "2", "--cols", "2", "--n", "9",
       "--num-instances", "1", *_RUN], "the sensor family takes no n override"),
-    (["gen", *_ER, "--domain", "1", "-1"], "degenerate domain 0: [1.0, -1.0]; "),
-    (["gen", *_ER, "--domain", "nan", "1"], "domain 0 has non-finite bounds [nan, 1.0]; "),
+    (["gen", *_ER, "--domain", "1", "-1"],
+     "domain must be finite with low < high, got (1.0, -1.0)\n"),
+    (["gen", *_ER, "--domain", "nan", "1"],
+     "domain must be finite with low < high, got (nan, 1.0)\n"),
     (["gen", *_ER, "--coeff", "3", "-3"],
      "coeff_range must be finite with low <= high, got (3.0, -3.0)"),
 ], ids=["gen_sensor_n_p", "gen_tree_p_m", "gen_er_rows", "instance_num_instances", "instance_n",

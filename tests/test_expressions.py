@@ -16,6 +16,7 @@ from cdcop.expressions import (
     Pow,
     Sub,
     Var,
+    bind,
     compile_expr,
     compile_skeleton,
     eval_expr,
@@ -148,10 +149,12 @@ def test_eval_is_pure(expr, a, b):
 def _run_skeleton(expr, x0, x1):
     """``compile_skeleton(expr)`` run on ``x0``, ``x1`` with each constant as a
     per-row column, into a NaN-filled ``out`` with garbage in the temps."""
-    fn, consts, num_temps = compile_skeleton(expr)
+    program, consts, num_temps = compile_skeleton(expr)
     out = np.full(x0.shape, np.nan)
     temps = [np.full(x0.shape, -7.25) for _ in range(num_temps)]
-    fn(x0, x1, out, temps, *(np.full((len(x0), 1), c) for c in consts))
+    for fn, args in bind(program, [x0, x1, out, *temps,
+                                   *(np.full((len(x0), 1), c) for c in consts)]):
+        fn(*args)
     return out
 
 
@@ -190,7 +193,7 @@ def test_skeleton_shared_across_constants():
     quad = "(+ (+ (* {} (^ x0 2)) (* {} (* x0 x1))) (* {} (^ x1 2)))"
     fn1, c1, _ = compile_skeleton(parse_expr(quad.format(1.5, -2.0, 0.25)))
     fn2, c2, _ = compile_skeleton(parse_expr(quad.format(-3.0, 4.0, 1.0)))
-    assert fn1 is fn2
+    assert fn1 == fn2
     assert (c1, c2) == ((1.5, -2.0, 0.25), (-3.0, 4.0, 1.0))
     folded = parse_expr("(* (+ 1.0 2.0) (- x0 x1))")
     assert compile_skeleton(folded)[1:] == ((3.0,), 0)
