@@ -181,7 +181,10 @@ def _cmd_solve(args) -> int:
     print(f"best cost: {trace.best_cost!r}")
     print("assignment: " + " ".join(repr(float(x)) for x in trace.best_assignment))
     print(f"cycles: {cfg.t_max}, wall: {wall:.3f}s", file=sys.stderr)
-    return 0 if all(verify_trace(trace, tree, cfg.num_particles).values()) else 1
+    failed = [name for name, ok in verify_trace(trace, tree, cfg.num_particles).items() if not ok]
+    for name in failed:
+        print(f"check failed: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_oracle(args) -> int:

@@ -12,8 +12,9 @@ bit-identical to the message-passing one:
   values in ascending function id, starting from +0.0, as ``handle_values``
   does.
 * :class:`TreeSchedule` adds children into parents level by level, deepest
-  first and in child order, halves the root last, and derives the message
-  counts, payload sizes and message log from the tree instead of sending.
+  first and in child order, halves the root last, and takes the message
+  counts and payload sizes from ``runtime.cycle_traffic`` and the message
+  log from the tree instead of sending.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .expressions import DivisionByZero, bind, compile_skeleton, eval_expr
 from .model import CdcopInstance, CostFunction, incident_functions
 from .pseudotree import PseudoTree
-from .runtime import BEST, COST, VALUE, CycleStats, Message
+from .runtime import BEST, COST, VALUE, CycleStats, Message, cycle_traffic
 
 __all__ = ["LocalCosts", "TreeSchedule", "zero_denominator"]
 
@@ -157,37 +158,28 @@ class LocalCosts:
 class TreeSchedule:
     """Convergecast order and per-cycle message accounting of one pseudo-tree.
 
-    Per cycle an agent sends K scalars to each neighbor (VALUE) and to its
-    parent (COST), and the root's BEST verdict of ``best_len`` scalars to
-    each child, so every count and size follows from the tree.
+    A cycle's counts and sizes follow from the tree and the BEST payload's
+    length under ``runtime.cycle_traffic``.
     """
 
     def __init__(self, tree: PseudoTree, num_particles: int):
         n = tree.num_agents
-        K = num_particles
+        self.tree = tree
         self.root = tree.root
         levels = tree.levels()
         # one buffer, with the row views each child adds into its parent's, in
         # the order the runtime aggregates: deepest level first, child order
-        self._total = np.empty((n, K))
+        self._total = np.empty((n, num_particles))
         self._adds = [(self._total[p], self._total[c])
                       for level in reversed(levels) for p in level for c in tree.children[p]]
-
-        self.value_count = sum(len(nb) for nb in tree.neighbors)
-        self.cost_count = self.best_count = n - 1
-        self.senders = [a for a in range(n) if tree.neighbors[a]]  # first-send order
-        self.fixed_sent = [K * (len(tree.neighbors[a]) + (tree.parent[a] is not None))
-                           for a in self.senders]
-        self.num_children = [len(tree.children[a]) for a in self.senders]
-        self.fixed_total = K * (self.value_count + self.cost_count)
         # every route in the order SyncRuntime sends it
         self.routes = [(VALUE, a, peer) for a in range(n) for peer in tree.neighbors[a]]
         self.routes += [(COST, a, tree.parent[a]) for level in reversed(levels) for a in level
                         if tree.parent[a] is not None]
         self.routes += [(BEST, a, child) for level in levels for a in level
                         for child in tree.children[a]]
-        self.num_particles = K
-        self._sent: dict[int, dict[int, int]] = {}  # best_len -> sent_scalars_by_agent
+        self.num_particles = num_particles
+        self._traffic: dict[int, CycleStats] = {}  # best_len -> cycle_traffic's stats
 
     def convergecast(self, local: np.ndarray) -> np.ndarray:
         """The root's aggregated fitness: the swarm's fitness per particle.
@@ -206,13 +198,11 @@ class TreeSchedule:
         """One cycle's counts. ``sent_scalars_by_agent`` is built once per
         distinct ``best_len`` and shared by every row with that length, so
         callers must treat it as read-only."""
-        sent = self._sent.get(best_len)
-        if sent is None:
-            sent = self._sent[best_len] = {
-                agent: fixed + kids * best_len
-                for agent, fixed, kids in zip(self.senders, self.fixed_sent, self.num_children)}
-        return CycleStats(cycle, self.value_count, self.cost_count, self.best_count,
-                          self.fixed_total + self.best_count * best_len, sent)
+        rule = self._traffic.get(best_len)
+        if rule is None:
+            rule = self._traffic[best_len] = cycle_traffic(self.tree, self.num_particles, best_len)
+        return CycleStats(cycle, rule.value_count, rule.cost_count, rule.best_count,
+                          rule.payload_scalars, rule.sent_scalars_by_agent)
 
     def messages(self, cycle: int, best_len: int) -> list[Message]:
         K = self.num_particles

@@ -8,6 +8,7 @@ cycle stats) to keep outputs reproducible.
 """
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -82,6 +83,10 @@ def derive_run_seed(master_seed: int, instance_idx: int, repeat_idx: int, varian
 
 def trace_filename(instance_idx: int, repeat_idx: int, variant: str) -> str:
     return f"inst{instance_idx:03d}_rep{repeat_idx:02d}_{variant}.csv"
+
+
+# every name ``trace_filename`` gives
+_TRACE_NAME = re.compile(rf"inst\d{{3,}}_rep\d{{2,}}_({'|'.join(VARIANTS)})\.csv")
 
 
 def write_trace_csv(path, trace: RunTrace) -> None:
@@ -165,13 +170,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     The summary's ``all_checks_passed`` flag covers the anytime property of
     every trace, the exact per-cycle message-count law, and the per-agent
-    payload bound; the CLI exit code mirrors it.
+    payload bound; the CLI exit code mirrors it. Once the instances are
+    loaded, the trace files and summary an earlier run left in ``out_dir``
+    are removed, so the directory holds this run's outputs only.
     """
     cfg.validate()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     instances = _load_instances(cfg)
+    for path in out_dir.iterdir():
+        if path.name == "summary.json" or _TRACE_NAME.fullmatch(path.name):
+            path.unlink()
     final_internal: dict[str, list[list[float]]] = {v: [] for v in cfg.variants}
     curve_sums: dict[str, np.ndarray] = {v: np.zeros(cfg.swarm.t_max) for v in cfg.variants}
     run_count = 0

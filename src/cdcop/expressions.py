@@ -8,7 +8,7 @@ Grammar (atoms and binary operators only)::
 
     expr    := number | 'x0' | 'x1'
              | '(' op expr expr ')'          op in + - * /
-             | '(' '^' expr integer ')'      integer exponent >= 0
+             | '(' '^' expr integer ')'      integer exponent >= 0 that fits a float
              | '(' 'neg' expr ')'
 
 Evaluation works on scalars or numpy arrays (elementwise). ``eval_expr``
@@ -42,6 +42,7 @@ __all__ = [
     "parse_expr",
     "format_expr",
     "referenced_slots",
+    "inspect_expr",
     "bind",
     "compile_expr",
     "compile_skeleton",
@@ -154,6 +155,11 @@ class Pow(_Node):
     def __post_init__(self):
         if not isinstance(self.exponent, int) or self.exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {self.exponent!r}")
+        try:
+            float(self.exponent)  # the compiled program raises to it as a float
+        except OverflowError:
+            raise ValueError(f"exponent must fit a float, got a {self.exponent.bit_length()}-bit "
+                             "integer") from None
 
 
 @_node
@@ -262,7 +268,37 @@ def eval_expr(expr: Expression, a, b):
 
 def referenced_slots(expr: Expression) -> set[int]:
     """Set of scope slots (0/1) the expression actually reads."""
-    return {node.slot for node in _postorder(expr) if type(node) is Var}
+    return inspect_expr(expr)[0]
+
+
+def inspect_expr(expr: Expression) -> tuple[set[int], bool]:
+    """One walk of ``expr``: the scope slots it reads, and whether one of its
+    divisions has a denominator that reads no slot and folds to zero, so that
+    every evaluation raises DivisionByZero.
+
+    The fold is ``compile_skeleton``'s, which leaves such a division to raise
+    when its program runs.
+    """
+    slots: set[int] = set()
+    zero_denominator = False
+    values: list = []  # each walked subtree not yet consumed: its float, or None if it reads a slot
+    for node in _postorder(expr):
+        kind = type(node)
+        if kind is Constant:
+            values.append(float(node.value))
+        elif kind is Var:
+            slots.add(node.slot)
+            values.append(None)
+        elif kind is Pow or kind is Neg:
+            x = values.pop()
+            values.append(None if x is None else _apply(node, x))
+        else:
+            y, x = values.pop(), values.pop()
+            if kind is Div and y == 0:
+                zero_denominator = True
+                y = None  # unfolded, as compile_skeleton leaves it
+            values.append(None if x is None or y is None else _apply(node, x, y))
+    return slots, zero_denominator
 
 
 # --- s-expression text format ------------------------------------------------
@@ -313,11 +349,13 @@ def parse_expr(text: str) -> Expression:
                 break
             frames.pop()
             if kind is Pow:
+                token = tokens[i]
                 try:
-                    node = Pow(operands[0], int(tokens[i]))
-                except (TypeError, ValueError):  # no token left, or not an integer >= 0
+                    node = Pow(operands[0], int(token))
+                except (TypeError, ValueError):  # no token left, or not an integer >= 0 that fits a float
+                    got = f"a {len(token)}-character token" if len(token or "") > 20 else repr(token)
                     raise ExpressionSyntaxError(
-                        f"'^' needs an integer exponent >= 0, got {tokens[i]!r}") from None
+                        f"'^' needs an integer exponent >= 0 that fits a float, got {got}") from None
                 i += 1
             else:
                 node = kind(*operands)

@@ -16,8 +16,8 @@ from .expressions import (
     Expression,
     eval_expr,
     format_expr,
+    inspect_expr,
     parse_expr,
-    referenced_slots,
 )
 
 __all__ = [
@@ -161,9 +161,11 @@ def validate_instance(inst: CdcopInstance) -> list[str]:
         if pair in seen_pairs:
             out.append(f"duplicate constraint between variables {pair[0]} and {pair[1]}")
         seen_pairs.add(pair)
-        slots = referenced_slots(f.expr)
+        slots, zero_denominator = inspect_expr(f.expr)
         if slots != {0, 1}:
             out.append(f"function {f.id} must reference both scope slots, uses {sorted(slots)}")
+        if zero_denominator:
+            out.append(f"function {f.id} divides by a constant zero")
 
     missing = [] if out else unreachable(inst.num_agents, (f.scope for f in inst.functions))
     if missing:

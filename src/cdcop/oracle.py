@@ -85,19 +85,15 @@ def grid_optimum(inst: CdcopInstance, spec: GridSearchSpec = GridSearchSpec()) -
     return assignment, best_cost
 
 
-def check_anytime(costs: Sequence[float], sense: str = "min") -> int | None:
-    """First index where the best-so-far series degrades, or None if monotone.
+def check_anytime(costs: Sequence[float]) -> int | None:
+    """First index where the best-so-far series rises, or None if it never does.
 
-    ``sense="min"`` expects non-increasing values, ``sense="max"``
-    non-decreasing (for traces reported in a maximization objective's sign).
+    ``costs`` is in the internal (minimization) sign; a series in a
+    maximization objective's display sign is checked negated.
     """
     if len(costs) == 0:
         raise ValueError("empty trace")
-    flip = -1.0 if sense == "max" else 1.0
-    prev = flip * costs[0]
     for i in range(1, len(costs)):
-        cur = flip * costs[i]
-        if cur > prev:
+        if costs[i] > costs[i - 1]:
             return i
-        prev = cur
     return None

@@ -10,8 +10,11 @@ One cycle runs three barriered sub-phases over the pseudo-tree:
 3. best broadcast: the root's BEST payload flows root-to-leaf.
 
 Handlers never touch each other's state directly; every interaction is a
-recorded message, which is what makes the per-cycle accounting exact:
-VALUE = 2|E|, COST = |A|-1, BEST = |A|-1.
+recorded message, which is what makes the per-cycle accounting exact. Per
+cycle an agent sends K scalars on each VALUE link and on its COST link, and
+the BEST payload, at most K + 2 scalars, on each child link
+(``cycle_traffic``). ``message_stats`` bounds each agent by that rule at a
+BEST payload of K + 2, which a cycle can meet exactly.
 """
 
 import csv
@@ -28,6 +31,7 @@ __all__ = [
     "CycleStats",
     "SyncRuntime",
     "DeadlockDetected",
+    "cycle_traffic",
     "message_stats",
     "write_message_log_csv",
 ]
@@ -35,7 +39,6 @@ __all__ = [
 VALUE = "VALUE"
 COST = "COST"
 BEST = "BEST"
-PAYLOAD_SLACK = 64  # bookkeeping scalars an agent may send per cycle beyond its K-per-link share
 
 
 class DeadlockDetected(RuntimeError):
@@ -49,7 +52,8 @@ class BestPayload:
     ``improved`` lists particle indices whose personal best advanced this
     cycle; receivers snapshot their own coordinates for those indices.
     ``best_index``/``best_fitness`` are set only when the global best
-    strictly improved, which doubles as the synchronized success flag.
+    strictly improved, which doubles as the synchronized success flag. So
+    the payload holds at most K + 2 scalars.
     """
 
     improved: tuple[int, ...]
@@ -187,16 +191,30 @@ class SyncRuntime:
             self.log.append(Message(stats.cycle, kind, sender, receiver, size))
 
 
+def cycle_traffic(tree: PseudoTree, num_particles: int, best_len: int) -> CycleStats:
+    """The traffic rule, for a cycle whose BEST payload holds ``best_len`` scalars:
+    each agent sends K = ``num_particles`` scalars on each VALUE link (one per
+    neighbor) and on its COST link, and the BEST payload on each child link.
+    So a cycle moves 2|E| VALUE, |A|-1 COST and |A|-1 BEST messages."""
+    K = num_particles
+    sent = {agent: K * (len(tree.neighbors[agent]) + (tree.parent[agent] is not None))
+            + best_len * len(tree.children[agent])
+            for agent in range(tree.num_agents) if tree.neighbors[agent]}
+    links = tree.num_agents - 1
+    return CycleStats(0, sum(map(len, tree.neighbors)), links, links, sum(sent.values()), sent)
+
+
 def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles: int) -> dict:
     """Check the per-cycle payload bound; ``violations`` lists each
     ``(cycle, agent, sent, bound)`` that breaks it.
 
-    Each agent sends at most ``K`` scalars to each of its neighbors, ``K`` to
-    its parent, and ``K`` plus a couple of bookkeeping scalars to each child,
-    so its per-cycle total must stay within K*(|N_i| + 1 + |CH_i|) + PAYLOAD_SLACK.
+    An agent's bound is what ``cycle_traffic`` has it send with the largest
+    BEST payload, K + 2 scalars: K*(|N_i| + [i has a parent]) + (K + 2)*|CH_i|.
+    The bound is exact: a cycle in which every personal best and the global
+    best improve, as in cycle 1 when every fitness is finite, sends it.
     """
-    bounds = [num_particles * (len(tree.neighbors[agent]) + 1 + len(tree.children[agent]))
-              + PAYLOAD_SLACK for agent in range(tree.num_agents)]
+    largest = cycle_traffic(tree, num_particles, num_particles + 2).sent_scalars_by_agent
+    bounds = [largest.get(agent, 0) for agent in range(tree.num_agents)]
     violations = []
     for st in cycle_stats:
         for agent, sent in st.sent_scalars_by_agent.items():

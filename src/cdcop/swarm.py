@@ -51,7 +51,6 @@ __all__ = [
     "validate_config",
     "GcpsoControl",
     "ConfigError",
-    "MissingMessage",
     "inertia_weight",
     "update_control",
     "velocity_global_best",
@@ -68,10 +67,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid solver configuration."""
-
-
-class MissingMessage(RuntimeError):
-    """A phase handler was invoked without its required messages."""
 
 
 # --- inertia schedules -------------------------------------------------------
@@ -436,7 +431,6 @@ class SwarmAgent:
         self.id = agent_id
         self.cfg = cfg
         self.is_root = agent_id == tree.root
-        self.neighbors = tree.neighbors[agent_id]
         self.children = tree.children[agent_id]
         self.parent = tree.parent[agent_id]
         dom = inst.domains[agent_id]
@@ -477,10 +471,6 @@ class SwarmAgent:
         return self.x
 
     def handle_values(self, by_sender: dict[int, np.ndarray]) -> None:
-        if len(by_sender) != len(self.neighbors):
-            raise MissingMessage(
-                f"agent {self.id} expected positions from {len(self.neighbors)} neighbors, "
-                f"got {len(by_sender)}")
         lf = np.zeros(len(self.x))
         x = self.x
         for fn, self_first, peer, sign, f in self.terms:

@@ -171,7 +171,7 @@ def test_criterion_4_message_count_law(ensemble, kite_instance):
 @pytest.mark.slow
 def test_criterion_5_message_size_bound(ensemble):
     records, _ = ensemble
-    with criterion(5, "per-agent payload bound K*(|N|+1+|CH|)+c"):
+    with criterion(5, "per-agent payload bound K*(|N|+[parent])+(K+2)*|CH|"):
         assert all(r["payload_bound"] for r in records)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cdcop import cli
+from cdcop import build_bfs, cli
 from cdcop.benchmarks import BenchSpec
 from cdcop.cli import config_from_json, config_to_json, main
 from cdcop.experiment import ExperimentConfig
@@ -261,12 +261,54 @@ def test_zero_denominator_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cause}\n"
 
 
-def test_constant_zero_denominator_fails_at_cycle_1(tmp_path, capsys):
+def test_constant_zero_denominator_is_rejected_at_load(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     save_instance(make_instance(2, [((0, 1), "(+ (* x0 x1) (/ 1 0))")]), inst_path)
-    assert main(["solve", str(inst_path), "-K", "4", "--cycles", "3"]) == 2
+    flags = ["-K", "4", "--cycles", "3"]
+    assert main(["solve", str(inst_path), *flags]) == 2
+    assert capsys.readouterr().err == "error: function 0 divides by a constant zero\n"
+    runs = tmp_path / "runs"
+    assert main(["experiment", "--instance", str(inst_path), *flags, "--repeats", "1",
+                 "--variants", "pcd", "--out-dir", str(runs)]) == 2
+    assert capsys.readouterr().err == "error: function 0 divides by a constant zero\n"
+    assert list(runs.iterdir()) == []
+
+
+def test_exponent_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({**_INSTANCE, "functions": [
+        {"id": 7, "scope": [0, 1], "expr": f"(+ x1 (^ x0 1{'0' * 400}))"}]}))
+    assert main(["solve", str(inst_path), "-K", "4", "--cycles", "2"]) == 2
     assert capsys.readouterr().err == (
-        "error: cycle 1: zero denominator in function 0, scope (0, 1)\n")
+        "error: function 7: '^' needs an integer exponent >= 0 that fits a float, "
+        "got a 401-character token\n")
+
+
+def test_solve_names_each_failed_check(tmp_path, monkeypatch, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(make_instance(3, [((0, 1), "(* x0 x1)"), ((1, 2), "(* x0 x1)")]), inst_path)
+
+    def corrupted(*args, **kwargs):
+        trace = solve(*args, **kwargs)
+        trace.rows[1].stats.value_count += 1
+        trace.rows[1].best_internal = trace.rows[0].best_internal + 1.0
+        return trace
+
+    monkeypatch.setattr(cli, "solve", corrupted)
+    assert main(["solve", str(inst_path), "-K", "4", "--cycles", "3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("cycles: 3, wall: ")
+    assert err[1:] == ["check failed: anytime", "check failed: message_law"]
+
+
+def test_er200_hub_passes_its_payload_bound(tmp_path):
+    """Agent 3 of this instance has 36 BFS children; cycle 1 sends each the
+    largest BEST payload."""
+    inst_path = tmp_path / "er200.json"
+    assert main(["gen", "--family", "er", "--n", "200", "--p", "0.2", "--seed", "0",
+                 "--out", str(inst_path)]) == 0
+    assert len(build_bfs(load_instance(inst_path), 0).children[3]) == 36
+    assert main(["solve", str(inst_path), "-K", "20", "--cycles", "2"]) == 0
 
 
 def test_fixed_inertia_config_without_w_matches_the_flag(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from cdcop.experiment import (
 from cdcop.oracle import check_anytime
 from cdcop.swarm import SwarmConfig, solve
 
+from conftest import make_instance
 from test_engine_equivalence import reference_solve
 
 
@@ -98,7 +99,17 @@ def test_max_instance_trace_positive_and_rising(tmp_path):
     run_experiment(cfg)
     cols = read_trace_csv(tmp_path / "sensor" / trace_filename(0, 0, "pcd"))
     assert all(c > 0 for c in cols["g_best_cost"])
-    assert check_anytime(cols["g_best_cost"], sense="max") is None
+    assert check_anytime([-c for c in cols["g_best_cost"]]) is None
+
+
+def test_rerun_leaves_only_its_own_outputs(tmp_path):
+    out = tmp_path / "runs"
+    run_experiment(_tiny_config(out, num_instances=1, repeats=3))
+    (out / "notes.txt").write_text("kept")
+    summary = run_experiment(_tiny_config(out, num_instances=1, repeats=2, variants=["pcd"]))
+    assert sorted(path.name for path in out.iterdir()) == [
+        trace_filename(0, 0, "pcd"), trace_filename(0, 1, "pcd"), "notes.txt", "summary.json"]
+    assert json.loads((out / "summary.json").read_text()) == summary
 
 
 def test_instance_file_source(tmp_path, kite_instance):
@@ -190,6 +201,29 @@ def test_verify_trace_verdicts(source, corrupt, check):
     if check is not None:
         want[check] = False
     assert verify_trace(trace, tree, cfg.num_particles) == want
+
+
+@pytest.mark.parametrize("source", ["solve", "reference"])
+def test_broom_meets_its_payload_bound_exactly(source):
+    """Agent 1 of a broom has 33 children. Cycle 1 sends it the largest BEST
+    payload, K + 2 scalars, on each child link: that meets its bound, and one
+    more scalar breaks it."""
+    inst = make_instance(35, [((0, 1), "(* x0 x1)")]
+                         + [((1, leaf), "(* x0 x1)") for leaf in range(2, 35)])
+    tree = build_bfs(inst, 0)
+    assert len(tree.children[1]) == 33
+    K = 4
+    cfg = SwarmConfig(num_particles=K, t_max=3)
+    trace = solve(inst, cfg, tree=tree) if source == "solve" else reference_solve(inst, cfg)
+    assert verify_trace(trace, tree, K) == {"anytime": True, "message_law": True,
+                                            "payload_bound": True}
+    row = trace.rows[0]
+    assert row.stats.sent_scalars_by_agent[1] == K * (34 + 1) + 33 * (K + 2)
+    sent = dict(row.stats.sent_scalars_by_agent)
+    sent[1] += 1
+    row.stats = replace(row.stats, sent_scalars_by_agent=sent)
+    assert verify_trace(trace, tree, K) == {"anytime": True, "message_law": True,
+                                            "payload_bound": False}
 
 
 def test_trace_csv_matches_the_per_row_format(tmp_path):

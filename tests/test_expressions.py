@@ -20,7 +20,10 @@ from cdcop.expressions import (
     compile_expr,
     compile_skeleton,
     eval_expr,
+    _check_nonzero,
+    _postorder,
     format_expr,
+    inspect_expr,
     parse_expr,
     referenced_slots,
 )
@@ -63,6 +66,27 @@ def test_zero_exponent_gives_one():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         Pow(Var(0), -1)
+
+
+def test_exponent_must_fit_a_float():
+    largest = 2 ** 1024 - 2 ** 970 - 1  # the next integer rounds up to 2**1024
+    assert Pow(Var(0), largest).exponent == largest
+    for exponent in (largest + 1, 2 ** 1024, 10 ** 400):
+        with pytest.raises(ValueError, match="must fit a float"):
+            Pow(Var(0), exponent)
+        with pytest.raises(ExpressionSyntaxError, match="that fits a float"):
+            parse_expr(f"(^ x0 {exponent})")
+
+
+@given(_trees)
+def test_inspect_expr_agrees_with_the_compiler(expr):
+    """A division's denominator is a constant zero exactly when the compiled
+    program checks a zero constant."""
+    program, consts, num_temps = compile_skeleton(expr)
+    registers = [None] * (3 + num_temps) + list(consts)  # a, b, out, temps, then constants
+    checked = [registers[args[0]] for fn, args in program if fn is _check_nonzero]
+    slots = {node.slot for node in _postorder(expr) if isinstance(node, Var)}
+    assert inspect_expr(expr) == (slots, 0.0 in checked)
 
 
 def test_neg_node():

@@ -109,6 +109,17 @@ def test_validate_single_slot_expression():
     assert any("both scope slots" in v for v in validate_instance(inst))
 
 
+@pytest.mark.parametrize("text, zero", [
+    ("(+ (* x0 x1) (/ 1 0))", True), ("(/ x1 (^ (- x0 x0) 1))", False),
+    ("(* x1 (/ x0 (- 2 2)))", True), ("(/ x0 (/ x1 (/ 1 -0.0)))", True),
+    ("(/ x0 (* x1 0))", False), ("(/ (* x0 x1) nan)", False),
+], ids=["constant", "variable", "folded", "nested", "times_zero", "nan"])
+def test_validate_constant_zero_denominator(text, zero):
+    inst = make_instance(3, [((0, 1), "(* x0 x1)"), ((2, 1), text)])
+    want = ["function 1 divides by a constant zero"] if zero else []
+    assert validate_instance(inst) == want
+
+
 def test_json_round_trip(kite_instance):
     text = instance_to_json(kite_instance)
     loaded = instance_from_json(text)

@@ -80,8 +80,9 @@ def test_check_anytime_constant_ok():
 
 
 def test_check_anytime_max_sense():
-    assert check_anytime([1.0, 2.0, 3.0], sense="max") is None
-    assert check_anytime([1.0, 3.0, 2.0], sense="max") == 2
+    # a maximization objective's display series is checked negated
+    assert check_anytime([-c for c in (1.0, 2.0, 3.0)]) is None
+    assert check_anytime([-c for c in (1.0, 3.0, 2.0)]) == 2
 
 
 def test_check_anytime_empty_rejected():

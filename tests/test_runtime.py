@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cdcop import CdcopInstance, Domain, build_bfs, runtime
+from cdcop import CdcopInstance, Domain, build_bfs
+from cdcop.engine import TreeSchedule
 from cdcop.runtime import (
     BestPayload,
     DeadlockDetected,
@@ -18,9 +21,10 @@ from conftest import make_instance
 class StubAgent:
     """Minimal conforming handler set: constant payloads, records deliveries."""
 
-    def __init__(self, agent_id, num_particles=3):
+    def __init__(self, agent_id, num_particles=3, best=BestPayload((0, 2), 1, -4.5)):
         self.id = agent_id
         self.K = num_particles
+        self.best = best
         self.values_seen = {}
         self.costs_seen = {}
         self.best_seen = None
@@ -39,7 +43,7 @@ class StubAgent:
         return np.full(self.K, 10.0 + self.id)
 
     def best_payload(self):
-        return BestPayload((0, 2), 1, -4.5)
+        return self.best
 
     def handle_best(self, payload):
         self.best_seen = payload
@@ -107,15 +111,53 @@ def test_per_agent_scalar_accounting(kite_instance):
     assert stats[0].payload_scalars == sum(sent.values())
 
 
-def test_payload_bound_check(kite_instance, monkeypatch):
+def _best_of_len(best_len):
+    """A BEST payload of ``best_len`` scalars: the index and fitness of a new
+    best from 2 on, the rest improved indices."""
+    if best_len < 2:
+        return BestPayload(tuple(range(best_len)), None, None)
+    return BestPayload(tuple(range(best_len - 2)), 0, 0.0)
+
+
+def _spec_cycle(tree, num_particles, best_len):
+    """One SyncRuntime cycle of stubs, with its wall time zeroed."""
+    best = _best_of_len(best_len)
+    stubs = [StubAgent(i, num_particles, best) for i in range(tree.num_agents)]
+    stats = SyncRuntime(tree).run_cycle(stubs, 1)
+    stats.duration_s = 0.0
+    return stats
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_traffic_rule_matches_the_runtime(seed):
+    """On a random tree, the rule's counts are a runtime cycle's for every BEST
+    length a run can send, each within the bound, and the largest meets it."""
+    rng = np.random.default_rng(seed)
+    n, K = int(rng.integers(1, 13)), int(rng.integers(2, 7))
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}  # a random spanning tree
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+    inst = make_instance(n, [(e, "(* x0 x1)") for e in sorted(edges)])
+    tree = build_bfs(inst, int(rng.integers(n)))
+    schedule = TreeSchedule(tree, K)
+    for best_len in range(K + 3):
+        spec = _spec_cycle(tree, K, best_len)
+        assert schedule.cycle_stats(1, best_len) == spec
+        assert message_stats([spec], tree, K)["violations"] == []
+    # the K + 2 cycle sends each agent's bound: one more scalar breaks it
+    for agent, sent in spec.sent_scalars_by_agent.items():
+        more = replace(spec, sent_scalars_by_agent={**spec.sent_scalars_by_agent,
+                                                    agent: sent + 1})
+        assert message_stats([more], tree, K)["violations"] == [(1, agent, sent + 1, sent)]
+
+
+def test_payload_bound_check(kite_instance):
     tree, _, _, stats = _run(kite_instance, cycles=3)
     assert message_stats(stats, tree, num_particles=3)["violations"] == []
-    # one scalar below each agent's exact per-cycle traffic: every send violates
-    monkeypatch.setattr(runtime, "PAYLOAD_SLACK", -1)
-    tight = message_stats(stats, tree, num_particles=3)
-    assert sorted(tight["violations"]) == [
-        (cycle, agent, sent, sent - 1) for cycle in (1, 2, 3)
-        for agent, sent in ((0, 21), (1, 6), (2, 9), (3, 9))]
+    # the bound with K + 2 = 5 BEST scalars; the root's stub sends 4 per child
+    bounds = {0: 3 * 3 + 3 * 5, 1: 3 + 3, 2: 2 * 3 + 3, 3: 2 * 3 + 3}
+    over = [replace(st, sent_scalars_by_agent={a: bounds[a] + 1 for a in bounds}) for st in stats]
+    assert sorted(message_stats(over, tree, num_particles=3)["violations"]) == [
+        (cycle, agent, bound + 1, bound) for cycle in (1, 2, 3) for agent, bound in bounds.items()]
 
 
 def test_deadlock_on_withheld_cost(kite_instance):

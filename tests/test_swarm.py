@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from cdcop import CdcopInstance, CostFunction, Domain, build_bfs, global_cost
 from cdcop.expressions import Mul, Var
-from cdcop.runtime import SyncRuntime
+from cdcop.runtime import DeadlockDetected, SyncRuntime
 from cdcop.swarm import (
     AdaptiveInertia,
     ConfigError,
@@ -15,7 +15,6 @@ from cdcop.swarm import (
     CrossoverDraws,
     FixedInertia,
     GcpsoControl,
-    MissingMessage,
     SwarmAgent,
     SwarmConfig,
     agent_stream,
@@ -607,10 +606,18 @@ def test_initialization_streams_differ_by_agent(kite_instance):
 
 
 def test_missing_message_guard(kite_instance):
+    """The runtime stops a cycle at a short VALUE mailbox: no agent's
+    ``handle_values`` sees it."""
     tree = build_bfs(kite_instance, 0)
-    agent = SwarmAgent(0, kite_instance, tree, SwarmConfig(num_particles=4, t_max=5))
-    with pytest.raises(MissingMessage):
-        agent.handle_values({1: np.zeros(4)})  # expects 3 neighbors
+    cfg = SwarmConfig(num_particles=4, t_max=5)
+    agents = [SwarmAgent(i, kite_instance, tree, cfg) for i in range(4)]
+    agents[2].value_payload = lambda: None  # agent 2 sends no position
+    handled = []
+    for agent in agents:
+        agent.handle_values = lambda box, i=agent.id: handled.append(i)
+    with pytest.raises(DeadlockDetected, match=r"^agent 0 never received VALUE from \[2\]$"):
+        SyncRuntime(tree).run_cycle(agents, 1)
+    assert handled == []
 
 
 # --- solve -------------------------------------------------------------------------
