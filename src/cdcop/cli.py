@@ -212,6 +212,10 @@ def _cmd_experiment(args) -> int:
     summary = run_experiment(cfg)
     print(emit_anytime_table(summary, cfg.variants))
     print(f"traces in {cfg.out_dir}, checks passed: {summary['all_checks_passed']}")
+    for run in summary.get("failed_runs", []):
+        for name in run["checks"]:
+            print(f"check failed: {name} (instance {run['instance']}, repeat {run['repeat']}, "
+                  f"variant {run['variant']}, run seed {run['run_seed']})", file=sys.stderr)
     return 0 if summary["all_checks_passed"] else 1
 
 

@@ -7,10 +7,12 @@ bit-identical to the message-passing one:
 
 * :class:`LocalCosts` evaluates each constraint once per cycle (the agents
   evaluate it at both endpoints). Constraints with equal compiled programs
-  share blocks; each block's program is bound to its buffers once, and a
-  cycle runs every bound call in place. It sums every agent's incident
-  values in ascending function id, starting from +0.0, as ``handle_values``
-  does.
+  share blocks; each block's program is bound to its buffers once. A cycle
+  runs the blocks one by one, each gathering its own edges' endpoints just
+  before its calls, into one buffer sized for the largest block. It sums
+  every agent's incident values in ascending function id, starting from
+  +0.0, as ``handle_values`` does, and gathers the values those sums read
+  a chunk of columns at a time into one reused buffer.
 * :class:`TreeSchedule` adds children into parents level by level, deepest
   first and in child order, halves the root last, and takes the message
   counts and payload sizes from ``runtime.cycle_traffic`` and the message
@@ -50,22 +52,25 @@ class LocalCosts:
 
     Edges are grouped by the program ``compile_skeleton`` gives their
     expression and evaluated in blocks of about ``BLOCK_ELEMENTS`` elements.
-    Each block's program is bound once to its registers: its rows of the
-    gathered endpoints and of the value buffer, shared temps, and its
+    Each block's program is bound once to its registers: its block's
+    endpoints, its rows of the value buffer, shared temps, and its
     constants. Every operand is full size: the constants are built once as
     ``(edges, K)`` arrays, or passed as Python floats where the whole block
-    shares one. A call gathers both endpoints of every edge once, then runs
-    the bound calls of all blocks in one loop, which writes each function's
-    values in place into its row of the value buffer.
+    shares one. A call runs the blocks one by one: each gathers both
+    endpoints of its edges into one contiguous ``(2, edges, K)`` buffer
+    sized for the largest block, then runs its bound calls, which write each
+    function's values in place into its row of the value buffer.
 
     Each agent's sum starts at +0.0 and adds, or for maximization subtracts,
     its incident values in ascending function id, as ``handle_values`` does.
     The sums run over the agents in descending degree, so the agents that
     take their j-th value are a prefix of that order and no row is padded;
-    one gather puts them back in agent order. The values the sums add are
-    gathered with one call too, the j-th values of all agents into one
-    contiguous block of rows. All buffers are allocated once: a call
-    allocates no array, and its result is overwritten by the next call.
+    one gather puts them back in agent order. Column j holds the j-th values
+    of those agents. The columns are gathered a chunk at a time into one
+    reused buffer, right before the adds that read them: a chunk holds
+    consecutive columns of at most one block's rows in all, or one column
+    that is longer. All buffers are allocated once: a call allocates no
+    array, and its result is overwritten by the next call.
     """
 
     def __init__(self, inst: CdcopInstance, num_particles: int):
@@ -77,27 +82,29 @@ class LocalCosts:
 
         num_edges = inst.num_edges
         block_edges = max(1, BLOCK_ELEMENTS // K)
+        widest = min(block_edges, num_edges)
         self.values = np.empty((num_edges, K))
-        # edge e's endpoint positions are ends[0, e] (slot x0) and ends[1, e] (slot x1)
-        self._scope = np.empty((2, num_edges), dtype=np.intp)
-        self._ends = np.empty((2, num_edges, K))
-        pool = np.empty((max((t for t, _ in groups.values()), default=0),
-                         min(block_edges, num_edges), K))
+        # a block of m edges gathers into the leading 2*m*K elements, as one
+        # contiguous (2, m, K) array: a take into a strided view allocates
+        ends = np.empty(2 * widest * K)
+        pool = np.empty((max((t for t, _ in groups.values()), default=0), widest, K))
         row_of: dict[int, int] = {}  # function id -> row of the value buffer
-        self.blocks = []  # each block's program, bound to its registers
+        # each block's (2, edges) endpoint agents, endpoint buffer (x0's rows
+        # then x1's) and program bound to its registers
+        self.blocks = []
         for program, (num_temps, members) in groups.items():
             for lo in range(0, len(members), block_edges):
                 block = members[lo:lo + block_edges]
                 rows = slice(len(row_of), len(row_of) + len(block))
                 for f, _ in block:
                     row_of[f.id] = len(row_of)
-                self._scope[:, rows] = np.array([f.scope for f, _ in block], dtype=np.intp).T
+                scope = np.array([f.scope for f, _ in block], dtype=np.intp).T.copy()
+                block_ends = ends[:2 * len(block) * K].reshape(2, len(block), K)
                 consts = np.array([c for _, c in block], dtype=float).reshape(len(block), -1)
-                self.blocks.append(bind(program, [
-                    self._ends[0, rows], self._ends[1, rows], self.values[rows],
+                self.blocks.append((scope, block_ends, bind(program, [
+                    block_ends[0], block_ends[1], self.values[rows],
                     *(temp[:len(block)] for temp in pool[:num_temps]),
-                    *(_constant_operand(c, K) for c in consts.T)]))
-        self._calls = [call for block in self.blocks for call in block]
+                    *(_constant_operand(c, K) for c in consts.T)])))
 
         self._functions = inst.functions
         incident = [[row_of[fid] for fid in incident_functions(inst, agent)]
@@ -110,23 +117,29 @@ class LocalCosts:
         # rows of agents with no incident function stay +0.0 from here on
         self._sorted = np.zeros((inst.num_agents, K))
         self._local = np.empty((inst.num_agents, K))
-        # column j: the j-th incident value of every agent that has one, in that
-        # order; all columns are gathered at once, each into its own block of
-        # rows of ``_terms``, and column j is added into the leading rows of
-        # ``_sorted``, column 0 onto +0.0 (a 0-d array: numpy converts a float
-        # operand on every call) and every later one onto the sums
         columns = [[incident[agent][j] for agent in order if len(incident[agent]) > j]
                    for j in range(width)]
-        self._gather = np.array([row for column in columns for row in column], dtype=np.intp)
-        self._terms = np.empty((len(self._gather), K))
-        self.columns = []
-        start = 0
-        zero = np.zeros(())
+        chunks = []  # runs of consecutive columns
         for column in columns:
-            total = self._sorted[:len(column)]
-            self.columns.append((total if self.columns else zero,
-                                 self._terms[start:start + len(column)], total))
-            start += len(column)
+            if not chunks or sum(map(len, chunks[-1])) + len(column) > block_edges:
+                chunks.append([])
+            chunks[-1].append(column)
+        terms = np.empty((max((sum(map(len, chunk)) for chunk in chunks), default=0), K))
+        # each chunk's value rows, its leading rows of ``terms`` they are
+        # gathered into, and its columns' adds: column j is added into the
+        # leading rows of ``_sorted``, column 0 onto +0.0 (a 0-d array: numpy
+        # converts a float operand on every call) and every later one onto the sums
+        self.chunks = []
+        zero = np.zeros(())
+        for chunk in chunks:
+            gather = np.array([row for column in chunk for row in column], dtype=np.intp)
+            adds, offset = [], 0
+            for column in chunk:
+                total = self._sorted[:len(column)]
+                adds.append((total if self.chunks or adds else zero,
+                             terms[offset:offset + len(column)], total))
+                offset += len(column)
+            self.chunks.append((gather, terms[:len(gather)], adds))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Every agent's local fitness at positions ``x``.
@@ -134,11 +147,12 @@ class LocalCosts:
         A zero denominator raises DivisionByZero naming the function that
         the agents would meet first, found with ``eval_expr``.
         """
-        # mode="clip" writes straight into ``out``; the default buffers it
-        x.take(self._scope, axis=0, out=self._ends, mode="clip")
         try:
-            for fn, args in self._calls:
-                fn(*args)
+            for scope, ends, calls in self.blocks:
+                # mode="clip" writes straight into ``out``; the default buffers it
+                x.take(scope, axis=0, out=ends, mode="clip")
+                for fn, args in calls:
+                    fn(*args)
         except DivisionByZero:
             # the agents meet the functions agent by agent, each in ascending id
             for f in sorted(self._functions, key=lambda f: (min(f.scope), f.id)):
@@ -147,10 +161,11 @@ class LocalCosts:
                 except DivisionByZero:
                     raise zero_denominator(f) from None
             raise
-        self.values.take(self._gather, axis=0, out=self._terms, mode="clip")
         accumulate = self._accumulate
-        for start, term, total in self.columns:
-            accumulate(start, term, out=total)
+        for gather, terms, adds in self.chunks:
+            self.values.take(gather, axis=0, out=terms, mode="clip")
+            for start, term, total in adds:
+                accumulate(start, term, out=total)
         self._sorted.take(self._place, axis=0, out=self._local, mode="clip")
         return self._local
 

@@ -170,15 +170,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     The summary's ``all_checks_passed`` flag covers the anytime property of
     every trace, the exact per-cycle message-count law, and the per-agent
-    payload bound; the CLI exit code mirrors it. Once the instances are
-    loaded, the trace files and summary an earlier run left in ``out_dir``
-    are removed, so the directory holds this run's outputs only.
+    payload bound; the CLI exit code mirrors it. When a run fails a check,
+    ``failed_runs`` lists each such run: its instance, repeat, variant, run
+    seed and the names of the checks it failed; a clean summary has no
+    such key. Once the instances are loaded and their trees built, the
+    trace files and summary an earlier run left in ``out_dir`` are removed,
+    so the directory holds this run's outputs only.
     """
     cfg.validate()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     instances = _load_instances(cfg)
+    trees = [build_bfs(inst, cfg.root) for inst in instances]
     for path in out_dir.iterdir():
         if path.name == "summary.json" or _TRACE_NAME.fullmatch(path.name):
             path.unlink()
@@ -186,9 +190,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     curve_sums: dict[str, np.ndarray] = {v: np.zeros(cfg.swarm.t_max) for v in cfg.variants}
     run_count = 0
     checks = {"anytime": True, "message_law": True, "payload_bound": True}
+    failed_runs = []
 
-    for idx, inst in enumerate(instances):
-        tree = build_bfs(inst, cfg.root)
+    for idx, (inst, tree) in enumerate(zip(instances, trees)):
         per_variant_finals: dict[str, list[float]] = {v: [] for v in cfg.variants}
         for rep in range(cfg.repeats):
             for variant in cfg.variants:
@@ -203,8 +207,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 write_trace_csv(out_dir / trace_filename(idx, rep, variant), trace)
                 run_count += 1
 
-                for name, ok in verify_trace(trace, tree, run_cfg.num_particles).items():
-                    checks[name] = checks[name] and ok
+                failed = [name for name, ok in
+                          verify_trace(trace, tree, run_cfg.num_particles).items() if not ok]
+                if failed:
+                    checks.update(dict.fromkeys(failed, False))
+                    failed_runs.append({"instance": idx, "repeat": rep, "variant": variant,
+                                        "run_seed": run_cfg.seed, "checks": failed})
 
                 per_variant_finals[variant].append(trace.best_internal)
                 curve_sums[variant] += np.array(trace.display_series())
@@ -224,6 +232,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "checks": checks,
         "all_checks_passed": all(checks.values()),
     }
+    if failed_runs:
+        summary["failed_runs"] = failed_runs
     mean_final: dict[str, list[float]] = {}
     for variant in cfg.variants:
         per_instance = [float(np.mean(finals)) for finals in final_internal[variant]]

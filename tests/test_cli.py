@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from cdcop import build_bfs, cli
+from cdcop import build_bfs, cli, experiment
 from cdcop.benchmarks import BenchSpec
 from cdcop.cli import config_from_json, config_to_json, main
-from cdcop.experiment import ExperimentConfig
+from cdcop.experiment import ExperimentConfig, derive_run_seed
 from cdcop.expressions import format_expr
 from cdcop.model import load_instance, save_instance
 from cdcop.swarm import (AdaptiveInertia, ConfigError, ConstrictionInertia, FixedInertia,
@@ -299,6 +299,43 @@ def test_solve_names_each_failed_check(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("cycles: 3, wall: ")
     assert err[1:] == ["check failed: anytime", "check failed: message_law"]
+
+
+def test_experiment_names_each_failed_run(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "runs"
+
+    def corrupted(inst, cfg, **kwargs):
+        trace = solve(inst, cfg, **kwargs)
+        if cfg.crossover:
+            trace.rows[1].stats.value_count += 1
+        return trace
+
+    monkeypatch.setattr(experiment, "solve", corrupted)
+    assert main(["experiment", "--family", "er", "--n", "5", "--p", "0.7", "-K", "4",
+                 "--cycles", "3", "--seed", "2", "--num-instances", "1", "--repeats", "1",
+                 "--out-dir", str(out_dir)]) == 1
+    seed = derive_run_seed(2, 0, 0, "pcd_crossover")
+    captured = capsys.readouterr()
+    assert "checks passed: False" in captured.out
+    assert captured.err.splitlines() == [
+        f"check failed: message_law (instance 0, repeat 0, variant pcd_crossover, run seed {seed})"]
+    assert json.loads((out_dir / "summary.json").read_text())["failed_runs"] == [
+        {"instance": 0, "repeat": 0, "variant": "pcd_crossover", "run_seed": seed,
+         "checks": ["message_law"]}]
+
+
+def test_experiment_bad_root_keeps_earlier_outputs(tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    argv = ["experiment", "--family", "er", "--n", "4", "--p", "0.9", "-K", "4", "--cycles", "3",
+            "--num-instances", "1", "--repeats", "1", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert "failed_runs" not in json.loads(before["summary.json"])
+    assert len(before) == 3
+    capsys.readouterr()
+    assert main([*argv, "--root", "99"]) == 2
+    assert capsys.readouterr().err == "error: root 99 out of range for 4 agents\n"
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
 
 def test_er200_hub_passes_its_payload_bound(tmp_path):

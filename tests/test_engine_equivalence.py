@@ -196,13 +196,18 @@ def test_hub_matches_reference(objective, crossover, tmp_path):
 
 def test_group_over_several_blocks_matches_reference(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 3 * 12)  # blocks of 3 edges
-    inst = generate(FAMILIES["er"])
     cfg = SwarmConfig(num_particles=12, t_max=30, crossover=True, seed=8)
-    local_costs = LocalCosts(inst, cfg.num_particles)
-    assert len(local_costs.blocks) == -(-inst.num_edges // 3)
-    assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
-                         reference_solve(inst, cfg, record_probes=True, log_messages=True),
-                         tmp_path)
+    for inst in (generate(FAMILIES["er"]), make_instance(7, HUB)):
+        local_costs = LocalCosts(inst, cfg.num_particles)
+        assert len(local_costs.blocks) == -(-inst.num_edges // 3)
+        # column 0 holds every agent, more rows than a block, so it is a chunk alone
+        gather, _, adds = local_costs.chunks[0]
+        assert len(adds) == 1 and len(gather) == inst.num_agents > 3
+        assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
+                             reference_solve(inst, cfg, record_probes=True, log_messages=True),
+                             tmp_path)
+    # the hub's columns 1-5 hold one row each: chunks of three columns and two
+    assert [len(adds) for _, _, adds in local_costs.chunks] == [1, 3, 2]
 
 
 def test_two_particles_match_reference(tmp_path):
@@ -247,6 +252,23 @@ def test_warm_local_costs_call_allocates_no_array(spec):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 1024
+
+
+def test_local_costs_holds_no_whole_instance_gather_buffer():
+    """Building ``LocalCosts`` for er n=50 at K=200 peaks near 2.3 MB, most
+    of it the per-edge constants (1.07 MB) and the value buffer (357 KB).
+    Endpoints are gathered a block at a time (at most 81 edges) and incident
+    values a chunk at a time; gather buffers for all 223 edges' endpoints
+    and all 446 incident values would take 713 KB each."""
+    inst = generate(BenchSpec("er", n=50, p=0.2, seed=1))
+    assert inst.num_edges == 223
+    tracemalloc.start()
+    try:
+        LocalCosts(inst, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
 
 
 # two distinct floats (0.0 and -0.0 are equal) in ascending order
