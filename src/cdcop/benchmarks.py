@@ -75,6 +75,8 @@ def generate(spec: BenchSpec) -> CdcopInstance:
     """
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}; choose from {tuple(FAMILIES)}")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {spec.seed}")
     generator, reads = FAMILIES[spec.family]
     check_reads(spec.family, [k for k in ("domain", "coeff_range") if getattr(spec, k) is not None])
     return generator(**{k: getattr(spec, k) for k in reads if getattr(spec, k) is not None},

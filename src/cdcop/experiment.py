@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of bench spec or instance file must be given")
         if self.bench is not None and self.num_instances < 1:
             raise ValueError(f"num_instances must be >= 1, got {self.num_instances}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed}")
 
 
 def _mix(master: int, key: tuple[int, ...]) -> int:
@@ -173,16 +175,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     payload bound; the CLI exit code mirrors it. When a run fails a check,
     ``failed_runs`` lists each such run: its instance, repeat, variant, run
     seed and the names of the checks it failed; a clean summary has no
-    such key. Once the instances are loaded and their trees built, the
-    trace files and summary an earlier run left in ``out_dir`` are removed,
-    so the directory holds this run's outputs only.
+    such key. Once the instances are loaded and their trees built,
+    ``out_dir`` is made if need be and the trace files and summary an earlier
+    run left there are removed, so the directory holds this run's outputs
+    only; a run that fails before then leaves no directory behind.
     """
     cfg.validate()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     instances = _load_instances(cfg)
     trees = [build_bfs(inst, cfg.root) for inst in instances]
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for path in out_dir.iterdir():
         if path.name == "summary.json" or _TRACE_NAME.fullmatch(path.name):
             path.unlink()

@@ -65,6 +65,11 @@ __all__ = [
 ]
 
 
+# cycles of random draws held at a time: solve's velocity draws and each
+# CrossoverDraws take this many cycles of a stream per refill, whatever t_max is
+DRAW_CYCLES = 64
+
+
 class ConfigError(ValueError):
     """Invalid solver configuration."""
 
@@ -163,6 +168,8 @@ def validate_config(cfg: SwarmConfig) -> None:
         raise ConfigError("success/failure thresholds must be >= 1")
     if cfg.t_max < 1:
         raise ConfigError(f"t_max must be >= 1, got {cfg.t_max}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if isinstance(cfg.inertia, ConstrictionInertia):
         phi = cfg.inertia.phi
         if phi <= 4.0:
@@ -293,23 +300,27 @@ def crossover_probabilities(local_fitness: np.ndarray, out=None, total=None) -> 
 
 
 class CrossoverDraws:
-    """Each row's crossover stream for cycles 1 to ``t_max``, drawn ahead as doubles,
-    and the scratch buffers ``crossover_rows`` works in for ``(m, K)`` matrices.
+    """Each row's crossover stream, drawn ahead as doubles one block of
+    ``DRAW_CYCLES`` cycles (at most ``t_max``) at a time, and the scratch
+    buffers ``crossover_rows`` works in for ``(m, K)`` matrices.
 
     Row ``i`` of ``buffer`` holds what ``rngs[i]`` yields when every draw is
-    ``random()``: cycle ``t``'s ``a``, ``b`` and ``r`` sit in columns
-    ``3t - 3``, ``3t - 2`` and ``3t - 1``. A row whose ``b`` must be an
-    integer instead calls :meth:`integer`, which rewinds the generator to its
-    state when the row was last filled, skips the doubles used since, takes
-    the integer and refills the rest of the row. The saved state includes
-    PCG64's buffered half of an earlier integer draw, so the stream is the one
-    drawn live: a, then b (``integers`` or ``random``), then r, every cycle.
+    ``random()``: cycle ``t``'s ``a``, ``b`` and ``r`` sit in the three
+    columns from :meth:`column`, which refills every row from its generator
+    when ``t`` starts a new block; cycles come in order, from 1. A row whose
+    ``b`` must be an integer instead calls :meth:`integer`, which rewinds the
+    generator to its state when the row was last filled, skips the doubles
+    used since, takes the integer and refills the rest of the block. The
+    saved state includes PCG64's buffered half of an earlier integer draw, so
+    the stream is the one drawn live: a, then b (``integers`` or ``random``),
+    then r, every cycle.
     """
 
     def __init__(self, rngs: list[np.random.Generator], t_max: int, num_particles: int):
         m, K = len(rngs), num_particles
         self.rngs = rngs
-        self.buffer = np.empty((m, 3 * t_max))
+        self.buffer = np.empty((m, 3 * min(DRAW_CYCLES, t_max)))
+        self.first_cycle = 1  # the cycle whose draws open the buffer
         self._states: list = [None] * m
         self._filled_from = [0] * m
         for i in range(m):
@@ -337,6 +348,14 @@ class CrossoverDraws:
         self._filled_from[i] = column
         rng.random(out=self.buffer[i, column:])
 
+    def column(self, t: int) -> int:
+        """The column of cycle ``t``'s ``a``, after a refill if ``t`` starts a new block."""
+        if 3 * (t - self.first_cycle) >= self.buffer.shape[1]:
+            self.first_cycle = t
+            for i in range(len(self.rngs)):
+                self._fill(i, 0)
+        return 3 * (t - self.first_cycle)
+
     def draw(self, u: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Per row of ``cdf``, ``searchsorted(u * cdf[-1], side="right")`` capped
         at the last index.
@@ -353,7 +372,7 @@ class CrossoverDraws:
         return self.above.argmax(axis=1, out=index)
 
     def integer(self, i: int, column: int, high: int) -> int:
-        """Row ``i``'s draw at ``column`` taken as ``integers(0, high)``."""
+        """Row ``i``'s draw at ``column`` of the block taken as ``integers(0, high)``."""
         rng = self.rngs[i]
         rng.bit_generator.state = self._states[i]
         rng.random(column - self._filled_from[i])
@@ -379,7 +398,7 @@ def crossover_rows(x: np.ndarray, v: np.ndarray, local_fitness: np.ndarray,
     alone this cycle; they live in ``draws`` until its next call.
     """
     K = x.shape[1]
-    col = 3 * t - 3
+    col = draws.column(t)
     a, b = draws.columns
     flat_a, flat_b = draws.flat
     weights = crossover_probabilities(local_fitness, draws.weights, draws.total)
@@ -576,6 +595,30 @@ class RunTrace:
         return [row.best_cost for row in self.rows]
 
 
+def _velocity_draws(cfg: SwarmConfig, n: int):
+    """Per cycle, the inertia weight and every agent's r1*c1, r2*c2 and walk
+    1 - 2*r2 as (n, 1) columns, made ``DRAW_CYCLES`` cycles at a time into
+    buffers reused from block to block. For PCG64 one draw of a block's
+    pairs is the stream of one ``random()`` pair per cycle; the column views
+    are made once per run, and a block's weights have the per-cycle bits."""
+    rngs = [agent_stream(cfg.seed, i, 1) for i in range(n)]
+    cycles = min(DRAW_CYCLES, cfg.t_max)
+    draws = np.empty((n, 2 * cycles))
+    r1c1, r2c2 = draws[:, 0::2], draws[:, 1::2]
+    walk = np.empty((n, cycles))
+    columns = [list(a.T[:, :, None]) for a in (r1c1, r2c2, walk)]
+    for first in range(1, cfg.t_max + 1, cycles):
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        np.multiply(2.0, r2c2, out=walk)
+        np.subtract(1.0, walk, out=walk)
+        r1c1 *= cfg.c1
+        r2c2 *= cfg.c2
+        block = np.arange(first, min(first + cycles, cfg.t_max + 1))
+        weights = np.full(len(block), inertia_weight(cfg.inertia, block, cfg.t_max)).tolist()
+        yield from zip(weights, *columns)
+
+
 def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
           record_probes: bool = False, log_messages: bool = False) -> RunTrace:
     """Run the swarm for ``cfg.t_max`` cycles and return the anytime trace.
@@ -584,11 +627,14 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     cycle is a few array operations; the trace is bit-identical to driving
     one ``SwarmAgent`` per agent through ``SyncRuntime``, and so are the
     message counts, payload sizes and, with ``log_messages``, the message
-    log, which are derived from the tree. Without ``tree`` the pseudo-tree
-    is ``build_bfs(inst)``, rooted at agent 0; ``tree=build_bfs(inst, r)``
-    roots it at ``r``. ``record_probes`` additionally
-    stores, per cycle, the full position matrix that was evaluated and the
-    root's fitness vector, for cross-checking against the centralized oracle.
+    log, which are derived from the tree. The random draws are made
+    ``DRAW_CYCLES`` cycles at a time into buffers reused from block to
+    block, so of what a run holds only the trace grows with ``t_max``.
+    Without ``tree`` the pseudo-tree is ``build_bfs(inst)``, rooted at agent
+    0; ``tree=build_bfs(inst, r)`` roots it at ``r``. ``record_probes``
+    additionally stores, per cycle, the full position matrix that was
+    evaluated and the root's fitness vector, for cross-checking against the
+    centralized oracle.
     """
     validate_config(cfg)
     if tree is None:
@@ -601,18 +647,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     ub = np.repeat([[d.ub] for d in inst.domains], K, axis=1)
     x = np.array([agent_stream(cfg.seed, i, 0).uniform(d.lb, d.ub, size=K)
                   for i, d in enumerate(inst.domains)])
-    # r1, r2 of cycle t sit in columns 2t-2, 2t-1: for PCG64 one draw of
-    # 2*t_max doubles is the same stream as t_max draws of two
-    draws = np.array([agent_stream(cfg.seed, i, 1).random(2 * cfg.t_max) for i in range(n)])
-    # what the update reads, made once per run: cycle t's inertia weight and
-    # its r1*c1, r2*c2 and walk 1 - 2*r2 as (n, 1) columns are item t-1 of each
-    r1c1, r2c2 = draws[:, 0::2], draws[:, 1::2]
-    walk = 1.0 - 2.0 * r2c2
-    r1c1 *= cfg.c1
-    r2c2 *= cfg.c2
-    cycles = np.arange(1, cfg.t_max + 1)
-    weights = np.full(cfg.t_max, inertia_weight(cfg.inertia, cycles, cfg.t_max)).tolist()
-    updates = zip(weights, *(a.T[:, :, None] for a in (r1c1, r2c2, walk)))
+    updates = _velocity_draws(cfg, n)
     cross_draws = (CrossoverDraws([agent_stream(cfg.seed, i, 2) for i in range(n)], cfg.t_max, K)
                    if cfg.crossover else None)
     scratch = (np.empty((n, K)), np.empty((n, K)), *np.empty((3, n, 1)))  # pso_step's

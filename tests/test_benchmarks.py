@@ -146,6 +146,11 @@ def test_overrides_follow_the_family_table(family, override):
     assert (inst.domains[0] == Domain(-1.0, 1.0)) == (override == "domain")
 
 
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+        generate(BenchSpec("er", n=4, p=0.9, seed=-3))
+
+
 @pytest.mark.parametrize("domain, coeff_range, error", [
     ((1.0, -1.0), (-5.0, 5.0), ValueError),
     ((-1.0, float("nan")), (-5.0, 5.0), ValueError),

@@ -197,8 +197,9 @@ def test_malformed_instance_is_usage_error(tmp_path, capsys, change, message):
     ({"inertia": {"kind": "adaptive", "w_max": None}}, "w_max"),
     ({"inertia": {"kind": "adaptive", "literal_increasing": 1}}, "literal_increasing"),
     ({"inertia": {"kind": "constriction", "phi": [4.1]}}, "phi"),
+    ({"seed": -2}, "seed"),
 ], ids=["seed", "max_sc", "num_particles", "max_fc", "c1", "c2", "crossover",
-        "w", "w_max", "literal_increasing", "phi"])
+        "w", "w_max", "literal_increasing", "phi", "negative_seed"])
 def test_malformed_config_is_usage_error(tmp_path, capsys, doc, field):
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         validate_config(config_from_json(json.dumps(doc)))
@@ -271,7 +272,7 @@ def test_constant_zero_denominator_is_rejected_at_load(tmp_path, capsys):
     assert main(["experiment", "--instance", str(inst_path), *flags, "--repeats", "1",
                  "--variants", "pcd", "--out-dir", str(runs)]) == 2
     assert capsys.readouterr().err == "error: function 0 divides by a constant zero\n"
-    assert list(runs.iterdir()) == []
+    assert not runs.exists()
 
 
 def test_exponent_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
@@ -324,10 +325,28 @@ def test_experiment_names_each_failed_run(tmp_path, monkeypatch, capsys):
          "checks": ["message_law"]}]
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["solve", "{inst}", "-K", "4", "--cycles", "3", "--seed", "-1"], -1),
+    (["gen", "--family", "er", "--n", "4", "--p", "0.9", "--seed", "-3", "--out", "{out}"], -3),
+    (["experiment", "--instance", "{inst}", "-K", "4", "--cycles", "3", "--seed", "-1",
+      "--out-dir", "{out}"], -1),
+], ids=["solve", "gen", "experiment"])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, argv, seed):
+    inst_path, out = tmp_path / "inst.json", tmp_path / "out"
+    inst_path.write_text(json.dumps(_INSTANCE))
+    assert main([arg.format(inst=inst_path, out=out) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert not out.exists()
+
+
 def test_experiment_bad_root_keeps_earlier_outputs(tmp_path, capsys):
+    """A bad root makes no out dir, and leaves an earlier run's outputs as they were."""
     out_dir = tmp_path / "runs"
     argv = ["experiment", "--family", "er", "--n", "4", "--p", "0.9", "-K", "4", "--cycles", "3",
             "--num-instances", "1", "--repeats", "1", "--out-dir", str(out_dir)]
+    assert main([*argv, "--root", "99"]) == 2
+    assert capsys.readouterr().err == "error: root 99 out of range for 4 agents\n"
+    assert not out_dir.exists()
     assert main(argv) == 0
     before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
     assert "failed_runs" not in json.loads(before["summary.json"])

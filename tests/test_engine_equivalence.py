@@ -298,20 +298,22 @@ def _random_runs(draw):
 
 class _LiveDraws(CrossoverDraws):
     """``CrossoverDraws`` whose integer draw replays its row's stream from the
-    start, live: one double per column before it, or an integer at each column
-    that took one. The class under test rewinds to a saved state instead."""
+    start of the run, live: one double per column before it, or an integer at
+    each column that took one. The class under test rewinds to a saved state
+    instead."""
 
     def __init__(self, rngs, t_max, num_particles):
         self._start = [rng.bit_generator.state for rng in rngs]
-        self._taken = [{} for _ in rngs]  # per row: column -> high of its integer draw
+        self._taken = [{} for _ in rngs]  # per row: run column -> high of its integer draw
         super().__init__(rngs, t_max, num_particles)
 
     def integer(self, i, column, high):
         rng, taken = self.rngs[i], self._taken[i]
+        run_column = 3 * (self.first_cycle - 1) + column  # counted from cycle 1's a
         rng.bit_generator.state = self._start[i]
-        for c in range(column):
+        for c in range(run_column):
             rng.integers(0, taken[c]) if c in taken else rng.random()
-        taken[column] = high
+        taken[run_column] = high
         value = int(rng.integers(0, high))
         rng.random(out=self.buffer[i, column + 1:])
         return value

@@ -134,6 +134,9 @@ def test_config_validation(tmp_path):
         run_experiment(_tiny_config(tmp_path, bench=None))
     with pytest.raises(ValueError, match="num_instances"):
         run_experiment(_tiny_config(tmp_path, num_instances=0))
+    with pytest.raises(ValueError, match="^master_seed must be a non-negative integer, got -1$"):
+        run_experiment(_tiny_config(tmp_path / "runs", master_seed=-1))
+    assert not (tmp_path / "runs").exists()
 
 
 def test_emit_anytime_table(tmp_path):

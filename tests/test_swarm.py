@@ -1,11 +1,13 @@
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cdcop import CdcopInstance, CostFunction, Domain, build_bfs, global_cost
+from cdcop import CdcopInstance, CostFunction, Domain, build_bfs, global_cost, swarm
+from cdcop.benchmarks import BenchSpec, generate
 from cdcop.expressions import Mul, Var
 from cdcop.runtime import DeadlockDetected, SyncRuntime
 from cdcop.swarm import (
@@ -36,6 +38,7 @@ from conftest import (
     KITE_ROOT_FITNESS,
     KITE_UPDATED_V,
     KITE_UPDATED_X,
+    make_instance,
     neg_pow_chain,
     sum_chain,
 )
@@ -92,6 +95,7 @@ def test_config_defaults_valid():
     SwarmConfig(t_max=0),
     SwarmConfig(inertia=ConstrictionInertia(3.9), c1=1.95, c2=1.95),
     SwarmConfig(inertia=ConstrictionInertia(4.1)),  # phi != c1 + c2
+    SwarmConfig(seed=-1),
 ])
 def test_config_rejections(bad):
     with pytest.raises(ConfigError):
@@ -323,8 +327,10 @@ CYCLE_KINDS = ["flat flat normal flat flat flat zero".split(),
 
 
 @pytest.mark.parametrize("K", [2, 3, 7])
-def test_crossover_draw_stream_matches_live_generator(K):
-    """The pre-drawn streams give what each agent's generator yields live."""
+def test_crossover_draw_stream_matches_live_generator(K, monkeypatch):
+    """The pre-drawn streams, in blocks of three cycles, give what each agent's
+    generator yields live; integer draws fall in the second block."""
+    monkeypatch.setattr(swarm, "DRAW_CYCLES", 3)
     m, t_max = len(CYCLE_KINDS), len(CYCLE_KINDS[0])
     data = np.random.default_rng(K)
     x, v = data.normal(size=(m, K)), data.normal(size=(m, K))
@@ -351,10 +357,12 @@ def test_crossover_draw_stream_matches_live_generator(K):
 
 
 @pytest.mark.parametrize("m", [1, 4], ids=["agent_row", "solve_rows"])
-def test_crossover_workspace_reuse_matches_fresh_buffers(m):
+def test_crossover_workspace_reuse_matches_fresh_buffers(m, monkeypatch):
     """Each cycle, the reused workspace gives what a copy of the draws with
     fresh (garbage-filled) scratch gives; and the update keeps exactly the
-    fully crossed elements. m = 1 is the agent's one-row shape."""
+    fully crossed elements. m = 1 is the agent's one-row shape. The integer
+    draw of cycle 5 opens the second block of four cycles."""
+    monkeypatch.setattr(swarm, "DRAW_CYCLES", 4)
     K, t_max = 5, 6
     data = np.random.default_rng(m)
     x, v = data.uniform(-5, 5, size=(m, K)), data.normal(size=(m, K))
@@ -375,7 +383,7 @@ def test_crossover_workspace_reuse_matches_fresh_buffers(m):
         # new scratch, garbage-filled in place (some buffers are views of others),
         # with a copy of the streams as they stand
         fresh = CrossoverDraws([agent_stream(8, i, 2) for i in range(m)], t_max, K)
-        for name in ("rngs", "buffer", "_states", "_filled_from"):
+        for name in ("rngs", "buffer", "first_cycle", "_states", "_filled_from"):
             setattr(fresh, name, copy.deepcopy(getattr(draws, name)))
         for name, buf in vars(fresh).items():  # every scratch buffer: all arrays but the draws
             if isinstance(buf, np.ndarray) and name not in ("buffer", "offsets"):
@@ -406,6 +414,50 @@ def test_crossover_workspace_reuse_matches_fresh_buffers(m):
             assert got[kept].tobytes() == before[kept].tobytes()
             assert got[~kept].tobytes() == free[~kept].tobytes()
             assert np.all(got[~kept] != before[~kept])
+
+
+def test_draw_block_does_not_change_the_trace(monkeypatch, tmp_path):
+    """Drawing the streams 1, 7 or all t_max cycles at a time gives the same
+    trace, and with blocks of 7 cycles b's integer draw runs in a later block:
+    two of the three particles clamped to 0.0 leave one nonzero crossover
+    weight. (With two particles, crossover moves both every cycle and the
+    swarm settles by cycle 3.)"""
+    inst = make_instance(3, [((0, 1), "(* x0 x1)"), ((1, 2), "(* x0 x1)")], domain=(0.0, 1.0))
+    t_max = 30
+    blocks = []  # per integer draw: the block size and the cycle its block opens with
+    integer = CrossoverDraws.integer
+
+    def spy(self, i, column, high):
+        blocks.append((swarm.DRAW_CYCLES, self.first_cycle))
+        return integer(self, i, column, high)
+
+    monkeypatch.setattr(CrossoverDraws, "integer", spy)
+    for crossover in (False, True):
+        cfg = SwarmConfig(num_particles=3, t_max=t_max, crossover=crossover, seed=2)
+        traces = []
+        for cycles in (t_max, 1, 7):
+            monkeypatch.setattr(swarm, "DRAW_CYCLES", cycles)
+            traces.append(solve(inst, cfg, record_probes=True, log_messages=True))
+        for trace in traces[1:]:
+            assert_bit_identical(trace, traces[0], tmp_path)
+    assert any(cycles == 7 and first > 7 for cycles, first in blocks)
+
+
+def test_solve_memory_does_not_grow_with_t_max():
+    """The random draws are held a block of cycles at a time, so a run five
+    times longer peaks about 0.4 MiB higher, for its trace rows; drawn for
+    the whole run, they made it peak 6.4 MiB higher."""
+    inst = generate(BenchSpec("sensor", rows=8, cols=8, seed=1))
+    peaks = []
+    for t_max in (500, 2500):
+        cfg = SwarmConfig(num_particles=8, t_max=t_max, crossover=True, seed=1)
+        tracemalloc.start()
+        try:
+            solve(inst, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2 ** 20
 
 
 def test_crossover_probabilities_degenerate_uniform():
