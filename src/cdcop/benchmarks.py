@@ -103,6 +103,8 @@ def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_rang
     lo, hi = coeff_range
     if not -np.inf < lo <= hi < np.inf:
         raise ValueError(f"coeff_range must be finite with low <= high, got {coeff_range}")
+    if not np.isfinite(hi - lo):  # coefficients are drawn uniformly over the width
+        raise ValueError(f"coeff_range is wider than the largest float, got {coeff_range}")
     functions = []
     for fid, (u, v) in enumerate(edges):
         a, b, c = (float(w) for w in rng.uniform(lo, hi, size=3))

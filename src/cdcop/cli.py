@@ -112,7 +112,10 @@ def _given(args, *classes) -> dict:
 
 def _build_config(args) -> SwarmConfig:
     """Load the config file's document, or an empty one, with the given flags written over it."""
-    doc = json.loads(args.config.read_text()) if args.config else {}
+    try:
+        doc = json.loads(args.config.read_text()) if args.config else {}
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{args.config}: {e}") from None
     if isinstance(doc, dict):  # else the loader rejects it
         doc.update(_given(args, SwarmConfig))
         if getattr(args, "variant", None):

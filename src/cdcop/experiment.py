@@ -122,15 +122,10 @@ def read_trace_csv(path) -> dict[str, list]:
     if header != TRACE_HEADER.split(","):
         raise ValueError(f"{path}: unexpected trace header {header}")
     cols: dict[str, list] = {name: [] for name in header}
+    kinds = (int, float, int, float, int, int, int)  # each column's type, in header order
     for line in lines[1:]:
-        parts = line.split(",")
-        cols["cycle"].append(int(parts[0]))
-        cols["elapsed_ms"].append(float(parts[1]))
-        cols["hops"].append(int(parts[2]))
-        cols["g_best_cost"].append(float(parts[3]))
-        cols["messages_value"].append(int(parts[4]))
-        cols["messages_cost"].append(int(parts[5]))
-        cols["messages_best"].append(int(parts[6]))
+        for name, kind, part in zip(header, kinds, line.split(","), strict=True):
+            cols[name].append(kind(part))
     return cols
 
 

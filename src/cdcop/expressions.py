@@ -16,8 +16,8 @@ walks a tree and is the reference. ``compile_skeleton`` is the one
 compiler: it turns a tree into a program, a tuple of ufunc calls over
 numbered registers, and its constants. ``bind`` resolves the registers to
 arrays once, so a bound program runs as a plain loop of ``fn(*args)``;
-``compile_expr`` binds and runs one per call. No function here recurses, so
-a tree of any depth parses, formats, evaluates, compiles and compares.
+``compile_expr`` binds one once and runs it per call. No function here
+recurses, so a tree of any depth parses, formats, evaluates, compiles and compares.
 """
 
 import math
@@ -509,20 +509,20 @@ def bind(program: tuple, registers: list) -> tuple:
                  for fn, operands in program)
 
 
-def compile_expr(expr: Expression):
-    """``f(a, b)``: ``compile_skeleton(expr)``'s program run with its constants.
-
-    Each call evaluates into a new array of the broadcast shape of ``a`` and
-    ``b``, 0-d for scalars, and returns it. This is what each
-    ``SwarmAgent`` evaluates.
+def compile_expr(expr: Expression, a, b):
+    """``evaluate()``: ``compile_skeleton(expr)``'s program bound once to
+    ``a``, ``b``, its constants and an ``out`` and temps of ``a`` and ``b``'s
+    broadcast shape. A call reads what ``a`` and ``b`` hold then, allocates
+    no array and returns ``out``, which the next call overwrites. This is
+    what each ``SwarmAgent`` evaluates.
     """
     program, consts, num_temps = compile_skeleton(expr)
+    shape = np.broadcast(a, b).shape
+    out, *temps = (np.empty(shape) for _ in range(1 + num_temps))
+    calls = bind(program, [a, b, out, *temps, *consts])
 
-    def evaluate(a, b):
-        shape = np.broadcast(a, b).shape
-        out = np.empty(shape)
-        temps = [np.empty(shape) for _ in range(num_temps)]
-        for fn, args in bind(program, [a, b, out, *temps, *consts]):
+    def evaluate():
+        for fn, args in calls:
             fn(*args)
         return out
 

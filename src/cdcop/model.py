@@ -141,6 +141,8 @@ def validate_instance(inst: CdcopInstance) -> list[str]:
             out.append(f"domain {i} has non-finite bounds [{d.lb}, {d.ub}]")
         elif d.lb >= d.ub:
             out.append(f"degenerate domain {i}: [{d.lb}, {d.ub}]")
+        elif not np.isfinite(d.ub - d.lb):  # positions are drawn uniformly over the width
+            out.append(f"domain {i} is wider than the largest float: [{d.lb}, {d.ub}]")
     if inst.objective not in ("min", "max"):
         out.append(f"objective must be 'min' or 'max', got {inst.objective!r}")
 
@@ -250,4 +252,7 @@ def save_instance(inst: CdcopInstance, path) -> None:
 
 
 def load_instance(path) -> CdcopInstance:
-    return instance_from_json(Path(path).read_text())
+    try:
+        return instance_from_json(Path(path).read_text())
+    except json.JSONDecodeError as e:  # name the file that is not JSON
+        raise InvalidInstanceError([f"{path}: {e}"]) from None

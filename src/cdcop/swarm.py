@@ -455,23 +455,24 @@ class SwarmAgent:
         dom = inst.domains[agent_id]
         self.lb, self.ub = dom.lb, dom.ub
 
-        # incident cost terms: (compiled fn, my scope slot is 0?, neighbor id, sign, function)
-        sign = inst.sign
+        K = cfg.num_particles
+        # written in place from here on: every term's program is bound to it
+        self.x = agent_stream(cfg.seed, agent_id, 0).uniform(self.lb, self.ub, size=K)
+        # incident terms: (evaluate(), neighbor's VALUE buffer, neighbor id, function)
         self.terms = []
         by_id = {f.id: f for f in inst.functions}
         for fid in incident_functions(inst, agent_id):
             f = by_id[fid]
+            received = np.empty(K)
             first = f.scope[0] == agent_id
-            peer = f.scope[1] if first else f.scope[0]
-            self.terms.append((compile_expr(f.expr), first, peer, sign, f))
+            a, b = (self.x, received) if first else (received, self.x)
+            self.terms.append((compile_expr(f.expr, a, b), received, f.scope[first], f))
+        self._accumulate = np.subtract if inst.sign < 0 else np.add
 
-        rng_init = agent_stream(cfg.seed, agent_id, 0)
         self.rng_update = agent_stream(cfg.seed, agent_id, 1)
         self.cross_draws = (CrossoverDraws([agent_stream(cfg.seed, agent_id, 2)], cfg.t_max,
-                                           cfg.num_particles) if cfg.crossover else None)
+                                           K) if cfg.crossover else None)
 
-        K = cfg.num_particles
-        self.x = rng_init.uniform(self.lb, self.ub, size=K)
         self.v = np.zeros(K)
         self.local_fitness = np.zeros(K)
         self.fitness = np.zeros(K)
@@ -490,19 +491,13 @@ class SwarmAgent:
         return self.x
 
     def handle_values(self, by_sender: dict[int, np.ndarray]) -> None:
-        lf = np.zeros(len(self.x))
-        x = self.x
-        for fn, self_first, peer, sign, f in self.terms:
-            other = by_sender[peer]
+        self.local_fitness = lf = np.zeros(len(self.x))
+        for evaluate, received, peer, f in self.terms:
+            np.copyto(received, by_sender[peer])
             try:
-                val = fn(x, other) if self_first else fn(other, x)
+                self._accumulate(lf, evaluate(), out=lf)
             except DivisionByZero:
                 raise zero_denominator(f) from None
-            if sign < 0:
-                lf -= val
-            else:
-                lf += val
-        self.local_fitness = lf
 
     def handle_costs(self, by_child: dict[int, np.ndarray]) -> None:
         total = self.local_fitness.copy()

@@ -95,7 +95,7 @@ def test_criterion_1_golden_trace(kite_instance):
         tree = build_bfs(kite_instance, 0)
         agents = [SwarmAgent(i, kite_instance, tree, cfg) for i in range(4)]
         for i, agent in enumerate(agents):
-            agent.x = KITE_POSITIONS[i].copy()
+            agent.x[:] = KITE_POSITIONS[i]
             agent.v = np.zeros(4)
         SyncRuntime(tree).run_cycle(agents, 1)
 

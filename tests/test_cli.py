@@ -339,6 +339,23 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, argv, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["solve", "{inst}", "--config", "{cfg}", "-K", "4", "--cycles", "2"], "inst"),
+    (["solve", "{inst}", "--config", "{cfg}", "-K", "4", "--cycles", "2"], "cfg"),
+    (["experiment", "--instance", "{inst}", "-K", "4", "--cycles", "2", "--out-dir", "{out}"],
+     "inst"),
+], ids=["solve_instance", "solve_config", "experiment_instance"])
+def test_malformed_json_names_its_file(tmp_path, capsys, argv, bad):
+    paths = {"inst": tmp_path / "inst.json", "cfg": tmp_path / "cfg.json", "out": tmp_path / "out"}
+    paths["inst"].write_text(json.dumps(_INSTANCE))
+    paths["cfg"].write_text("{}")
+    paths[bad].write_text("{\n")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == (f"error: {paths[bad]}: Expecting property name enclosed "
+                                       "in double quotes: line 2 column 1 (char 2)\n")
+    assert not paths["out"].exists()
+
+
 def test_experiment_bad_root_keeps_earlier_outputs(tmp_path, capsys):
     """A bad root makes no out dir, and leaves an earlier run's outputs as they were."""
     out_dir = tmp_path / "runs"
@@ -463,6 +480,26 @@ def test_unread_or_bad_family_value_is_one_error_line(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert (rc, err.count("\n"), err.startswith(f"error: {error}")) == (2, 1, True), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["solve", "{wide}", "-K", "4", "--cycles", "2", "--trace", "{out}"],
+     "domain 0 is wider than the largest float: [-1e+308, 1e+308]\n"),
+    # the leading space keeps argparse from reading the negative bound as an option
+    (["experiment", *_ER, "--domain", " -1e308", "1e308", "--num-instances", "1", *_RUN,
+      "--out-dir", "{out}"], "domain 0 is wider than the largest float: [-1e+308, 1e+308]; "),
+    (["gen", *_ER, "--coeff", " -1e308", "1e308", "--out", "{out}"],
+     "coeff_range is wider than the largest float, got (-1e+308, 1e+308)\n"),
+], ids=["solve", "experiment", "gen"])
+def test_range_wider_than_a_float_is_one_error_line(tmp_path, capsys, argv, error):
+    """A domain or coefficient range whose width overflows a float is rejected
+    before a value is drawn from it, and nothing is written."""
+    wide, out = tmp_path / "wide.json", tmp_path / "out"
+    wide.write_text(json.dumps({**_INSTANCE, "domains": [[-1e308, 1e308], [0.0, 1.0]]}))
+    assert main([arg.format(wide=wide, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert (err.startswith(f"error: {error}"), err.count("\n")) == (True, 1), err
+    assert not out.exists()
 
 
 class _Built(Exception):

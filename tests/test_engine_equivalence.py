@@ -229,7 +229,7 @@ def test_constant_column_keeps_a_lone_negative_zero():
     x = np.linspace(1.0, 2.0, 6 * 4).reshape(6, 4)
     local_costs = LocalCosts(inst, 4)
     local_costs(x)
-    want = np.array([compile_expr(f.expr)(x[f.scope[0]], x[f.scope[1]]) for f in inst.functions])
+    want = np.array([compile_expr(f.expr, x[f.scope[0]], x[f.scope[1]])() for f in inst.functions])
     assert np.signbit(want[2]).all()
     assert local_costs.values.tobytes() == want.tobytes()
 

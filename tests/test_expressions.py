@@ -137,21 +137,35 @@ def test_vectorized_matches_scalar():
 _OVERFLOWING = (Pow(Neg(Div(Constant(1.0), Var(0))), 2), 1.8584325085444321e-267, 0.0)
 
 
-@given(_trees, st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
-@example(*_OVERFLOWING)
-def test_compiled_agrees_with_tree_walk(expr, a, b):
-    try:
-        expected = eval_expr(expr, a, b)
-    except DivisionByZero:
-        with pytest.raises(DivisionByZero):
-            compile_expr(expr)(a, b)
-        return
-    got = compile_expr(expr)(a, b)
-    if np.isfinite(expected) and abs(expected) < 1e12:
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    else:
-        # overflow-territory trees: both routes must agree bit-for-bit anyway
-        assert np.isnan(got) and np.isnan(expected) or got == expected
+_floats = st.floats(-3, 3, allow_nan=False)
+
+
+@given(_trees, _floats, _floats, st.tuples(_floats, _floats))
+@example(*_OVERFLOWING, (0.5, -2.0))
+def test_compiled_agrees_with_tree_walk(expr, a, b, second):
+    """One program bound to 1-element operands, evaluated on ``(a, b)`` and
+    again after ``second`` is written into the operands in place, agrees with
+    the tree walk both times and returns the same ``out``."""
+    x0, x1 = np.empty(1), np.empty(1)
+    evaluate = compile_expr(expr, x0, x1)
+    outs = []
+    for pair in ((a, b), second):
+        x0[0], x1[0] = pair
+        try:
+            expected = eval_expr(expr, *pair)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                evaluate()
+            continue
+        out = evaluate()
+        outs.append(out)
+        got = out[0]
+        if np.isfinite(expected) and abs(expected) < 1e12:
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        else:
+            # overflow-territory trees: both routes must agree bit-for-bit anyway
+            assert np.isnan(got) and np.isnan(expected) or got == expected
+    assert all(out is outs[0] for out in outs)
 
 
 # 1/b overflows to inf, and inf - inf is NaN
@@ -208,7 +222,7 @@ def test_skeleton_is_bit_identical_to_tree_walk(expr, a, b):
 def test_skeleton_zero_denominator_raises(text):
     x0, x1 = np.array([[0.0, 1.0]]), np.array([[2.0, 3.0]])
     with pytest.raises(DivisionByZero):
-        compile_expr(parse_expr(text))(x0, x1)
+        compile_expr(parse_expr(text), x0, x1)()
     with pytest.raises(DivisionByZero):
         _run_skeleton(parse_expr(text), x0, x1)
 
@@ -226,7 +240,7 @@ def test_skeleton_shared_across_constants():
 
 def test_non_finite_constants_compile():
     expr = parse_expr("(+ (* inf x0) (* -inf x1))")
-    assert compile_expr(expr)(1.0, -1.0) == float("inf")
+    assert compile_expr(expr, 1.0, -1.0)() == float("inf")
     assert _run_skeleton(expr, np.array([[1.0]]), np.array([[-1.0]]))[0, 0] == float("inf")
 
 
@@ -239,7 +253,7 @@ def test_deep_chain_compiles():
         assert format_expr(parse_expr(text)) == text
         assert referenced_slots(chain) == {0, 1}
         want = eval_expr(chain, x0, x1)
-        assert compile_expr(chain)(x0, x1).tobytes() == want.tobytes()
+        assert compile_expr(chain, x0, x1)().tobytes() == want.tobytes()
         assert _run_skeleton(chain, x0, x1).tobytes() == want.tobytes()
     constants = reduce(Add, [Constant(0.1 * i) for i in range(5000)])
     assert compile_skeleton(constants)[1] == (eval_expr(constants, 0.0, 0.0),)
@@ -298,6 +312,6 @@ def test_scalar_power_overflows_to_infinity(base, n, want):
     """Every route gives the signed infinity numpy gives, on floats and arrays alike."""
     expr = Pow(Var(0), n)
     assert eval_expr(expr, base, 0.0) == want
-    assert compile_expr(expr)(base, 0.0) == want
+    assert compile_expr(expr, base, 0.0)() == want
     assert _run_skeleton(expr, np.array([[base]]), np.array([[0.0]]))[0, 0] == want
     assert compile_skeleton(Pow(Constant(base), n))[1] == (want,)

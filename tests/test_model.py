@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +147,28 @@ def test_json_rejects_invalid():
         '"objective": "min"', '"objective": "banana"')
     with pytest.raises(InvalidInstanceError):
         instance_from_json(bad)
+
+
+_PAIR = {"num_agents": 2, "domains": [[0.0, 1.0], [0.0, 1.0]], "objective": "min",
+         "functions": [{"id": 7, "scope": [0, 1], "expr": "(* x0 x1)"}]}
+_CHAIN = [{"id": 7, "scope": [0, 1], "expr": "(* x0 x1)"},
+          {"id": 8, "scope": [1, 2], "expr": "(* x0 x1)"}]
+
+
+@pytest.mark.parametrize("change, violation", [
+    ({"num_agents": 3, "functions": _CHAIN}, "expected 3 domains, got 2"),
+    ({"domains": [[0.0, float("inf")], [0.0, 1.0]]}, "domain 0 has non-finite bounds [0.0, inf]"),
+    ({"domains": [[0.0, 1.0], [-1e308, 1e308]]},
+     "domain 1 is wider than the largest float: [-1e+308, 1e+308]"),
+    ({"num_agents": 3, "domains": [[0.0, 1.0]] * 3,
+      "functions": [_CHAIN[0], {**_CHAIN[1], "id": 7}]}, "duplicate function id 7"),
+    ({"functions": [{**_CHAIN[0], "scope": [0, 5]}]}, "function 7 scope (0, 5) out of range"),
+], ids=["domain_count", "infinite_bound", "too_wide", "duplicate_id", "scope_out_of_range"])
+def test_json_validation_names_each_violation(change, violation):
+    """Each of these documents breaks one invariant, and loading it names that one."""
+    with pytest.raises(InvalidInstanceError) as raised:
+        instance_from_json(json.dumps({**_PAIR, **change}))  # inf is written as Infinity
+    assert raised.value.violations == [violation]
 
 
 @st.composite

@@ -152,7 +152,7 @@ def _primed_agents(kite_instance):
     tree = build_bfs(kite_instance, 0)
     agents = [SwarmAgent(i, kite_instance, tree, KITE_CONFIG) for i in range(4)]
     for i, agent in enumerate(agents):
-        agent.x = KITE_POSITIONS[i].copy()
+        agent.x[:] = KITE_POSITIONS[i]
         agent.v = np.zeros(4)
     return tree, agents
 
@@ -195,7 +195,7 @@ def test_one_cycle_reproduces_hand_tables(kite_instance):
 def test_all_zero_positions_give_zero_fitness(kite_instance):
     tree, agents = _primed_agents(kite_instance)
     for agent in agents:
-        agent.x = np.zeros(4)
+        agent.x[:] = 0.0
     SyncRuntime(tree).run_cycle(agents, 1)
     for agent in agents:
         np.testing.assert_array_equal(agent.local_fitness, np.zeros(4))
