@@ -100,6 +100,8 @@ def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_rang
     lb, ub = domain
     if not -np.inf < lb < ub < np.inf:
         raise ValueError(f"domain must be finite with low < high, got {domain}")
+    if not np.isfinite(ub - lb):  # positions are drawn uniformly over the width
+        raise ValueError(f"domain is wider than the largest float, got {domain}")
     lo, hi = coeff_range
     if not -np.inf < lo <= hi < np.inf:
         raise ValueError(f"coeff_range must be finite with low <= high, got {coeff_range}")

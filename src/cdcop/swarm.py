@@ -56,7 +56,7 @@ __all__ = [
     "velocity_global_best",
     "pso_step",
     "crossover_probabilities",
-    "CrossoverDraws",
+    "CrossoverScratch",
     "crossover_rows",
     "SwarmAgent",
     "TraceRow",
@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 
-# cycles of random draws held at a time: solve's velocity draws and each
-# CrossoverDraws take this many cycles of a stream per refill, whatever t_max is
+# cycles of random draws held at a time: solve takes this many cycles of each
+# agent's velocity and crossover streams per refill, whatever t_max is
 DRAW_CYCLES = 64
 
 
@@ -299,32 +299,11 @@ def crossover_probabilities(local_fitness: np.ndarray, out=None, total=None) -> 
     return weights
 
 
-class CrossoverDraws:
-    """Each row's crossover stream, drawn ahead as doubles one block of
-    ``DRAW_CYCLES`` cycles (at most ``t_max``) at a time, and the scratch
-    buffers ``crossover_rows`` works in for ``(m, K)`` matrices.
+class CrossoverScratch:
+    """The buffers ``crossover_rows`` works in for ``(m, K)`` matrices."""
 
-    Row ``i`` of ``buffer`` holds what ``rngs[i]`` yields when every draw is
-    ``random()``: cycle ``t``'s ``a``, ``b`` and ``r`` sit in the three
-    columns from :meth:`column`, which refills every row from its generator
-    when ``t`` starts a new block; cycles come in order, from 1. A row whose
-    ``b`` must be an integer instead calls :meth:`integer`, which rewinds the
-    generator to its state when the row was last filled, skips the doubles
-    used since, takes the integer and refills the rest of the block. The
-    saved state includes PCG64's buffered half of an earlier integer draw, so
-    the stream is the one drawn live: a, then b (``integers`` or ``random``),
-    then r, every cycle.
-    """
-
-    def __init__(self, rngs: list[np.random.Generator], t_max: int, num_particles: int):
-        m, K = len(rngs), num_particles
-        self.rngs = rngs
-        self.buffer = np.empty((m, 3 * min(DRAW_CYCLES, t_max)))
-        self.first_cycle = 1  # the cycle whose draws open the buffer
-        self._states: list = [None] * m
-        self._filled_from = [0] * m
-        for i in range(m):
-            self._fill(i, 0)
+    def __init__(self, m: int, num_particles: int):
+        K = num_particles
         self.weights = np.empty((m, K))
         self.cdf = np.empty((m, K))
         self.above = np.empty((m, K), dtype=bool)
@@ -342,20 +321,6 @@ class CrossoverDraws:
         self.rest = np.empty(m)  # 1 - r of each row
         self.velocity_sum = np.empty(m)
 
-    def _fill(self, i: int, column: int) -> None:
-        rng = self.rngs[i]
-        self._states[i] = rng.bit_generator.state
-        self._filled_from[i] = column
-        rng.random(out=self.buffer[i, column:])
-
-    def column(self, t: int) -> int:
-        """The column of cycle ``t``'s ``a``, after a refill if ``t`` starts a new block."""
-        if 3 * (t - self.first_cycle) >= self.buffer.shape[1]:
-            self.first_cycle = t
-            for i in range(len(self.rngs)):
-                self._fill(i, 0)
-        return 3 * (t - self.first_cycle)
-
     def draw(self, u: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Per row of ``cdf``, ``searchsorted(u * cdf[-1], side="right")`` capped
         at the last index.
@@ -371,67 +336,59 @@ class CrossoverDraws:
         np.greater(self._cdf_head, self.target, out=self._above_head)
         return self.above.argmax(axis=1, out=index)
 
-    def integer(self, i: int, column: int, high: int) -> int:
-        """Row ``i``'s draw at ``column`` of the block taken as ``integers(0, high)``."""
-        rng = self.rngs[i]
-        rng.bit_generator.state = self._states[i]
-        rng.random(column - self._filled_from[i])
-        value = int(rng.integers(0, high))
-        self._fill(i, column + 1)
-        return value
-
 
 _SIGNS = np.array([-1.0, 1.0])  # the velocities' sign, indexed by "their sum is > 0"
 
 
 def crossover_rows(x: np.ndarray, v: np.ndarray, local_fitness: np.ndarray,
-                   draws: CrossoverDraws, t: int) -> np.ndarray:
-    """Cycle ``t``'s crossover in each row of ``(m, K)`` matrices, in place.
+                   scratch: CrossoverScratch, u: np.ndarray) -> np.ndarray:
+    """One cycle's crossover in each row of ``(m, K)`` matrices, in place.
 
     Each row picks particle ``a`` with probability proportional to
-    |local fitness|, then a distinct ``b`` the same way (uniformly if ``a``
-    carried all the weight), and blends their positions with a uniform
-    ``r``; row i's draws come from row i of ``draws``. Where the pair's
-    velocities do not sum to zero both are aligned with the sign of that
-    sum, and the pair is fully crossed. Returns the flat indices into
-    ``x`` of the fully crossed elements, which the regular update leaves
-    alone this cycle; they live in ``draws`` until its next call.
+    |local fitness|, then a distinct ``b`` the same way, and blends their
+    positions with ``r``; row i's ``a``, ``b`` and ``r`` draws are row i of
+    the ``(m, 3)`` array ``u`` of uniform doubles. If ``a`` carried all the
+    weight, ``b`` is uniform over the other particles: the row's weights
+    become 1 but at ``a``. Where the pair's velocities do not sum to zero
+    both are aligned with the sign of that sum, and the pair is fully
+    crossed. Returns the flat indices into ``x`` of the fully crossed
+    elements, which the regular update leaves alone this cycle; they live
+    in ``scratch`` until its next call.
     """
-    K = x.shape[1]
-    col = draws.column(t)
-    a, b = draws.columns
-    flat_a, flat_b = draws.flat
-    weights = crossover_probabilities(local_fitness, draws.weights, draws.total)
+    a, b = scratch.columns
+    flat_a, flat_b = scratch.flat
+    weights = crossover_probabilities(local_fitness, scratch.weights, scratch.total)
     # np.cumsum, without its Python wrapper
-    cdf = np.add.accumulate(weights, axis=1, out=draws.cdf)
-    draws.draw(draws.buffer[:, col], a)
-    np.add(draws.offsets, a, out=flat_a)
+    cdf = np.add.accumulate(weights, axis=1, out=scratch.cdf)
+    scratch.draw(u[:, 0], a)
+    np.add(scratch.offsets, a, out=flat_a)
     weights.put(flat_a, 0.0)
     np.add.accumulate(weights, axis=1, out=cdf)
-    draws.draw(draws.buffer[:, col + 1], b)
-    if np.count_nonzero(cdf[:, -1]) < len(b):
-        for i in np.flatnonzero(cdf[:, -1] == 0.0):  # rewrites row i's later columns, r included
-            u = draws.integer(i, col + 1, K - 1)
-            b[i] = u + (u >= a[i])
-    np.add(draws.offsets, b, out=flat_b)
-    r = draws.buffer[:, col + 2]
+    if np.count_nonzero(cdf[:, -1]) < len(b):  # a carried all of some row's weight
+        only_a = cdf[:, -1] == 0.0
+        weights[only_a] = 1.0
+        weights.put(flat_a[only_a], 0.0)
+        np.add.accumulate(weights, axis=1, out=cdf)
+    scratch.draw(u[:, 1], b)
+    np.add(scratch.offsets, b, out=flat_b)
+    r = u[:, 2]
     # both positions as one (2, m) stack: row 0 is r*xa + (1-r)*xb, row 1 r*xb + (1-r)*xa
-    pair, blend = draws.pair, draws.blend
-    x.take(draws.flat, out=pair, mode="clip")
+    pair, blend = scratch.pair, scratch.blend
+    x.take(scratch.flat, out=pair, mode="clip")
     np.multiply(pair, r, out=blend)
-    pair *= np.subtract(1.0, r, out=draws.rest)
+    pair *= np.subtract(1.0, r, out=scratch.rest)
     blend += pair[::-1]
-    x.put(draws.flat, blend)
-    v.take(draws.flat, out=pair, mode="clip")
-    total = np.add(pair[0], pair[1], out=draws.velocity_sum)
+    x.put(scratch.flat, blend)
+    v.take(scratch.flat, out=pair, mode="clip")
+    total = np.add(pair[0], pair[1], out=scratch.velocity_sum)
     np.abs(pair, out=pair)
     pair *= _SIGNS.take(total > 0.0)
     if np.count_nonzero(total) == len(total):
-        v.put(draws.flat, pair)
-        return draws.flat
+        v.put(scratch.flat, pair)
+        return scratch.flat
     crossed = total != 0.0
-    v.put(draws.flat[:, crossed], pair[:, crossed])
-    return draws.flat[:, crossed]
+    v.put(scratch.flat[:, crossed], pair[:, crossed])
+    return scratch.flat[:, crossed]
 
 
 def agent_stream(seed: int, agent_id: int, label: int) -> np.random.Generator:
@@ -470,8 +427,8 @@ class SwarmAgent:
         self._accumulate = np.subtract if inst.sign < 0 else np.add
 
         self.rng_update = agent_stream(cfg.seed, agent_id, 1)
-        self.cross_draws = (CrossoverDraws([agent_stream(cfg.seed, agent_id, 2)], cfg.t_max,
-                                           K) if cfg.crossover else None)
+        self.rng_cross = agent_stream(cfg.seed, agent_id, 2) if cfg.crossover else None
+        self.cross_scratch = CrossoverScratch(1, K) if cfg.crossover else None
 
         self.v = np.zeros(K)
         self.local_fitness = np.zeros(K)
@@ -542,7 +499,7 @@ class SwarmAgent:
 
     def _apply_crossover(self) -> None:
         self._crossed_full = crossover_rows(self.x[None], self.v[None], self.local_fitness[None],
-                                            self.cross_draws, self.control.cycle)
+                                            self.cross_scratch, self.rng_cross.random((1, 3)))
 
     def _variable_update(self) -> None:
         cfg, ctrl = self.cfg, self.control
@@ -590,20 +547,28 @@ class RunTrace:
         return [row.best_cost for row in self.rows]
 
 
-def _velocity_draws(cfg: SwarmConfig, n: int):
-    """Per cycle, the inertia weight and every agent's r1*c1, r2*c2 and walk
-    1 - 2*r2 as (n, 1) columns, made ``DRAW_CYCLES`` cycles at a time into
-    buffers reused from block to block. For PCG64 one draw of a block's
-    pairs is the stream of one ``random()`` pair per cycle; the column views
-    are made once per run, and a block's weights have the per-cycle bits."""
-    rngs = [agent_stream(cfg.seed, i, 1) for i in range(n)]
+def _cycle_draws(cfg: SwarmConfig, n: int):
+    """Per cycle, the inertia weight, every agent's r1*c1, r2*c2 and walk
+    1 - 2*r2 as (n, 1) columns, and its crossover draws a, b, r as an (n, 3)
+    array (None without crossover). The streams are drawn ``DRAW_CYCLES``
+    cycles at a time into buffers reused from block to block; for PCG64 one
+    draw of a block is the stream of one ``random()`` per value per cycle.
+    The views are made once per run, and a block's weights have the
+    per-cycle bits."""
     cycles = min(DRAW_CYCLES, cfg.t_max)
     draws = np.empty((n, 2 * cycles))
     r1c1, r2c2 = draws[:, 0::2], draws[:, 1::2]
     walk = np.empty((n, cycles))
     columns = [list(a.T[:, :, None]) for a in (r1c1, r2c2, walk)]
+    fills = [(agent_stream(cfg.seed, i, 1), row) for i, row in enumerate(draws)]
+    if cfg.crossover:
+        cross = np.empty((n, 3 * cycles))
+        columns.append([cross[:, j:j + 3] for j in range(0, 3 * cycles, 3)])
+        fills += [(agent_stream(cfg.seed, i, 2), row) for i, row in enumerate(cross)]
+    else:
+        columns.append([None] * cycles)
     for first in range(1, cfg.t_max + 1, cycles):
-        for rng, row in zip(rngs, draws):
+        for rng, row in fills:
             rng.random(out=row)
         np.multiply(2.0, r2c2, out=walk)
         np.subtract(1.0, walk, out=walk)
@@ -642,9 +607,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     ub = np.repeat([[d.ub] for d in inst.domains], K, axis=1)
     x = np.array([agent_stream(cfg.seed, i, 0).uniform(d.lb, d.ub, size=K)
                   for i, d in enumerate(inst.domains)])
-    updates = _velocity_draws(cfg, n)
-    cross_draws = (CrossoverDraws([agent_stream(cfg.seed, i, 2) for i in range(n)], cfg.t_max, K)
-                   if cfg.crossover else None)
+    cross_scratch = CrossoverScratch(n, K) if cfg.crossover else None
     scratch = (np.empty((n, K)), np.empty((n, K)), *np.empty((3, n, 1)))  # pso_step's
     improved = np.empty(K, dtype=bool)
     v = np.zeros((n, K))
@@ -659,7 +622,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     rows: list[TraceRow] = []
     probes: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_probes else None
     log: list | None = [] if log_messages else None
-    for t, (w, r1c1_t, r2c2_t, walk_t) in enumerate(updates, start=1):
+    for t, (w, r1c1_t, r2c2_t, walk_t, u) in enumerate(_cycle_draws(cfg, n), start=1):
         start = time.perf_counter()
         try:
             local = local_costs(x)
@@ -683,8 +646,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
             best_cost, assignment = inst.to_display(g_best_fit), tuple(g_best_x[:, 0].tolist())
             ctrl.best_particle = k
 
-        ctrl.cycle += 1
-        keep = None if cross_draws is None else crossover_rows(x, v, local, cross_draws, t)
+        keep = None if u is None else crossover_rows(x, v, local, cross_scratch, u)
         update_control(ctrl, success, cfg)
         pso_step(x, v, p_best_x, g_best_x, r1c1_t, r2c2_t, walk_t, w, cfg, ctrl, lb, ub, keep,
                  scratch)

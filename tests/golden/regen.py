@@ -11,7 +11,7 @@ digest of every file it writes: each trace CSV and ``summary.json``.
 shows up across commits, which the in-commit equivalence test cannot see
 when both of its sides change together. The file also records the Python
 and numpy versions it was made with. A change that rewrites it says why
-and lists the digests that changed.
+and lists the digests that changed, which the script prints.
 """
 
 import hashlib
@@ -49,7 +49,7 @@ VARIANTS = {"pcd": False, "pcd_crossover": True}
 NON_FINITE = make_instance(3, [((0, 1), "(* inf (* x0 x1))"), ((1, 2), "(* -inf (* x0 x1))")],
                            domain=(-1.0, 1.0))
 # zero cost on a clamped upper bound: with two particles some crossover rows
-# put all their weight on one particle, so ``b`` is drawn as an integer
+# put all their weight on one particle, so ``b`` is uniform over the others
 FLAT = make_instance(3, [((0, 1), "(* (- x0 1.0) (- x1 1.0))"),
                          ((1, 2), "(* (- x0 1.0) (- x1 1.0))")], domain=(0.0, 1.0))
 
@@ -129,10 +129,28 @@ def compute_experiment() -> dict[str, str]:
         return {path.name: _sha256(path.read_bytes()) for path in sorted(Path(tmp).iterdir())}
 
 
+def _differing(old: dict, new: dict) -> list[str]:
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
+def changes(old: dict, new: dict) -> list[str]:
+    """What differs between two digest files: ``run: kinds`` for each run
+    (a run in one file only lists every kind), then ``experiment: files``."""
+    runs = old["runs"], new["runs"]
+    lines = [f"{name}: {' '.join(_differing(*(r.get(name, {}) for r in runs)))}"
+             for name in _differing(*runs)]
+    files = _differing(old["experiment"], new["experiment"])
+    return lines + ([f"experiment: {' '.join(files)}"] if files else [])
+
+
 def main() -> None:
     doc = {**versions(), "runs": compute(), "experiment": compute_experiment()}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"runs": {}, "experiment": {}}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(doc['runs'])} runs to {GOLDEN}")
+    changed = changes(old, doc)
+    print(f"{len(changed)} changed against the previous file" + "".join(
+        f"\n  {line}" for line in changed))
 
 
 if __name__ == "__main__":

@@ -487,10 +487,12 @@ def test_unread_or_bad_family_value_is_one_error_line(tmp_path, monkeypatch, cap
      "domain 0 is wider than the largest float: [-1e+308, 1e+308]\n"),
     # the leading space keeps argparse from reading the negative bound as an option
     (["experiment", *_ER, "--domain", " -1e308", "1e308", "--num-instances", "1", *_RUN,
-      "--out-dir", "{out}"], "domain 0 is wider than the largest float: [-1e+308, 1e+308]; "),
+      "--out-dir", "{out}"], "domain is wider than the largest float, got (-1e+308, 1e+308)\n"),
     (["gen", *_ER, "--coeff", " -1e308", "1e308", "--out", "{out}"],
      "coeff_range is wider than the largest float, got (-1e+308, 1e+308)\n"),
-], ids=["solve", "experiment", "gen"])
+    (["gen", *_ER, "--domain", " -1e308", "1e308", "--out", "{out}"],
+     "domain is wider than the largest float, got (-1e+308, 1e+308)\n"),
+], ids=["solve", "experiment", "gen", "gen_domain"])
 def test_range_wider_than_a_float_is_one_error_line(tmp_path, capsys, argv, error):
     """A domain or coefficient range whose width overflows a float is rejected
     before a value is drawn from it, and nothing is written."""

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cdcop import (CdcopInstance, CostFunction, Domain, DivisionByZero, build_bfs, engine,
-                   parse_expr, swarm)
+                   parse_expr)
 from cdcop.benchmarks import BenchSpec, generate
 from cdcop.engine import LocalCosts
 from cdcop.expressions import compile_expr
@@ -26,7 +26,6 @@ from cdcop.runtime import SyncRuntime, write_message_log_csv
 from cdcop.swarm import (
     AdaptiveInertia,
     ConstrictionInertia,
-    CrossoverDraws,
     FixedInertia,
     RunTrace,
     SwarmAgent,
@@ -296,29 +295,6 @@ def _random_runs(draw):
     return inst, cfg, draw(st.integers(0, n - 1)), draw(st.integers(1, max(1, len(pairs))))
 
 
-class _LiveDraws(CrossoverDraws):
-    """``CrossoverDraws`` whose integer draw replays its row's stream from the
-    start of the run, live: one double per column before it, or an integer at
-    each column that took one. The class under test rewinds to a saved state
-    instead."""
-
-    def __init__(self, rngs, t_max, num_particles):
-        self._start = [rng.bit_generator.state for rng in rngs]
-        self._taken = [{} for _ in rngs]  # per row: run column -> high of its integer draw
-        super().__init__(rngs, t_max, num_particles)
-
-    def integer(self, i, column, high):
-        rng, taken = self.rngs[i], self._taken[i]
-        run_column = 3 * (self.first_cycle - 1) + column  # counted from cycle 1's a
-        rng.bit_generator.state = self._start[i]
-        for c in range(run_column):
-            rng.integers(0, taken[c]) if c in taken else rng.random()
-        taken[run_column] = high
-        value = int(rng.integers(0, high))
-        rng.random(out=self.buffer[i, column + 1:])
-        return value
-
-
 def _outcome(run, inst, cfg, tree):
     try:
         return run(inst, cfg, tree=tree, record_probes=True, log_messages=True), None
@@ -331,8 +307,7 @@ def _check_random_run(inst, cfg, root, block_edges):
     tree = build_bfs(inst, root)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_edges * cfg.num_particles):
         got, got_error = _outcome(solve, inst, cfg, tree)
-    with mock.patch.object(swarm, "CrossoverDraws", _LiveDraws):
-        want, want_error = _outcome(reference_solve, inst, cfg, tree)
+    want, want_error = _outcome(reference_solve, inst, cfg, tree)
     if got_error is None and want_error is None:
         with tempfile.TemporaryDirectory() as tmp:
             assert_bit_identical(got, want, Path(tmp))
@@ -345,7 +320,8 @@ _RANDOM = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 @settings(_RANDOM, max_examples=200)
 @given(_random_runs())
-# particles clamped to 0.0 leave one nonzero crossover weight, so b is an integer draw
+# particles clamped to 0.0 leave one nonzero crossover weight, so b is drawn
+# uniformly over the other particles
 @example((make_instance(2, [((0, 1), "(* x0 x1)")], domain=(0.0, 1.0)),
           SwarmConfig(num_particles=3, t_max=10, crossover=True, seed=2), 0, 1))
 def test_random_instances_match_reference(run):

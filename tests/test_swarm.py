@@ -1,4 +1,3 @@
-import copy
 import tracemalloc
 import warnings
 
@@ -14,7 +13,7 @@ from cdcop.swarm import (
     AdaptiveInertia,
     ConfigError,
     ConstrictionInertia,
-    CrossoverDraws,
+    CrossoverScratch,
     FixedInertia,
     GcpsoControl,
     SwarmAgent,
@@ -42,6 +41,7 @@ from conftest import (
     neg_pow_chain,
     sum_chain,
 )
+from golden.regen import FLAT
 from test_engine_equivalence import assert_bit_identical, reference_solve
 
 TABLE = dict(rtol=0.0, atol=5e-3)  # two printed decimals
@@ -232,10 +232,8 @@ def test_crossover_probability_table(kite_instance):
 def _cross_pair(x, v, r):
     """One row of two particles crossed with blend weight ``r``; both orders of
     the pair give the same result. Returns the row's x, v and kept indices."""
-    draws = CrossoverDraws([agent_stream(0, 0, 2)], 1, 2)
-    draws.buffer[0, 2] = r
     x, v = np.array([x], dtype=float), np.array([v], dtype=float)
-    keep = crossover_rows(x, v, np.ones((1, 2)), draws, 1)
+    keep = crossover_rows(x, v, np.ones((1, 2)), CrossoverScratch(1, 2), np.array([[0.5, 0.5, r]]))
     return x[0].tolist(), v[0].tolist(), sorted(keep.ravel().tolist())
 
 
@@ -276,17 +274,17 @@ def test_crossover_draws_follow_searchsorted():
         cdf = np.array([row for row, _, _ in cases], dtype=float)
         u = np.array([ui for _, ui, _ in cases])
         m = len(cases)
-        draws = CrossoverDraws([agent_stream(0, i, 2) for i in range(m)], 1, K)
-        draws.cdf[...] = cdf
+        scratch = CrossoverScratch(m, K)
+        scratch.cdf[...] = cdf
         # garbage-filled scratch: the draw writes every value it reads, and
-        # ``above`` keeps the True last column CrossoverDraws gave it
+        # ``above`` keeps the True last column CrossoverScratch gave it
         index = np.full(m, 7, np.intp)
-        draws.target.fill(7.0)
-        draws.above[:, :-1] = True
+        scratch.target.fill(7.0)
+        scratch.above[:, :-1] = True
         with np.errstate(invalid="ignore"):  # 0 * inf
             want = [min(int(c.searchsorted(ui * c[-1], side="right")), last)
                     for c, ui in zip(cdf, u)]
-            got = draws.draw(u, index)
+            got = scratch.draw(u, index)
         assert got is index
         assert got.tolist() == want, K
         assert [w for w, (_, _, pinned) in zip(want, cases) if pinned is not None] == [
@@ -294,8 +292,9 @@ def test_crossover_draws_follow_searchsorted():
 
 
 def _live_crossover(x, v, lf, rng):
-    """One row's crossover drawing live from ``rng``: a, then b (``integers``
-    when a carried all the weight), then r. Returns the fully crossed pair."""
+    """One row's crossover drawing live from ``rng``: a, then b (uniform over
+    the others when a carried all the weight), then r. Returns the fully
+    crossed pair."""
     K = len(x)
     bp = crossover_probabilities(lf)
     cdf = bp.cumsum()
@@ -303,10 +302,10 @@ def _live_crossover(x, v, lf, rng):
     bp[a] = 0.0
     cdf = bp.cumsum()
     if cdf[-1] == 0.0:
-        u = int(rng.integers(0, K - 1))
-        b = u + (u >= a)
-    else:
-        b = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")), K - 1)
+        bp[:] = 1.0
+        bp[a] = 0.0
+        cdf = bp.cumsum()
+    b = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")), K - 1)
     r = rng.random()
     xa, xb = x[a], x[b]
     x[a], x[b] = r * xa + (1.0 - r) * xb, r * xb + (1.0 - r) * xa
@@ -319,7 +318,8 @@ def _live_crossover(x, v, lf, rng):
 
 
 # per row, the local fitness kind of each cycle: "flat" leaves one nonzero
-# weight, so b is an integer draw; rows 0 and 1 are flat two cycles running
+# weight, so b is uniform over the other particles; rows 0 and 1 are flat two
+# cycles running
 CYCLE_KINDS = ["flat flat normal flat flat flat zero".split(),
                "normal flat flat nan flat flat inf".split(),
                "nan inf zero normal flat normal flat".split(),
@@ -328,16 +328,17 @@ CYCLE_KINDS = ["flat flat normal flat flat flat zero".split(),
 
 @pytest.mark.parametrize("K", [2, 3, 7])
 def test_crossover_draw_stream_matches_live_generator(K, monkeypatch):
-    """The pre-drawn streams, in blocks of three cycles, give what each agent's
-    generator yields live; integer draws fall in the second block."""
+    """The crossover draws ``solve`` makes, in blocks of three cycles, give
+    what each agent's generator yields live."""
     monkeypatch.setattr(swarm, "DRAW_CYCLES", 3)
     m, t_max = len(CYCLE_KINDS), len(CYCLE_KINDS[0])
     data = np.random.default_rng(K)
     x, v = data.normal(size=(m, K)), data.normal(size=(m, K))
     x_live, v_live = x.copy(), v.copy()
-    draws = CrossoverDraws([agent_stream(5, i, 2) for i in range(m)], t_max, K)
+    scratch = CrossoverScratch(m, K)
+    cfg = SwarmConfig(num_particles=K, t_max=t_max, crossover=True, seed=5)
     live = [agent_stream(5, i, 2) for i in range(m)]
-    for t in range(1, t_max + 1):
+    for t, (*_, u) in enumerate(swarm._cycle_draws(cfg, m), start=1):
         lf = data.normal(size=(m, K))
         for i, kinds in enumerate(CYCLE_KINDS):
             match kinds[t - 1]:
@@ -349,27 +350,80 @@ def test_crossover_draw_stream_matches_live_generator(K, monkeypatch):
                 case "nan" | "inf" as kind:
                     lf[i, data.integers(K)] = float(kind)
         with np.errstate(invalid="ignore"):
-            keep = crossover_rows(x, v, lf, draws, t)
+            keep = crossover_rows(x, v, lf, scratch, u)
             want = [i * K + c for i in range(m)
                     for pair in _live_crossover(x_live[i], v_live[i], lf[i], live[i]) for c in pair]
         assert x.tobytes() == x_live.tobytes() and v.tobytes() == v_live.tobytes()
         assert sorted(keep.ravel().tolist()) == sorted(want)
+    assert t == t_max
+
+
+@pytest.mark.parametrize("K", [2, 3, 7])
+def test_degenerate_row_picks_b_uniformly_over_the_others(K):
+    """When ``a`` carries all of a row's weight, ``b`` comes from the row's own
+    ``b`` double: ``u_b = (j + 0.5)/(K - 1)`` over j = 0..K-2 gives each other
+    particle exactly once."""
+    m = K - 1
+    for a in range(K):
+        lf = np.zeros((m, K))
+        lf[:, a] = -2.5
+        u = np.column_stack([np.full(m, 0.5), (np.arange(m) + 0.5) / m, np.full(m, 0.25)])
+        x, v = np.zeros((m, K)), np.ones((m, K))
+        keep = crossover_rows(x, v, lf, CrossoverScratch(m, K), u)
+        picked = keep - np.arange(m) * K
+        assert picked[0].tolist() == [a] * m
+        assert sorted(picked[1].tolist()) == [c for c in range(K) if c != a]
+
+
+def test_crossover_draws_three_doubles_per_row_per_cycle(monkeypatch):
+    """Each agent's crossover stream gives three doubles a cycle, on rows where
+    ``a`` carried all the weight too: after ``t_max`` cycles the agent's
+    generator stands where ``random(3 * t_max)`` leaves a fresh one, and
+    ``solve``'s where ``random`` of its whole blocks does."""
+    cfg = SwarmConfig(num_particles=2, t_max=40, crossover=True, seed=1)
+    tree = build_bfs(FLAT)
+    agents = [SwarmAgent(i, FLAT, tree, cfg) for i in range(3)]
+    runtime, degenerate = SyncRuntime(tree), 0
+    for t in range(1, cfg.t_max + 1):
+        runtime.run_cycle(agents, t)
+        degenerate += sum(np.count_nonzero(crossover_probabilities(agent.local_fitness)) == 1
+                          for agent in agents)
+    assert degenerate > 0
+
+    def fresh_state(agent_id, doubles):
+        rng = agent_stream(cfg.seed, agent_id, 2)
+        rng.random(doubles)
+        return rng.bit_generator.state
+
+    assert [a.rng_cross.bit_generator.state for a in agents] == [
+        fresh_state(i, 3 * cfg.t_max) for i in range(3)]
+
+    made = {}
+
+    def recording_stream(seed, agent_id, label):
+        made[agent_id, label] = rng = agent_stream(seed, agent_id, label)
+        return rng
+
+    monkeypatch.setattr(swarm, "agent_stream", recording_stream)
+    monkeypatch.setattr(swarm, "DRAW_CYCLES", 16)
+    solve(FLAT, cfg)
+    # three blocks of 16 cycles cover the 40
+    assert [made[i, 2].bit_generator.state for i in range(3)] == [
+        fresh_state(i, 3 * 48) for i in range(3)]
 
 
 @pytest.mark.parametrize("m", [1, 4], ids=["agent_row", "solve_rows"])
-def test_crossover_workspace_reuse_matches_fresh_buffers(m, monkeypatch):
-    """Each cycle, the reused workspace gives what a copy of the draws with
-    fresh (garbage-filled) scratch gives; and the update keeps exactly the
-    fully crossed elements. m = 1 is the agent's one-row shape. The integer
-    draw of cycle 5 opens the second block of four cycles."""
-    monkeypatch.setattr(swarm, "DRAW_CYCLES", 4)
+def test_crossover_workspace_reuse_matches_fresh_buffers(m):
+    """Each cycle, the reused workspace gives what fresh (garbage-filled)
+    scratch gives; and the update keeps exactly the fully crossed elements.
+    m = 1 is the agent's one-row shape."""
     K, t_max = 5, 6
     data = np.random.default_rng(m)
     x, v = data.uniform(-5, 5, size=(m, K)), data.normal(size=(m, K))
-    draws = CrossoverDraws([agent_stream(8, i, 2) for i in range(m)], t_max, K)
+    scratch = CrossoverScratch(m, K)
     cfg, ctrl = SwarmConfig(num_particles=K, t_max=t_max), GcpsoControl(best_particle=2)
     for t in range(1, t_max + 1):
-        lf = data.normal(size=(m, K))
+        lf, u = data.normal(size=(m, K)), data.random((m, 3))
         match t:
             case 2:
                 lf[0] = 0.0  # all-zero row: uniform weights
@@ -379,19 +433,16 @@ def test_crossover_workspace_reuse_matches_fresh_buffers(m, monkeypatch):
                 v[0] = 0.0  # every pair's velocities sum to 0: row 0 is not crossed
             case 5:
                 lf[0] = 0.0
-                lf[0, 2] = 1.5  # one weight: b is an integer draw
-        # new scratch, garbage-filled in place (some buffers are views of others),
-        # with a copy of the streams as they stand
-        fresh = CrossoverDraws([agent_stream(8, i, 2) for i in range(m)], t_max, K)
-        for name in ("rngs", "buffer", "first_cycle", "_states", "_filled_from"):
-            setattr(fresh, name, copy.deepcopy(getattr(draws, name)))
-        for name, buf in vars(fresh).items():  # every scratch buffer: all arrays but the draws
-            if isinstance(buf, np.ndarray) and name not in ("buffer", "offsets"):
+                lf[0, 2] = 1.5  # one weight: b is uniform over the others
+        # new scratch, garbage-filled in place (some buffers are views of others)
+        fresh = CrossoverScratch(m, K)
+        for name, buf in vars(fresh).items():  # every scratch buffer: all arrays but the offsets
+            if isinstance(buf, np.ndarray) and name != "offsets":
                 buf[...] = 7 if buf.dtype != bool else True
         x_fresh, v_fresh = x.copy(), v.copy()
         with np.errstate(invalid="ignore"):
-            keep = crossover_rows(x, v, lf, draws, t).copy()
-            keep_fresh = crossover_rows(x_fresh, v_fresh, lf, fresh, t)
+            keep = crossover_rows(x, v, lf, scratch, u).copy()
+            keep_fresh = crossover_rows(x_fresh, v_fresh, lf, fresh, u)
         assert x.tobytes() == x_fresh.tobytes() and v.tobytes() == v_fresh.tobytes()
         assert keep.tolist() == keep_fresh.tolist()
         if t == 4:
@@ -418,20 +469,11 @@ def test_crossover_workspace_reuse_matches_fresh_buffers(m, monkeypatch):
 
 def test_draw_block_does_not_change_the_trace(monkeypatch, tmp_path):
     """Drawing the streams 1, 7 or all t_max cycles at a time gives the same
-    trace, and with blocks of 7 cycles b's integer draw runs in a later block:
-    two of the three particles clamped to 0.0 leave one nonzero crossover
-    weight. (With two particles, crossover moves both every cycle and the
-    swarm settles by cycle 3.)"""
+    trace. Two of the three particles clamped to 0.0 leave one nonzero
+    crossover weight in some rows. (With two particles, crossover moves both
+    every cycle and the swarm settles by cycle 3.)"""
     inst = make_instance(3, [((0, 1), "(* x0 x1)"), ((1, 2), "(* x0 x1)")], domain=(0.0, 1.0))
     t_max = 30
-    blocks = []  # per integer draw: the block size and the cycle its block opens with
-    integer = CrossoverDraws.integer
-
-    def spy(self, i, column, high):
-        blocks.append((swarm.DRAW_CYCLES, self.first_cycle))
-        return integer(self, i, column, high)
-
-    monkeypatch.setattr(CrossoverDraws, "integer", spy)
     for crossover in (False, True):
         cfg = SwarmConfig(num_particles=3, t_max=t_max, crossover=crossover, seed=2)
         traces = []
@@ -440,7 +482,6 @@ def test_draw_block_does_not_change_the_trace(monkeypatch, tmp_path):
             traces.append(solve(inst, cfg, record_probes=True, log_messages=True))
         for trace in traces[1:]:
             assert_bit_identical(trace, traces[0], tmp_path)
-    assert any(cycles == 7 and first > 7 for cycles, first in blocks)
 
 
 def test_solve_memory_does_not_grow_with_t_max():
