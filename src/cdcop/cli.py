@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -37,6 +38,15 @@ __all__ = ["main", "config_to_json", "config_from_json"]
 _INERTIA_KINDS = {"fixed": FixedInertia, "adaptive": AdaptiveInertia,
                   "constriction": ConstrictionInertia}
 _INERTIA_NAMES = {cls: kind for kind, cls in _INERTIA_KINDS.items()}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in exponent form, such as ``-1.5E+2``, as a value
+    and not as an option; subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def config_to_json(cfg: SwarmConfig) -> str:
@@ -223,8 +233,7 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="cdcop",
-                                     description="Continuous DCOP swarm-solver toolkit")
+    parser = _Parser(prog="cdcop", description="Continuous DCOP swarm-solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a benchmark instance file")

@@ -183,14 +183,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for path in out_dir.iterdir():
         if path.name == "summary.json" or _TRACE_NAME.fullmatch(path.name):
             path.unlink()
-    final_internal: dict[str, list[list[float]]] = {v: [] for v in cfg.variants}
+    finals = {v: np.empty((len(instances), cfg.repeats)) for v in cfg.variants}
     curve_sums: dict[str, np.ndarray] = {v: np.zeros(cfg.swarm.t_max) for v in cfg.variants}
-    run_count = 0
     checks = {"anytime": True, "message_law": True, "payload_bound": True}
     failed_runs = []
 
     for idx, (inst, tree) in enumerate(zip(instances, trees)):
-        per_variant_finals: dict[str, list[float]] = {v: [] for v in cfg.variants}
         for rep in range(cfg.repeats):
             for variant in cfg.variants:
                 run_cfg = replace(cfg.swarm,
@@ -202,7 +200,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     raise DivisionByZero(f"instance {idx}, repeat {rep}, variant {variant}, "
                                          f"run seed {run_cfg.seed}: {exc}") from None
                 write_trace_csv(out_dir / trace_filename(idx, rep, variant), trace)
-                run_count += 1
 
                 failed = [name for name, ok in
                           verify_trace(trace, tree, run_cfg.num_particles).items() if not ok]
@@ -211,10 +208,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     failed_runs.append({"instance": idx, "repeat": rep, "variant": variant,
                                         "run_seed": run_cfg.seed, "checks": failed})
 
-                per_variant_finals[variant].append(trace.best_internal)
+                finals[variant][idx, rep] = trace.best_internal
                 curve_sums[variant] += np.array(trace.display_series())
-        for variant in cfg.variants:
-            final_internal[variant].append(per_variant_finals[variant])
 
     runs_per_variant = len(instances) * cfg.repeats
     summary = {
@@ -223,7 +218,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "master_seed": cfg.master_seed,
         "t_max": cfg.swarm.t_max,
         "num_particles": cfg.swarm.num_particles,
-        "runs": run_count,
+        "runs": runs_per_variant * len(cfg.variants),
         "variants": {},
         "win_rate": {},
         "checks": checks,
@@ -231,20 +226,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     }
     if failed_runs:
         summary["failed_runs"] = failed_runs
-    mean_final: dict[str, list[float]] = {}
+    means = {v: finals[v].mean(axis=1) for v in cfg.variants}  # per instance
     for variant in cfg.variants:
-        per_instance = [float(np.mean(finals)) for finals in final_internal[variant]]
-        mean_final[variant] = per_instance
         summary["variants"][variant] = {
-            "mean_final_internal": float(np.mean(per_instance)),
-            "per_instance_mean_final_internal": per_instance,
+            "mean_final_internal": float(np.mean(means[variant])),
+            "per_instance_mean_final_internal": means[variant].tolist(),
             "per_cycle_mean_cost": [float(x) for x in curve_sums[variant] / runs_per_variant],
         }
     for a in cfg.variants:
         for b in cfg.variants:
             if a != b:
-                wins = sum(x <= y for x, y in zip(mean_final[a], mean_final[b]))
-                summary["win_rate"][f"{a}_vs_{b}"] = wins / len(instances)
+                summary["win_rate"][f"{a}_vs_{b}"] = float(np.mean(means[a] <= means[b]))
 
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -1,8 +1,9 @@
 """Centralized ground-truth utilities.
 
 These deliberately avoid the solver's code paths: costs go through the plain
-tree-walk evaluator, and the optimum search is an exhaustive (derivative-free)
-lattice scan, so they can arbitrate what the distributed machinery reports.
+tree-walk evaluator (``model.global_cost``), and the optimum search is an
+exhaustive (derivative-free) lattice scan, so they can arbitrate what the
+distributed machinery reports.
 """
 
 from dataclasses import dataclass
@@ -10,8 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CdcopInstance
-from .expressions import eval_expr
+from .model import CdcopInstance, global_cost
 
 __all__ = [
     "GridSearchSpec",
@@ -52,8 +52,6 @@ def grid_optimum(inst: CdcopInstance, spec: GridSearchSpec = GridSearchSpec()) -
 
     axes = [np.linspace(inst.domains[i].lb, inst.domains[i].ub, spec.points_per_dim)
             for i in range(n)]
-    sign = inst.sign
-
     best_cost = np.inf
     best_flat = -1
     chunk = 1_000_000
@@ -67,11 +65,8 @@ def grid_optimum(inst: CdcopInstance, spec: GridSearchSpec = GridSearchSpec()) -
             idx = rem % spec.points_per_dim
             coords[dim] = axes[dim][idx]
             rem = rem // spec.points_per_dim
-        costs = np.zeros(stop - start)
-        for fn in inst.functions:
-            u, v = fn.scope
-            costs += eval_expr(fn.expr, coords[u], coords[v])
-        costs *= sign
+        # an instance with no functions costs 0.0 everywhere
+        costs = np.broadcast_to(global_cost(inst, coords), stop - start)
         k = int(np.argmin(costs))
         if costs[k] < best_cost:
             best_cost = float(costs[k])

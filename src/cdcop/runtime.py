@@ -5,9 +5,13 @@ One cycle runs three barriered sub-phases over the pseudo-tree:
 1. position exchange: every agent sends a VALUE message to each
    constraint-graph neighbor; all deliveries complete before any receiver
    handler runs.
-2. cost convergecast: COST messages flow leaf-to-root, level by level; an
-   inner agent's handler runs only after every child's message arrived.
+2. cost convergecast: COST messages flow leaf-to-root, level by level.
 3. best broadcast: the root's BEST payload flows root-to-leaf.
+
+One delivery rule covers all three kinds. A handler that returns None sends
+nothing. A receiving handler runs only once every message it waits for has
+arrived (from each neighbor, each child, or the parent); otherwise the cycle
+stops with ``DeadlockDetected`` naming the senders it still waits for.
 
 Handlers never touch each other's state directly; every interaction is a
 recorded message, which is what makes the per-cycle accounting exact. Per
@@ -20,8 +24,6 @@ BEST payload of K + 2, which a cycle can meet exactly.
 import csv
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .pseudotree import PseudoTree
 
@@ -60,7 +62,7 @@ class BestPayload:
     best_index: int | None
     best_fitness: float | None
 
-    def scalar_len(self) -> int:
+    def __len__(self) -> int:
         return len(self.improved) + (2 if self.best_index is not None else 0)
 
 
@@ -88,12 +90,6 @@ class CycleStats:
         return self.value_count + self.cost_count + self.best_count
 
 
-def _payload_len(payload) -> int:
-    if isinstance(payload, BestPayload):
-        return payload.scalar_len()
-    return payload.size if isinstance(payload, np.ndarray) else len(payload)
-
-
 class SyncRuntime:
     """Mailboxes plus the three-phase cycle driver.
 
@@ -102,93 +98,84 @@ class SyncRuntime:
     ``handle_values``, ``handle_costs``, ``cost_payload``, ``best_payload``,
     ``handle_best``, ``end_cycle``). Agents at the same tree level are
     processed in ascending id, so a full run is schedule-independent.
+
+    Every kind is delivered by one rule: a payload of None sends nothing, and
+    a handler runs only once every message it waits for has arrived. A VALUE
+    or COST payload is a ``(K,)`` array and a BEST payload a ``BestPayload``;
+    either's size is ``len(payload)``.
     """
 
     def __init__(self, tree: PseudoTree, log_messages: bool = False):
         self.tree = tree
         self.log: list[Message] | None = [] if log_messages else None
         self._levels = tree.levels()
-        n = tree.num_agents
-        self._value_box: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
-        self._cost_box: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
-        self._best_box: list[BestPayload | None] = [None] * n
+        self._mail: dict[tuple[str, int], dict] = {}  # (kind, receiver) -> {sender: payload}
 
     def run_cycle(self, handlers, cycle: int) -> CycleStats:
         start = time.perf_counter()
         stats = CycleStats(cycle=cycle)
         tree = self.tree
-        n = tree.num_agents
 
         # phase 1: VALUE exchange between constraint-graph neighbors
-        for agent in range(n):
-            if not tree.neighbors[agent]:
-                continue
-            payload = handlers[agent].value_payload()
-            if payload is None:
-                continue
-            for peer in tree.neighbors[agent]:
-                self._send(stats, VALUE, agent, peer, payload, self._value_box[peer])
-        for agent in range(n):
-            box = self._value_box[agent]
-            if len(box) != len(tree.neighbors[agent]):
-                missing = sorted(set(tree.neighbors[agent]) - box.keys())
-                raise DeadlockDetected(f"agent {agent} never received VALUE from {missing}")
-            handlers[agent].handle_values(box)
-            box.clear()
+        for agent, peers in enumerate(tree.neighbors):
+            if peers:
+                self._send(stats, VALUE, agent, peers, handlers[agent].value_payload())
+        for agent, peers in enumerate(tree.neighbors):
+            handlers[agent].handle_values(self._collect(VALUE, agent, peers))
 
         # phase 2: COST convergecast, deepest level first
         for level in reversed(self._levels):
             for agent in level:
-                box = self._cost_box[agent]
-                if len(box) != len(tree.children[agent]):
-                    missing = sorted(set(tree.children[agent]) - box.keys())
-                    raise DeadlockDetected(f"agent {agent} never received COST from {missing}")
-                handlers[agent].handle_costs(box)
-                box.clear()
+                handlers[agent].handle_costs(self._collect(COST, agent, tree.children[agent]))
                 parent = tree.parent[agent]
                 if parent is not None:
-                    payload = handlers[agent].cost_payload()
-                    if payload is not None:
-                        self._send(stats, COST, agent, parent, payload, self._cost_box[parent])
+                    self._send(stats, COST, agent, (parent,), handlers[agent].cost_payload())
 
-        # phase 3: BEST broadcast, root first
-        verdict = handlers[tree.root].best_payload()
+        # phase 3: BEST broadcast, root first; the root applies its own verdict
         for level in self._levels:
             for agent in level:
-                if agent == tree.root:
-                    payload = verdict
+                parent = tree.parent[agent]
+                if parent is None:
+                    payload = handlers[agent].best_payload()
                 else:
-                    payload = self._best_box[agent]
-                    if payload is None:
-                        raise DeadlockDetected(f"agent {agent} never received BEST from its parent")
+                    payload = self._collect(BEST, agent, (parent,))[parent]
                     handlers[agent].handle_best(payload)
-                    self._best_box[agent] = None
-                for child in tree.children[agent]:
-                    if payload is None:
-                        continue  # the child's own check reports the missing BEST
-                    self._send(stats, BEST, agent, child, payload, None)
-                    self._best_box[child] = payload
+                self._send(stats, BEST, agent, tree.children[agent], payload)
 
-        for agent in range(n):
-            handlers[agent].end_cycle()
+        for handler in handlers:
+            handler.end_cycle()
 
         stats.duration_s = time.perf_counter() - start
         return stats
 
-    def _send(self, stats: CycleStats, kind: str, sender: int, receiver: int, payload, box) -> None:
-        if box is not None:
-            box[sender] = payload
-        size = _payload_len(payload)
+    def _collect(self, kind: str, agent: int, senders) -> dict:
+        """``agent``'s ``kind`` messages by sender, taken out of its mailbox; each
+        of ``senders`` must have sent one."""
+        box = self._mail.pop((kind, agent), {})
+        missing = [sender for sender in senders if sender not in box]
+        if missing:
+            raise DeadlockDetected(f"agent {agent} never received {kind} from {missing}")
+        return box
+
+    def _send(self, stats: CycleStats, kind: str, sender: int, receivers, payload) -> None:
+        """Deliver ``payload`` to each receiver, counting and logging each message;
+        a payload of None sends nothing."""
+        if payload is None or not receivers:
+            return
+        size = len(payload)
+        for receiver in receivers:
+            self._mail.setdefault((kind, receiver), {})[sender] = payload
+            if self.log is not None:
+                self.log.append(Message(stats.cycle, kind, sender, receiver, size))
+        count, sent = len(receivers), size * len(receivers)
         if kind == VALUE:
-            stats.value_count += 1
+            stats.value_count += count
         elif kind == COST:
-            stats.cost_count += 1
+            stats.cost_count += count
         else:
-            stats.best_count += 1
-        stats.payload_scalars += size
-        stats.sent_scalars_by_agent[sender] = stats.sent_scalars_by_agent.get(sender, 0) + size
-        if self.log is not None:
-            self.log.append(Message(stats.cycle, kind, sender, receiver, size))
+            stats.best_count += count
+        stats.payload_scalars += sent
+        stats.sent_scalars_by_agent[sender] = stats.sent_scalars_by_agent.get(sender, 0) + sent
 
 
 def cycle_traffic(tree: PseudoTree, num_particles: int, best_len: int) -> CycleStats:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cdcop import build_bfs, cli, experiment
+from cdcop import Domain, build_bfs, cli, experiment
 from cdcop.benchmarks import BenchSpec
 from cdcop.cli import config_from_json, config_to_json, main
 from cdcop.experiment import ExperimentConfig, derive_run_seed
@@ -485,12 +485,11 @@ def test_unread_or_bad_family_value_is_one_error_line(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("argv, error", [
     (["solve", "{wide}", "-K", "4", "--cycles", "2", "--trace", "{out}"],
      "domain 0 is wider than the largest float: [-1e+308, 1e+308]\n"),
-    # the leading space keeps argparse from reading the negative bound as an option
-    (["experiment", *_ER, "--domain", " -1e308", "1e308", "--num-instances", "1", *_RUN,
+    (["experiment", *_ER, "--domain", "-1e308", "1e308", "--num-instances", "1", *_RUN,
       "--out-dir", "{out}"], "domain is wider than the largest float, got (-1e+308, 1e+308)\n"),
-    (["gen", *_ER, "--coeff", " -1e308", "1e308", "--out", "{out}"],
+    (["gen", *_ER, "--coeff", "-1e308", "1e308", "--out", "{out}"],
      "coeff_range is wider than the largest float, got (-1e+308, 1e+308)\n"),
-    (["gen", *_ER, "--domain", " -1e308", "1e308", "--out", "{out}"],
+    (["gen", *_ER, "--domain", "-1e308", "1e308", "--out", "{out}"],
      "domain is wider than the largest float, got (-1e+308, 1e+308)\n"),
 ], ids=["solve", "experiment", "gen", "gen_domain"])
 def test_range_wider_than_a_float_is_one_error_line(tmp_path, capsys, argv, error):
@@ -502,6 +501,28 @@ def test_range_wider_than_a_float_is_one_error_line(tmp_path, capsys, argv, erro
     err = capsys.readouterr().err
     assert (err.startswith(f"error: {error}"), err.count("\n")) == (True, 1), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "experiment"])
+@pytest.mark.parametrize("flag, field", [("--domain", "domain"), ("--coeff", "coeff_range")])
+def test_exponent_form_negative_bound_is_a_value(monkeypatch, command, flag, field):
+    """A negative bound in exponent form is read as a number, not as an option."""
+    def capture(built):
+        raise _Built(built)
+    monkeypatch.setattr(cli, "generate", capture)
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Built) as built:
+        main([command, *_ER, flag, "-1.5E+2", "1e3", "--out" if command == "gen" else "--out-dir",
+              "x"])
+    spec = built.value.args[0]
+    assert getattr(getattr(spec, "bench", spec), field) == (-150.0, 1000.0)
+
+
+def test_gen_writes_an_exponent_form_negative_domain(tmp_path):
+    out = tmp_path / "x.json"
+    assert main(["gen", "--family", "er", "--n", "4", "--p", "0.9", "--domain", "-1e3", "1e3",
+                 "--out", str(out)]) == 0
+    assert set(load_instance(out).domains) == {Domain(-1000.0, 1000.0)}
 
 
 class _Built(Exception):

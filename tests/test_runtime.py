@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -176,6 +177,67 @@ def test_deadlock_on_withheld_value(kite_instance):
 
     with pytest.raises(DeadlockDetected, match="VALUE"):
         _run(kite_instance, agent_cls=Silent)
+
+
+@pytest.mark.parametrize("root", range(4))
+def test_withheld_best_reaches_no_child(kite_instance, root):
+    """A root verdict of None sends nothing: each child of the root waits for
+    it, the first to run names the root, and no agent handles a BEST."""
+    tree = build_bfs(kite_instance, root)
+    agents = [StubAgent(i, best=None) for i in range(4)]
+    rt = SyncRuntime(tree)
+    first = tree.children[root][0]
+    with pytest.raises(DeadlockDetected, match=rf"^agent {first} never received BEST from \[{root}\]$"):
+        rt.run_cycle(agents, 1)
+    assert [a.best_seen for a in agents] == [None] * 4
+    for child in tree.children[root]:
+        with pytest.raises(DeadlockDetected, match=rf"^agent {child} never received BEST from \[{root}\]$"):
+            rt._collect("BEST", child, (root,))
+
+
+class WithholdsInCycle2(StubAgent):
+    """Returns None from the payload handler ``withheld`` in cycle 2 only."""
+
+    def __init__(self, agent_id, withheld=None):
+        super().__init__(agent_id)
+        self.withheld = withheld
+
+    def _sends(self, handler):
+        return not (handler == self.withheld and self.cycles_ended == 1)
+
+    def value_payload(self):
+        return super().value_payload() if self._sends("value_payload") else None
+
+    def cost_payload(self):
+        return super().cost_payload() if self._sends("cost_payload") else None
+
+    def best_payload(self):
+        return super().best_payload() if self._sends("best_payload") else None
+
+
+@pytest.mark.parametrize("handler, agent, error", [
+    ("value_payload", 1, "agent 0 never received VALUE from [1]"),
+    ("cost_payload", 1, "agent 0 never received COST from [1]"),
+    ("best_payload", 0, "agent 1 never received BEST from [0]"),
+])
+def test_message_withheld_in_a_later_cycle_deadlocks_that_cycle(kite_instance, handler, agent,
+                                                                 error):
+    """A cycle's messages leave the mailbox when handled, so one withheld in
+    cycle 2 is missed in cycle 2, not covered by cycle 1's."""
+    tree = build_bfs(kite_instance, 0)
+    agents = [WithholdsInCycle2(i, handler if i == agent else None) for i in range(4)]
+    rt = SyncRuntime(tree)
+    rt.run_cycle(agents, 1)
+    with pytest.raises(DeadlockDetected, match=f"^{re.escape(error)}$"):
+        rt.run_cycle(agents, 2)
+
+
+@pytest.mark.parametrize("num_particles", [1, 3, 8])
+def test_best_payload_len_counts_its_scalars(num_particles):
+    for best_len in range(num_particles + 3):
+        assert len(_best_of_len(best_len)) == best_len
+    assert len(BestPayload((), 3, -1.0)) == 2
+    assert len(BestPayload((0, 4), None, None)) == 2
 
 
 def test_message_log_and_csv(kite_instance, tmp_path):
