@@ -17,6 +17,7 @@ given as flags, and no mutation puts a large integer where a size goes.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -69,8 +70,12 @@ EXTRA_FLAGS = {"gen": [["--m", "1"], ["--rows", "2"], ["--p", "0.5"], ["--domain
 
 
 def _value(data, key):
-    """A replacement value for ``key``: another JSON type or an extreme number."""
-    value = data.draw(st.sampled_from(EXTREMES + OTHER_TYPES))
+    """A replacement value for ``key``: another JSON type or an extreme number.
+
+    A list or object is a fresh copy: a later mutation may edit it in place,
+    and an edit to the shared one would change what later examples draw.
+    """
+    value = copy.deepcopy(data.draw(st.sampled_from(EXTREMES + OTHER_TYPES)))
     return 0 if key in SIZES and type(value) is int and value > 2 else value
 
 
