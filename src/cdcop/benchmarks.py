@@ -91,10 +91,6 @@ def quadratic_expr(a: float, b: float, c: float) -> Expression:
     )
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_range,
                         rng: np.random.Generator) -> CdcopInstance:
     lb, ub = domain
@@ -128,7 +124,7 @@ def gen_erdos_renyi(n: int, p: float, domain=DEFAULT_DOMAIN, coeff_range=DEFAULT
     """Each of the C(n,2) pairs gets an edge with probability p; retries until connected."""
     if n < 2 or not 0.0 < p <= 1.0:
         raise ValueError(f"need n >= 2 and 0 < p <= 1, got n={n}, p={p}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(CONNECT_RETRIES):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         if not unreachable(n, edges):
@@ -142,7 +138,7 @@ def gen_random_tree(n: int, domain=DEFAULT_DOMAIN, coeff_range=DEFAULT_COEFF,
     """Uniform random attachment: node i >= 1 links to a uniformly chosen earlier node."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return _quadratic_instance(n, edges, domain, coeff_range, rng)
 
@@ -156,7 +152,7 @@ def gen_barabasi_albert(n: int, m: int, domain=SCALE_FREE_DOMAIN,
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got n={n}, m={m}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
     degree = np.zeros(n)
     for u, v in edges:
@@ -201,7 +197,7 @@ def gen_sensor_grid(rows: int, cols: int, seed: int = 0) -> CdcopInstance:
     """
     if rows < 2 or cols < 2:
         raise ValueError(f"need rows, cols >= 2, got {rows}x{cols}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = rows * cols
     cell = lambda r, c: r * cols + c
     pairs = []

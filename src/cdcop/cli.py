@@ -17,8 +17,8 @@ from .experiment import (
     write_trace_csv,
 )
 from .expressions import DivisionByZero
-from .model import InvalidInstanceError, load_instance, save_instance
-from .oracle import GridSearchSpec, GridTooLargeError, grid_optimum
+from .model import load_instance, save_instance
+from .oracle import GridSearchSpec, grid_optimum
 from .pseudotree import build_bfs, tree_edge_dump
 from .runtime import write_message_log_csv
 from .swarm import (
@@ -277,8 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInstanceError, ConfigError, GenerationFailed, GridTooLargeError, ValueError,
-            DivisionByZero) as e:
+    except (ValueError, GenerationFailed, DivisionByZero) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

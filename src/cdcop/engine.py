@@ -19,14 +19,16 @@ bit-identical to the message-passing one:
   log from the tree instead of sending.
 """
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .expressions import DivisionByZero, bind, compile_skeleton, eval_expr
-from .model import CdcopInstance, CostFunction, incident_functions
+from .model import CdcopInstance, incident_functions, zero_denominator
 from .pseudotree import PseudoTree
 from .runtime import BEST, COST, VALUE, CycleStats, Message, cycle_traffic
 
-__all__ = ["LocalCosts", "TreeSchedule", "zero_denominator"]
+__all__ = ["LocalCosts", "TreeSchedule"]
 
 # elements (edges x particles) per block: keeps each block's (edges, K)
 # operands in cache; er n=50 at K=200 ran fastest near this size
@@ -40,11 +42,6 @@ def _constant_operand(column: np.ndarray, K: int):
     if np.all(column.view(np.int64) == column[:1].view(np.int64)):
         return float(column[0])
     return np.repeat(column[:, None], K, axis=1)
-
-
-def zero_denominator(f: CostFunction) -> DivisionByZero:
-    """The error for a zero denominator met while evaluating ``f``."""
-    return DivisionByZero(f"zero denominator in function {f.id}, scope {f.scope}")
 
 
 class LocalCosts:
@@ -211,11 +208,12 @@ class TreeSchedule:
 
     def cycle_stats(self, cycle: int, best_len: int) -> CycleStats:
         """One cycle's counts. ``sent_scalars_by_agent`` is built once per
-        distinct ``best_len`` and shared by every row with that length, so
-        callers must treat it as read-only."""
+        distinct ``best_len`` and shared, read-only, by every row with that
+        length."""
         rule = self._traffic.get(best_len)
         if rule is None:
             rule = self._traffic[best_len] = cycle_traffic(self.tree, self.num_particles, best_len)
+            rule.sent_scalars_by_agent = MappingProxyType(rule.sent_scalars_by_agent)
         return CycleStats(cycle, rule.value_count, rule.cost_count, rule.best_count,
                           rule.payload_scalars, rule.sent_scalars_by_agent)
 

@@ -41,7 +41,6 @@ __all__ = [
     "eval_expr",
     "parse_expr",
     "format_expr",
-    "referenced_slots",
     "inspect_expr",
     "bind",
     "compile_expr",
@@ -264,11 +263,6 @@ def eval_expr(expr: Expression, a, b):
             y = values.pop()
             values.append(_apply(node, values.pop(), y))
     return values.pop()
-
-
-def referenced_slots(expr: Expression) -> set[int]:
-    """Set of scope slots (0/1) the expression actually reads."""
-    return inspect_expr(expr)[0]
 
 
 def inspect_expr(expr: Expression) -> tuple[set[int], bool]:

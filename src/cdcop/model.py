@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .expressions import (
+    DivisionByZero,
     Expression,
     eval_expr,
     format_expr,
@@ -29,6 +30,7 @@ __all__ = [
     "global_cost",
     "incident_functions",
     "validate_instance",
+    "zero_denominator",
     "load_instance",
     "save_instance",
     "instance_to_json",
@@ -113,13 +115,24 @@ def constraint_cost(inst: CdcopInstance, fn_id: int, assignment) -> float:
     return inst.sign * eval_expr(fn.expr, assignment[u], assignment[v])
 
 
+def zero_denominator(f: CostFunction) -> DivisionByZero:
+    """The error for a zero denominator met while evaluating ``f``."""
+    return DivisionByZero(f"zero denominator in function {f.id}, scope {f.scope}")
+
+
 def global_cost(inst: CdcopInstance, assignment) -> float:
-    """Internal cost of a complete assignment: the sum over all functions."""
+    """Internal cost of a complete assignment: the sum over all functions.
+
+    A zero denominator raises DivisionByZero naming the first function of
+    ``inst.functions`` that meets it."""
     sign = inst.sign
     total = 0.0
     for fn in inst.functions:
         u, v = fn.scope
-        total += eval_expr(fn.expr, assignment[u], assignment[v])
+        try:
+            total += eval_expr(fn.expr, assignment[u], assignment[v])
+        except DivisionByZero:
+            raise zero_denominator(fn) from None
     return sign * total
 
 
@@ -163,10 +176,10 @@ def validate_instance(inst: CdcopInstance) -> list[str]:
         if pair in seen_pairs:
             out.append(f"duplicate constraint between variables {pair[0]} and {pair[1]}")
         seen_pairs.add(pair)
-        slots, zero_denominator = inspect_expr(f.expr)
+        slots, constant_zero = inspect_expr(f.expr)
         if slots != {0, 1}:
             out.append(f"function {f.id} must reference both scope slots, uses {sorted(slots)}")
-        if zero_denominator:
+        if constant_zero:
             out.append(f"function {f.id} divides by a constant zero")
 
     missing = [] if out else unreachable(inst.num_agents, (f.scope for f in inst.functions))

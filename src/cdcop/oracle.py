@@ -41,7 +41,8 @@ def grid_optimum(inst: CdcopInstance, spec: GridSearchSpec = GridSearchSpec()) -
     """Best assignment on the rectangular lattice with ``points_per_dim`` per axis.
 
     Exhaustive and deterministic; ties resolve to the lexicographically
-    smallest lattice point. Costs are internal (minimization) sign.
+    smallest lattice point, and a NaN cost counts as +inf. Costs are internal
+    (minimization) sign.
     """
     n = inst.num_agents
     if n > spec.max_dims:
@@ -53,31 +54,31 @@ def grid_optimum(inst: CdcopInstance, spec: GridSearchSpec = GridSearchSpec()) -
     axes = [np.linspace(inst.domains[i].lb, inst.domains[i].ub, spec.points_per_dim)
             for i in range(n)]
     best_cost = np.inf
-    best_flat = -1
+    best_flat = 0  # where no cost is below +inf, the first point
     chunk = 1_000_000
     # lexicographic enumeration in chunks; first strict improvement wins ties
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        flat = np.arange(start, stop)
-        coords = np.empty((n, stop - start))
-        rem = flat
-        for dim in range(n - 1, -1, -1):
-            idx = rem % spec.points_per_dim
-            coords[dim] = axes[dim][idx]
-            rem = rem // spec.points_per_dim
+        costs = np.asarray(global_cost(inst, _lattice_points(axes, np.arange(start, stop))))
+        np.fmin(costs, np.inf, out=costs)  # a NaN cost counts as +inf: argmin would pick it
         # an instance with no functions costs 0.0 everywhere
-        costs = np.broadcast_to(global_cost(inst, coords), stop - start)
+        costs = np.broadcast_to(costs, stop - start)
         k = int(np.argmin(costs))
         if costs[k] < best_cost:
             best_cost = float(costs[k])
             best_flat = start + k
+    return _lattice_points(axes, best_flat), best_cost
 
-    assignment = np.empty(n)
-    rem = best_flat
-    for dim in range(n - 1, -1, -1):
-        assignment[dim] = axes[dim][rem % spec.points_per_dim]
-        rem //= spec.points_per_dim
-    return assignment, best_cost
+
+def _lattice_points(axes: list[np.ndarray], flat):
+    """The lattice points at lexicographic indices ``flat``, an int or an
+    array, as one row per axis: the last axis varies fastest."""
+    points = np.empty((len(axes),) + np.shape(flat))
+    rem = flat
+    for dim in range(len(axes) - 1, -1, -1):
+        points[dim] = axes[dim][rem % len(axes[dim])]
+        rem = rem // len(axes[dim])
+    return points
 
 
 def check_anytime(costs: Sequence[float]) -> int | None:

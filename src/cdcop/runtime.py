@@ -23,6 +23,7 @@ BEST payload of K + 2, which a cycle can meet exactly.
 
 import csv
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .pseudotree import PseudoTree
@@ -82,7 +83,7 @@ class CycleStats:
     cost_count: int = 0
     best_count: int = 0
     payload_scalars: int = 0
-    sent_scalars_by_agent: dict[int, int] = field(default_factory=dict)
+    sent_scalars_by_agent: Mapping[int, int] = field(default_factory=dict)
     duration_s: float = 0.0
 
     @property

@@ -36,8 +36,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import LocalCosts, TreeSchedule, zero_denominator
-from .model import CdcopInstance, incident_functions
+from .engine import LocalCosts, TreeSchedule
+from .model import CdcopInstance, incident_functions, zero_denominator
 from .expressions import DivisionByZero, compile_expr
 from .pseudotree import PseudoTree, build_bfs
 from .runtime import BestPayload, CycleStats
@@ -184,7 +184,6 @@ def validate_config(cfg: SwarmConfig) -> None:
 class GcpsoControl:
     """Shared exploration-control state, kept identical on every agent."""
 
-    cycle: int = 0
     successes: int = 0
     failures: int = 0
     radius: float = 1.0
@@ -212,23 +211,22 @@ def update_control(ctrl: GcpsoControl, improved: bool, cfg: SwarmConfig) -> None
 
 # --- update equations (shared by the agent and solve) ------------------------
 
-def velocity_global_best(v, x, g_best, w, radius, walk, scratch=None):
+def velocity_global_best(v, x, g_best, w, radius, walk, scratch):
     """The global best particle's velocity ``-x + g_best + w*v + radius*walk``,
     added left to right, with ``walk = 1 - 2*r2``.
 
     ``scratch``, three arrays shaped like ``x``, holds the terms and the
-    result; without it they are allocated. No call writes over one of its
-    operands: numpy's in-place add of one-element arrays keeps the other
-    operand's NaN.
+    result. No call writes over one of its operands: numpy's in-place add of
+    one-element arrays keeps the other operand's NaN.
     """
-    a, b, c = scratch or (None, None, None)
+    a, b, c = scratch
     pulled = np.add(np.negative(x, out=a), g_best, out=b)
     moved = np.add(pulled, np.multiply(w, v, out=a), out=c)
     return np.add(moved, np.multiply(radius, walk, out=a), out=b)
 
 
 def pso_step(x, v, p_best_x, g_best_x, r1c1, r2c2, walk, w, cfg: SwarmConfig,
-             ctrl: GcpsoControl, lb, ub, keep=None, scratch=None):
+             ctrl: GcpsoControl, lb, ub, keep, scratch):
     """One velocity and position update of ``x`` and ``v``, in place; returns ``(x, v)``.
 
     ``r1c1``, ``r2c2`` and ``walk`` are the cycle's ``r1*c1``, ``r2*c2`` and
@@ -243,12 +241,9 @@ def pso_step(x, v, p_best_x, g_best_x, r1c1, r2c2, walk, w, cfg: SwarmConfig,
     and the elements at flat index ``keep``, already moved by crossover, keep
     their velocity and position. Positions are clamped to ``[lb, ub]``.
     ``scratch`` holds A and B, shaped like ``x``, then the three arrays
-    ``velocity_global_best`` works in, shaped like one column of ``x``;
-    without it they are allocated.
+    ``velocity_global_best`` works in, shaped like one column of ``x``.
+    ``keep`` is None when no element was crossed.
     """
-    if scratch is None:
-        column = x[..., :1]
-        scratch = (np.empty_like(x), np.empty_like(x), *(np.empty_like(column) for _ in range(3)))
     cognitive, social = scratch[:2]
     k = ctrl.best_particle
     if k is not None:
@@ -438,9 +433,9 @@ class SwarmAgent:
         self.g_best_x = 0.0
         self.g_best_fit = np.inf
         self.control = GcpsoControl()
+        self.cycle = 0
         self._scratch = (np.empty(K), np.empty(K), *np.empty((3, 1)))  # pso_step's
         self._improved = False
-        self._crossed_full: np.ndarray | None = None
 
     # -- runtime handlers, in phase order --
 
@@ -489,26 +484,25 @@ class SwarmAgent:
         self._improved = payload.best_index is not None
 
     def end_cycle(self) -> None:
-        self.control.cycle += 1
-        if self.cfg.crossover:
-            self._apply_crossover()
+        self.cycle += 1
+        keep = self._apply_crossover() if self.cfg.crossover else None
         update_control(self.control, self._improved, self.cfg)
-        self._variable_update()
+        self._variable_update(keep)
 
     # -- local update steps --
 
-    def _apply_crossover(self) -> None:
-        self._crossed_full = crossover_rows(self.x[None], self.v[None], self.local_fitness[None],
-                                            self.cross_scratch, self.rng_cross.random((1, 3)))
+    def _apply_crossover(self) -> np.ndarray:
+        """Crossover of this agent's particles; returns the flat indices that
+        ``_variable_update`` must leave alone."""
+        return crossover_rows(self.x[None], self.v[None], self.local_fitness[None],
+                              self.cross_scratch, self.rng_cross.random((1, 3)))
 
-    def _variable_update(self) -> None:
-        cfg, ctrl = self.cfg, self.control
-        w = inertia_weight(cfg.inertia, ctrl.cycle, cfg.t_max)
+    def _variable_update(self, keep: np.ndarray | None) -> None:
+        cfg = self.cfg
+        w = inertia_weight(cfg.inertia, self.cycle, cfg.t_max)
         r1, r2 = (float(r) for r in self.rng_update.random(2))
         pso_step(self.x, self.v, self.p_best_x, self.g_best_x, r1 * cfg.c1, r2 * cfg.c2,
-                 1.0 - 2.0 * r2, w, cfg, ctrl, self.lb, self.ub, self._crossed_full,
-                 self._scratch)
-        self._crossed_full = None
+                 1.0 - 2.0 * r2, w, cfg, self.control, self.lb, self.ub, keep, self._scratch)
 
 
 # --- solve ---------------------------------------------------------------------

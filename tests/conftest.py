@@ -20,6 +20,13 @@ def make_instance(n, specs, domain=(-10.0, 10.0), objective="min"):
     )
 
 
+def update_scratch(x):
+    """Buffers for ``pso_step`` on positions shaped like ``x``, filled with
+    garbage: two shaped like ``x``, then three like one column of it."""
+    column = x[..., :1]
+    return tuple(np.full_like(a, 7.0) for a in (x, x, column, column, column))
+
+
 def sum_chain(num_terms):
     """A left-leaning sum of ``num_terms`` terms, nested ``num_terms - 1`` deep."""
     terms = [Var(0), Mul(Constant(0.5), Var(1)), Constant(0.25), Pow(Sub(Var(0), Constant(1.5)), 2)]

@@ -41,6 +41,7 @@ from conftest import (
     KITE_ROOT_FITNESS,
     KITE_UPDATED_V,
     KITE_UPDATED_X,
+    update_scratch,
 )
 
 
@@ -114,7 +115,7 @@ def test_criterion_1_golden_trace(kite_instance):
         for i, agent in enumerate(agents):
             x, v = pso_step(KITE_POSITIONS[i].copy(), np.zeros(4), agent.p_best_x, agent.g_best_x,
                             0.7 * cfg.c1, 0.4 * cfg.c2, 1.0 - 2.0 * 0.4, 0.72, cfg, agent.control,
-                            agent.lb, agent.ub)
+                            agent.lb, agent.ub, None, update_scratch(agent.x))
             np.testing.assert_allclose(v, KITE_UPDATED_V[i], **two_dp)
             np.testing.assert_allclose(x, KITE_UPDATED_X[i], **two_dp)
 

@@ -260,6 +260,9 @@ def test_zero_denominator_is_one_error_line(tmp_path, capsys):
     assert repeat == "0" and variant == "pcd"  # the first run the ensemble starts
     assert main(["solve", str(inst_path), *flags, "--seed", seed, "--variant", variant]) == 2
     assert capsys.readouterr().err == f"error: {cause}\n"
+    # the lattice meets it too (at x0 == x1), and names the same function
+    assert main(["oracle", str(inst_path), "--points-per-dim", "5"]) == 2
+    assert capsys.readouterr().err == "error: zero denominator in function 0, scope (0, 1)\n"
 
 
 def test_constant_zero_denominator_is_rejected_at_load(tmp_path, capsys):

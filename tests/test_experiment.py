@@ -206,6 +206,16 @@ def test_verify_trace_verdicts(source, corrupt, check):
     assert verify_trace(trace, tree, cfg.num_particles) == want
 
 
+def test_solve_rows_share_a_read_only_sent_map():
+    """Rows of one BEST length share one sent map, so a write into it through
+    one row would change every other; it raises instead."""
+    inst = generate(BenchSpec("er", n=6, p=0.5, seed=3))
+    trace = solve(inst, SwarmConfig(num_particles=8, t_max=30, seed=4))
+    sent = trace.rows[-1].stats.sent_scalars_by_agent
+    with pytest.raises(TypeError):
+        sent[next(iter(sent))] = 0
+
+
 @pytest.mark.parametrize("source", ["solve", "reference"])
 def test_broom_meets_its_payload_bound_exactly(source):
     """Agent 1 of a broom has 33 children. Cycle 1 sends it the largest BEST

@@ -53,6 +53,24 @@ def test_grid_deterministic_tie_break():
     np.testing.assert_array_equal(assignment, [-1.0, 0.0])
 
 
+def test_grid_with_no_finite_cost_reports_the_first_point():
+    inst = make_instance(2, [((0, 1), "(+ inf (* x0 x1))")], domain=(0.0, 1.0))
+    assignment, cost = grid_optimum(inst, GridSearchSpec(points_per_dim=3))
+    assert cost == np.inf
+    np.testing.assert_array_equal(assignment, [0.0, 0.0])
+
+
+def test_grid_nan_cost_never_wins():
+    """Where |x1| > 1, x1^2000 overflows and 0 * inf is NaN; a NaN earlier in
+    the chunk must not hide the finite optimum."""
+    inst = make_instance(2, [((0, 1), "(+ (* x0 x1) (* (- x0 x0) (^ x1 2000)))")],
+                         domain=(-2.0, 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assignment, cost = grid_optimum(inst, GridSearchSpec(points_per_dim=5))
+    assert cost == -2.0
+    np.testing.assert_array_equal(assignment, [-2.0, 1.0])
+
+
 def test_grid_rejects_tiny_lattice():
     with pytest.raises(ValueError):
         GridSearchSpec(points_per_dim=1)

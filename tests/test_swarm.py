@@ -40,6 +40,7 @@ from conftest import (
     make_instance,
     neg_pow_chain,
     sum_chain,
+    update_scratch,
 )
 from golden.regen import FLAT
 from test_engine_equivalence import assert_bit_identical, reference_solve
@@ -187,7 +188,8 @@ def test_one_cycle_reproduces_hand_tables(kite_instance):
     for i, agent in enumerate(agents):
         x, v = pso_step(KITE_POSITIONS[i].copy(), np.zeros(4), agent.p_best_x, agent.g_best_x,
                         0.7 * KITE_CONFIG.c1, 0.4 * KITE_CONFIG.c2, 1.0 - 2.0 * 0.4, 0.72,
-                        KITE_CONFIG, agent.control, agent.lb, agent.ub)
+                        KITE_CONFIG, agent.control, agent.lb, agent.ub, None,
+                        update_scratch(agent.x))
         np.testing.assert_allclose(v, KITE_UPDATED_V[i], **TABLE)
         np.testing.assert_allclose(x, KITE_UPDATED_X[i], **TABLE)
 
@@ -455,9 +457,9 @@ def test_crossover_workspace_reuse_matches_fresh_buffers(m):
         rows = (lambda a: a[0]) if m == 1 else (lambda a: a)  # the agent updates 1-D vectors
         products = (r1 * cfg.c1, r2 * cfg.c2, 1.0 - 2.0 * r2)
         pso_step(rows(free_x), rows(free_v), rows(p_best_x), 0.5, *products, 0.7, cfg, ctrl,
-                 -100.0, 100.0)
+                 -100.0, 100.0, None, update_scratch(rows(x)))
         pso_step(rows(x), rows(v), rows(p_best_x), 0.5, *products, 0.7, cfg, ctrl, -100.0, 100.0,
-                 keep=keep)
+                 keep, update_scratch(rows(x)))
         kept = np.zeros(m * K, dtype=bool)
         kept[keep.ravel()] = True
         for got, before, free in ((x, crossed_x, free_x), (v, crossed_v, free_v)):
@@ -520,8 +522,10 @@ def test_crossover_stays_in_parent_hull(xa, xb, r):
 def _velocity(v, x, p_best, g_best, w, c1, c2, r1, r2, inertia=FixedInertia(0.72)):
     """One particle's new velocity from the update kernel (no global best, no clamp)."""
     cfg = SwarmConfig(c1=c1, c2=c2, inertia=inertia)
-    _, v_new = pso_step(np.array([x]), np.array([v]), np.array([p_best]), g_best, r1 * c1,
-                        r2 * c2, 1.0 - 2.0 * r2, w, cfg, GcpsoControl(), -np.inf, np.inf)
+    x = np.array([x])
+    _, v_new = pso_step(x, np.array([v]), np.array([p_best]), g_best, r1 * c1, r2 * c2,
+                        1.0 - 2.0 * r2, w, cfg, GcpsoControl(), -np.inf, np.inf, None,
+                        update_scratch(x))
     return float(v_new[0])
 
 
@@ -532,7 +536,7 @@ def test_velocity_standard_by_hand():
 
 
 def test_velocity_global_best_by_hand():
-    v = velocity_global_best(0.0, 0.0, 0.0, 0.72, 1.0, 1.0 - 2.0 * 0.4)
+    v = velocity_global_best(0.0, 0.0, 0.0, 0.72, 1.0, 1.0 - 2.0 * 0.4, np.empty((3, 1)))
     assert v == pytest.approx(0.20)
 
 
@@ -588,7 +592,7 @@ def _update_case(draw):
         c1=draw(st.sampled_from([1.49, 2.05])), c2=draw(st.sampled_from([1.49, 2.05])),
         constricted=draw(st.booleans()), radius=draw(st.sampled_from([0.25, 1.0, 8.0])),
         best=draw(st.none() | st.integers(0, K - 1)),
-        keep=np.flatnonzero(kept) if any(kept) else None, scratch=draw(st.booleans()))
+        keep=np.flatnonzero(kept) if any(kept) else None)
 
 
 def _literal_update(x, v, p_best, g_best, r1, r2, w, c1, c2, constricted, radius, best, keep,
@@ -630,7 +634,7 @@ def _pinned_case(x, v, g_best, best, keep, constricted, **rest):
                                                 np.full((len(x), 1), 0.75))
     return dict(dict(x=x, v=v, p_best=np.zeros_like(x), g_best=g_best, r1=r1, r2=r2,
                      lb=bounds[0], ub=bounds[1], w=0.72, c1=1.49, c2=1.49,
-                     constricted=constricted, radius=1.0, best=best, keep=keep, scratch=True),
+                     constricted=constricted, radius=1.0, best=best, keep=keep),
                 **rest)
 
 
@@ -644,7 +648,7 @@ _NEG_NAN = np.copysign(np.nan, -1.0)
                       g_best=np.array([[0.5], [np.nan], [np.inf]]), best=0,
                       keep=np.array([2, 4]), constricted=False))
 @example(_pinned_case(x=[np.nan, 1.0], v=[np.nan, -0.0], g_best=0.5, best=0,
-                      keep=np.array([1]), constricted=True, scratch=False))
+                      keep=np.array([1]), constricted=True))
 @given(_update_case())
 def test_pso_step_matches_literal_formulas_bitwise(case):
     """``pso_step`` on pre-scaled draws gives the bits and the warnings of the
@@ -656,14 +660,11 @@ def test_pso_step_matches_literal_formulas_bitwise(case):
     cfg = SwarmConfig(c1=c["c1"], c2=c["c2"], inertia=inertia)
     ctrl = GcpsoControl(radius=c["radius"], best_particle=c["best"])
     x, v = c["x"].copy(), c["v"].copy()
-    column = x[..., :1]
-    scratch = (tuple(np.full_like(a, 7.0) for a in (x, x, column, column, column))
-               if c["scratch"] else None)
     r1, r2 = c["r1"], c["r2"]
     products = (r1 * c["c1"], r2 * c["c2"], 1.0 - 2.0 * r2)  # as solve makes them, per run
     (x_new, v_new), got = _warnings_of(lambda: pso_step(
         x, v, c["p_best"], c["g_best"], *products, c["w"], cfg, ctrl, c["lb"], c["ub"],
-        c["keep"], scratch))
+        c["keep"], update_scratch(x)))
     (x_want, v_want), want = _warnings_of(lambda: _literal_update(
         c["x"], c["v"], c["p_best"], c["g_best"], r1, r2, c["w"], c["c1"], c["c2"],
         c["constricted"], c["radius"], c["best"], c["keep"], c["lb"], c["ub"]))
