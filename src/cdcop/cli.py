@@ -7,6 +7,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .benchmarks import FAMILIES, BenchSpec, GenerationFailed, check_reads, generate
 from .experiment import (
     VARIANTS,
@@ -276,7 +278,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a cost that overflows, or is NaN, is a value of the run, not an error:
+        # numpy's warnings about it would add lines to stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, GenerationFailed, DivisionByZero) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,8 +7,11 @@ wall-clock time is deliberately excluded from files (it lives on the in-memory
 cycle stats) to keep outputs reproducible.
 """
 
+import contextlib
 import json
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -154,6 +157,35 @@ def _load_instances(cfg: ExperimentConfig) -> list[CdcopInstance]:
             for i in range(cfg.num_instances)]
 
 
+@contextlib.contextmanager
+def _staged(out_dir: Path):
+    """A new directory beside ``out_dir`` to write the outputs into.
+
+    ``out_dir`` is made first, if need be, so a path that cannot be a
+    directory fails before any run. When the block ends, the trace files and
+    summary an earlier run left in ``out_dir`` are removed and the staged
+    files moved in. When it raises, the staging directory and every
+    directory made for ``out_dir`` are removed, so ``out_dir`` is as it was.
+    """
+    made = [path for path in (*reversed(out_dir.parents), out_dir) if not path.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    try:
+        yield staging
+        for path in out_dir.iterdir():
+            if path.name == "summary.json" or _TRACE_NAME.fullmatch(path.name):
+                path.unlink()
+        for path in staging.iterdir():
+            path.replace(out_dir / path.name)
+        staging.rmdir()
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the full ensemble, write traces plus summary.json, return the summary.
 
@@ -162,19 +194,22 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     payload bound; the CLI exit code mirrors it. When a run fails a check,
     ``failed_runs`` lists each such run: its instance, repeat, variant, run
     seed and the names of the checks it failed; a clean summary has no
-    such key. Once the instances are loaded and their trees built,
-    ``out_dir`` is made if need be and the trace files and summary an earlier
-    run left there are removed, so the directory holds this run's outputs
-    only; a run that fails before then leaves no directory behind.
+    such key. The outputs are written into a staging directory beside
+    ``out_dir`` and moved into it, in place of the trace files and summary an
+    earlier run left there, only once every run has finished; so ``out_dir``
+    holds this call's outputs only, and a call that raises leaves it absent
+    or as it was.
     """
     cfg.validate()
     instances = _load_instances(cfg)
     trees = [build_bfs(inst, cfg.root) for inst in instances]
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in out_dir.iterdir():
-        if path.name == "summary.json" or _TRACE_NAME.fullmatch(path.name):
-            path.unlink()
+    with _staged(Path(cfg.out_dir)) as staging:
+        return _run_ensemble(cfg, instances, trees, staging)
+
+
+def _run_ensemble(cfg: ExperimentConfig, instances: list[CdcopInstance],
+                  trees: list[PseudoTree], out_dir: Path) -> dict:
+    """``run_experiment``'s runs, with its outputs written into ``out_dir``."""
     finals = {v: np.empty((len(instances), cfg.repeats)) for v in cfg.variants}
     curve_sums: dict[str, np.ndarray] = {v: np.zeros(cfg.swarm.t_max) for v in cfg.variants}
     checks = {"anytime": True, "message_law": True, "payload_bound": True}

@@ -17,14 +17,15 @@ Handlers never touch each other's state directly; every interaction is a
 recorded message, which is what makes the per-cycle accounting exact. Per
 cycle an agent sends K scalars on each VALUE link and on its COST link, and
 the BEST payload, at most K + 2 scalars, on each child link
-(``cycle_traffic``). ``message_stats`` bounds each agent by that rule at a
+(``SentScalars``). ``message_stats`` bounds each agent by that rule at a
 BEST payload of K + 2, which a cycle can meet exactly.
 """
 
 import csv
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .pseudotree import PseudoTree
 
@@ -34,6 +35,8 @@ __all__ = [
     "CycleStats",
     "SyncRuntime",
     "DeadlockDetected",
+    "SentScalars",
+    "traffic_base",
     "cycle_traffic",
     "message_stats",
     "write_message_log_csv",
@@ -67,8 +70,9 @@ class BestPayload:
         return len(self.improved) + (2 if self.best_index is not None else 0)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One sent message; its fields are the message log's CSV columns, in order."""
+
     cycle: int
     kind: str
     sender: int
@@ -76,7 +80,7 @@ class Message:
     payload_len: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleStats:
     cycle: int
     value_count: int = 0
@@ -179,17 +183,52 @@ class SyncRuntime:
         stats.sent_scalars_by_agent[sender] = stats.sent_scalars_by_agent.get(sender, 0) + sent
 
 
-def cycle_traffic(tree: PseudoTree, num_particles: int, best_len: int) -> CycleStats:
-    """The traffic rule, for a cycle whose BEST payload holds ``best_len`` scalars:
-    each agent sends K = ``num_particles`` scalars on each VALUE link (one per
-    neighbor) and on its COST link, and the BEST payload on each child link.
-    So a cycle moves 2|E| VALUE, |A|-1 COST and |A|-1 BEST messages."""
+def traffic_base(tree: PseudoTree, num_particles: int) -> dict[int, tuple[int, int]]:
+    """What one tree fixes of the traffic rule: for each agent that sends, the
+    K*(|N_i| + [i has a parent]) scalars of its VALUE and COST links, and its
+    number of child links |CH_i|."""
     K = num_particles
-    sent = {agent: K * (len(tree.neighbors[agent]) + (tree.parent[agent] is not None))
-            + best_len * len(tree.children[agent])
-            for agent in range(tree.num_agents) if tree.neighbors[agent]}
-    links = tree.num_agents - 1
-    return CycleStats(0, sum(map(len, tree.neighbors)), links, links, sum(sent.values()), sent)
+    return {agent: (K * (len(peers) + (tree.parent[agent] is not None)), len(tree.children[agent]))
+            for agent, peers in enumerate(tree.neighbors) if peers}
+
+
+class SentScalars(Mapping):
+    """The traffic rule: the scalars each agent sends in a cycle whose BEST
+    payload holds ``best_len`` scalars, K*(|N_i| + [i has a parent]) +
+    best_len*|CH_i|.
+
+    Each value is derived on read from ``base``, ``traffic_base``'s table of
+    one tree. The map is read-only, so every row of one BEST length can share
+    one. Its keys are the agents that send, so it equals the dict that
+    ``SyncRuntime`` counts for the same cycle.
+    """
+
+    __slots__ = ("_base", "best_len")
+
+    def __init__(self, base: dict[int, tuple[int, int]], best_len: int):
+        self._base = base
+        self.best_len = best_len
+
+    def __getitem__(self, agent: int) -> int:
+        fixed, children = self._base[agent]
+        return fixed + self.best_len * children
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._base)
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+def cycle_traffic(tree: PseudoTree, num_particles: int, best_len: int) -> SentScalars:
+    """Each agent's scalars in a cycle whose BEST payload holds ``best_len``:
+    K = ``num_particles`` on each VALUE link (one per neighbor) and on its
+    COST link, and the BEST payload on each child link. So a cycle moves
+    2|E| VALUE, |A|-1 COST and |A|-1 BEST messages."""
+    return SentScalars(traffic_base(tree, num_particles), best_len)
 
 
 def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles: int) -> dict:
@@ -201,7 +240,7 @@ def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles
     The bound is exact: a cycle in which every personal best and the global
     best improve, as in cycle 1 when every fitness is finite, sends it.
     """
-    largest = cycle_traffic(tree, num_particles, num_particles + 2).sent_scalars_by_agent
+    largest = cycle_traffic(tree, num_particles, num_particles + 2)
     bounds = [largest.get(agent, 0) for agent in range(tree.num_agents)]
     violations = []
     for st in cycle_stats:
@@ -211,9 +250,8 @@ def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles
     return {"violations": violations}
 
 
-def write_message_log_csv(messages: list[Message], path) -> None:
+def write_message_log_csv(messages: Iterable[Message], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cycle", "kind", "from", "to", "payload_len"])
-        for m in messages:
-            writer.writerow([m.cycle, m.kind, m.sender, m.receiver, m.payload_len])
+        writer.writerows(messages)

@@ -32,15 +32,16 @@ bit-identical traces.
 import math
 import numbers
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import LocalCosts, TreeSchedule
+from .engine import LocalCosts, MessageLog, TreeSchedule
 from .model import CdcopInstance, incident_functions, zero_denominator
 from .expressions import DivisionByZero, compile_expr
 from .pseudotree import PseudoTree, build_bfs
-from .runtime import BestPayload, CycleStats
+from .runtime import BestPayload, CycleStats, Message
 
 __all__ = [
     "FixedInertia",
@@ -527,7 +528,7 @@ class RunTrace:
     best_cost: float
     best_internal: float
     probes: list[tuple[np.ndarray, np.ndarray]] | None = None
-    messages: list | None = None
+    messages: Sequence[Message] | None = None
 
     @property
     def hops_per_cycle(self) -> int:
@@ -581,7 +582,10 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     cycle is a few array operations; the trace is bit-identical to driving
     one ``SwarmAgent`` per agent through ``SyncRuntime``, and so are the
     message counts, payload sizes and, with ``log_messages``, the message
-    log, which are derived from the tree. The random draws are made
+    log. Those are derived from the tree: a run keeps one BEST payload
+    length a cycle, rows of one length share one read-only map of per-agent
+    scalars, and the log is a sequence whose messages are made when read
+    (``engine.MessageLog``). The random draws are made
     ``DRAW_CYCLES`` cycles at a time into buffers reused from block to
     block, so of what a run holds only the trace grows with ``t_max``.
     Without ``tree`` the pseudo-tree is ``build_bfs(inst)``, rooted at agent
@@ -615,7 +619,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
 
     rows: list[TraceRow] = []
     probes: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_probes else None
-    log: list | None = [] if log_messages else None
+    log = MessageLog(tree, K) if log_messages else None
     for t, (w, r1c1_t, r2c2_t, walk_t, u) in enumerate(_cycle_draws(cfg, n), start=1):
         start = time.perf_counter()
         try:
@@ -648,7 +652,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         best_len = num_improved + (2 if success else 0)
         stats = schedule.cycle_stats(t, best_len)
         if log is not None:
-            log.extend(schedule.messages(t, best_len))
+            log.record(t, best_len)
         stats.duration_s = time.perf_counter() - start
         rows.append(TraceRow(t, best_cost, g_best_fit, assignment, stats))
 

@@ -377,6 +377,33 @@ def test_experiment_bad_root_keeps_earlier_outputs(tmp_path, capsys):
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
 
+def test_zero_denominator_in_a_run_leaves_the_out_dir_as_it_was(tmp_path, capsys):
+    """An ensemble that stops at a zero denominator writes its outputs nowhere:
+    into a fresh path it makes no out dir nor any parent of one, and an out
+    dir that holds an earlier run's outputs keeps them as they were."""
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    save_instance(make_instance(2, [((0, 1), "(/ 1 (- x0 x1))")], domain=(-1.0, 1.0)), bad)
+    save_instance(make_instance(2, [((0, 1), "(* x0 x1)")], domain=(-1.0, 1.0)), good)
+    flags = ["-K", "10", "--cycles", "200", "--seed", "1", "--repeats", "1"]
+    error = re.compile(r"error: instance 0, repeat 0, variant pcd, run seed \d+: "
+                       r"cycle \d+: zero denominator in function 0, scope \(0, 1\)\n")
+    fresh = tmp_path / "new" / "runs"
+    assert main(["experiment", "--instance", str(bad), *flags, "--out-dir", str(fresh)]) == 2
+    assert error.fullmatch(capsys.readouterr().err)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json", "good.json"]
+
+    out_dir = tmp_path / "runs"
+    assert main(["experiment", "--instance", str(good), *flags, "--out-dir", str(out_dir)]) == 0
+    (out_dir / "notes.txt").write_text("not an output\n")
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert len(before) == 4  # two traces, the summary and the note
+    capsys.readouterr()
+    assert main(["experiment", "--instance", str(bad), *flags, "--out-dir", str(out_dir)]) == 2
+    assert error.fullmatch(capsys.readouterr().err)
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json", "good.json", "runs"]
+
+
 def test_er200_hub_passes_its_payload_bound(tmp_path):
     """Agent 3 of this instance has 36 BFS children; cycle 1 sends each the
     largest BEST payload."""

@@ -148,6 +148,20 @@ def test_recording_options_do_not_change_the_run():
     assert [_row_bits(r) for r in plain.rows] == [_row_bits(r) for r in recorded.rows]
 
 
+def test_message_log_reads_as_the_reference_list():
+    """``solve``'s log, made on read, is a sequence of the messages that
+    ``SyncRuntime`` logs, by iteration and by index from either end."""
+    inst = generate(FAMILIES["er"])
+    cfg = SwarmConfig(num_particles=6, t_max=5, crossover=True, seed=3)
+    got, want = solve(inst, cfg, log_messages=True).messages, reference_solve(
+        inst, cfg, log_messages=True).messages
+    assert len(got) == len(want) and list(got) == want
+    assert [got[i] for i in range(-len(want), len(want))] == want + want
+    for index in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[index]
+
+
 def test_zero_denominator_raises_in_both():
     cfg = SwarmConfig(num_particles=4, t_max=3)
     # a constant zero denominator is not folded away: it raises where any other does

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from cdcop import CdcopInstance, Domain, build_bfs
+from cdcop.benchmarks import BenchSpec, generate
 from cdcop.engine import TreeSchedule
 from cdcop.runtime import (
     BestPayload,
     DeadlockDetected,
     Message,
     SyncRuntime,
+    cycle_traffic,
     message_stats,
     write_message_log_csv,
 )
@@ -149,6 +151,41 @@ def test_traffic_rule_matches_the_runtime(seed):
         more = replace(spec, sent_scalars_by_agent={**spec.sent_scalars_by_agent,
                                                     agent: sent + 1})
         assert message_stats([more], tree, K)["violations"] == [(1, agent, sent + 1, sent)]
+
+
+TRAFFIC_TREES = {
+    "kite": lambda kite: kite,
+    "chain6": lambda _: make_instance(6, [((a, a + 1), "(* x0 x1)") for a in range(5)]),
+    "broom35": lambda _: make_instance(35, [((0, 1), "(* x0 x1)")]
+                                       + [((1, leaf), "(* x0 x1)") for leaf in range(2, 35)]),
+    "er50": lambda _: generate(BenchSpec("er", n=50, p=0.2, seed=1)),
+}
+
+
+@pytest.mark.parametrize("K", [2, 8, 200])
+@pytest.mark.parametrize("shape", sorted(TRAFFIC_TREES))
+def test_derived_traffic_map_reads_as_the_rule_dict(kite_instance, shape, K):
+    """For every BEST length L a run can send, the read-only map a trace row
+    carries reads as the dict {a: K*(|N_a| + [a has a parent]) + L*|CH_a|},
+    with ``int`` values, and sorts to the items the golden digests hash."""
+    tree = build_bfs(TRAFFIC_TREES[shape](kite_instance), 0)
+    schedule = TreeSchedule(tree, K)
+    for best_len in range(K + 3):
+        want = {a: K * (len(tree.neighbors[a]) + (tree.parent[a] is not None))
+                + best_len * len(tree.children[a]) for a in range(tree.num_agents)}
+        sent = schedule.cycle_stats(1, best_len).sent_scalars_by_agent
+        assert sent is schedule.cycle_stats(2, best_len).sent_scalars_by_agent
+        assert cycle_traffic(tree, K, best_len) == sent == want
+        assert list(sent.keys()) == list(want.keys()) and len(sent) == len(want)
+        assert dict(sent) == want and dict(sent.items()) == want
+        assert sent.items() == want.items()
+        assert [sent.get(a, 0) for a in range(-1, tree.num_agents + 1)] == [
+            want.get(a, 0) for a in range(-1, tree.num_agents + 1)]
+        assert all(type(value) is int for value in [*sent.values(), *dict(sent.items()).values()])
+        assert repr(sorted(sent.items())) == repr(sorted(want.items()))
+        with pytest.raises(TypeError):
+            sent[0] = 0
+        assert dict(sent) == want
 
 
 def test_payload_bound_check(kite_instance):

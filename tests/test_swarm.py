@@ -503,6 +503,23 @@ def test_solve_memory_does_not_grow_with_t_max():
     assert peaks[1] - peaks[0] < 2 * 2 ** 20
 
 
+def test_solve_message_log_does_not_grow_with_the_messages():
+    """With ``log_messages`` a run keeps one (cycle, BEST length) pair a cycle
+    and the tree's routes, not one ``Message`` per message: about 180k of
+    them at this shape, which took 18.6 MiB more at peak."""
+    inst = generate(BenchSpec("er", n=50, p=0.2, seed=1))
+    cfg = SwarmConfig(num_particles=20, t_max=300, seed=1)
+    peaks = []
+    for log_messages in (False, True):
+        tracemalloc.start()
+        try:
+            solve(inst, cfg, log_messages=log_messages)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 20
+
+
 def test_crossover_probabilities_degenerate_uniform():
     bp = crossover_probabilities(np.zeros(5))
     np.testing.assert_allclose(bp, np.full(5, 0.2))
