@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Add, Constant, Div, Mul, Pow, Sub, Var, Expression
+from .expressions import X0, X1, Add, Constant, Div, Mul, Pow, Sub, Expression
 from .model import (CdcopInstance, CostFunction, Domain, InvalidInstanceError, unreachable,
                     validate_instance)
 
@@ -83,11 +83,15 @@ def generate(spec: BenchSpec) -> CdcopInstance:
                      seed=spec.seed)
 
 
+# the variable-only subtrees of every quadratic cost; trees are immutable, so all share them
+_X0_SQ, _X0_X1, _X1_SQ = Pow(X0, 2), Mul(X0, X1), Pow(X1, 2)
+
+
 def quadratic_expr(a: float, b: float, c: float) -> Expression:
     """a*x0^2 + b*x0*x1 + c*x1^2"""
     return Add(
-        Add(Mul(Constant(a), Pow(Var(0), 2)), Mul(Constant(b), Mul(Var(0), Var(1)))),
-        Mul(Constant(c), Pow(Var(1), 2)),
+        Add(Mul(Constant(a), _X0_SQ), Mul(Constant(b), _X0_X1)),
+        Mul(Constant(c), _X1_SQ),
     )
 
 
@@ -109,7 +113,7 @@ def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_rang
         functions.append(CostFunction(fid, (u, v), quadratic_expr(a, b, c)))
     inst = CdcopInstance(
         num_agents=n,
-        domains=tuple(Domain(lb, ub) for _ in range(n)),
+        domains=(Domain(lb, ub),) * n,
         functions=tuple(functions),
         objective="min",
     )
@@ -184,7 +188,7 @@ def _sensor_distance_sq(cell_a: tuple[int, int], cell_b: tuple[int, int]) -> Exp
     (ra, ca), (rb, cb) = cell_a, cell_b
     dx = SENSOR_CELL * (ca - cb)
     dy = SENSOR_CELL * (ra - rb)
-    along = Sub(Add(Var(0), Constant(dx)), Var(1))  # x_a + cell offset - x_b
+    along = Sub(Add(X0, Constant(dx)), X1)  # x_a + cell offset - x_b
     return Add(Add(Pow(along, 2), Constant(dy * dy)), Constant(1.0))
 
 
@@ -212,15 +216,15 @@ def gen_sensor_grid(rows: int, cols: int, seed: int = 0) -> CdcopInstance:
         ref_a, ref_b = rng.uniform(0.0, SENSOR_CELL, size=2)
         noise = float(rng.uniform(1.0, 10.0))
         interference = Add(
-            Add(Pow(Sub(Constant(float(ref_a)), Var(0)), 2),
-                Pow(Sub(Constant(float(ref_b)), Var(1)), 2)),
+            Add(Pow(Sub(Constant(float(ref_a)), X0), 2),
+                Pow(Sub(Constant(float(ref_b)), X1), 2)),
             Constant(noise),
         )
         expr = Div(Constant(SENSOR_STRENGTH), Mul(_sensor_distance_sq(ca, cb), interference))
         functions.append(CostFunction(fid, (cell(*ca), cell(*cb)), expr))
     inst = CdcopInstance(
         num_agents=n,
-        domains=tuple(Domain(0.0, SENSOR_CELL) for _ in range(n)),
+        domains=(Domain(0.0, SENSOR_CELL),) * n,
         functions=tuple(functions),
         objective="max",
     )

@@ -36,6 +36,8 @@ __all__ = [
     "Div",
     "Pow",
     "Neg",
+    "X0",
+    "X1",
     "DivisionByZero",
     "ExpressionSyntaxError",
     "eval_expr",
@@ -67,7 +69,12 @@ class _Node:
     generated ``==``, fields compare as in a tuple, the same object or
     ``==``: ``Constant(-0.0) == Constant(0.0)``, and two ``Constant(nan)``
     differ unless they hold the same float object.
+
+    Nodes are slotted and immutable, so trees may share subtrees: compare
+    them with ``==``, never ``is``.
     """
+
+    __slots__ = ()
 
     def _key(self) -> tuple:
         key = []
@@ -105,7 +112,7 @@ class _Node:
 
 
 # the generated __eq__ and __repr__ recurse; _Node's are used instead
-_node = dataclass(frozen=True, eq=False, repr=False)
+_node = dataclass(frozen=True, eq=False, repr=False, slots=True)
 
 
 @_node
@@ -167,6 +174,9 @@ class Neg(_Node):
 
 
 Expression = Constant | Var | Add | Sub | Mul | Div | Pow | Neg
+
+# the two variable leaves, which the parser and the generators put in every tree
+X0, X1 = Var(0), Var(1)
 
 # each node class's fields, in declaration order
 _FIELDS = {kind: tuple(f.name for f in fields(kind))
@@ -299,7 +309,7 @@ def inspect_expr(expr: Expression) -> tuple[set[int], bool]:
 
 # an operator's node type and operand count
 _OPERATORS = {symbol: (kind, 1 if kind in (Pow, Neg) else 2) for kind, symbol in _SYMBOLS.items()}
-_VARS = {"x0": Var(0), "x1": Var(1)}  # nodes are immutable: every leaf can share these
+_VARS = {"x0": X0, "x1": X1}
 
 
 def _tokenize(text: str) -> list[str]:

@@ -46,13 +46,13 @@ class InvalidInstanceError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Domain:
     lb: float
     ub: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostFunction:
     id: int
     scope: tuple[int, int]  # (variable for slot x0, variable for slot x1)

@@ -32,6 +32,7 @@ from .pseudotree import PseudoTree
 __all__ = [
     "Message",
     "BestPayload",
+    "best_length",
     "CycleStats",
     "SyncRuntime",
     "DeadlockDetected",
@@ -67,7 +68,13 @@ class BestPayload:
     best_fitness: float | None
 
     def __len__(self) -> int:
-        return len(self.improved) + (2 if self.best_index is not None else 0)
+        return best_length(len(self.improved), self.best_index is not None)
+
+
+def best_length(count: int, success: bool) -> int:
+    """The scalars of a BEST payload: ``count`` improved particle indices, plus
+    the best index and fitness when the global best improved (``success``)."""
+    return count + 2 * success
 
 
 class Message(NamedTuple):
@@ -240,7 +247,7 @@ def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles
     The bound is exact: a cycle in which every personal best and the global
     best improve, as in cycle 1 when every fitness is finite, sends it.
     """
-    largest = cycle_traffic(tree, num_particles, num_particles + 2)
+    largest = cycle_traffic(tree, num_particles, best_length(num_particles, True))
     bounds = [largest.get(agent, 0) for agent in range(tree.num_agents)]
     violations = []
     for st in cycle_stats:

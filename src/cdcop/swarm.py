@@ -41,7 +41,7 @@ from .engine import LocalCosts, MessageLog, TreeSchedule
 from .model import CdcopInstance, incident_functions, zero_denominator
 from .expressions import DivisionByZero, compile_expr
 from .pseudotree import PseudoTree, build_bfs
-from .runtime import BestPayload, CycleStats, Message
+from .runtime import BestPayload, CycleStats, Message, best_length
 
 __all__ = [
     "FixedInertia",
@@ -54,6 +54,7 @@ __all__ = [
     "ConfigError",
     "inertia_weight",
     "update_control",
+    "best_update",
     "velocity_global_best",
     "pso_step",
     "crossover_probabilities",
@@ -208,6 +209,19 @@ def update_control(ctrl: GcpsoControl, improved: bool, cfg: SwarmConfig) -> None
         ctrl.radius *= 2.0
     elif prev_f > cfg.max_fc:
         ctrl.radius *= 0.5
+
+
+def best_update(fit, p_best_fit, g_best_fit: float, improved) -> tuple[int, int, bool]:
+    """The root's best update, run by ``solve`` and ``SwarmAgent``: marks in ``improved``
+    and writes into ``p_best_fit`` each fitness strictly below its personal best, and returns
+    their count, the argmin particle ``k`` (the first of equal minima, or the first NaN) and
+    whether ``fit[k]`` is strictly below ``g_best_fit``."""
+    np.less(fit, p_best_fit, out=improved)
+    count = int(np.count_nonzero(improved))
+    if count:
+        np.copyto(p_best_fit, fit, where=improved)
+    k = int(fit.argmin())
+    return count, k, fit.item(k) < g_best_fit
 
 
 # --- update equations (shared by the agent and solve) ------------------------
@@ -465,12 +479,10 @@ class SwarmAgent:
 
     def best_payload(self) -> BestPayload:
         """The root's verdict, which it applies to itself as every receiver does."""
-        fit = self.fitness
-        improved = np.flatnonzero(fit < self.p_best_fit)
-        self.p_best_fit[improved] = fit[improved]
-        k = int(np.argmin(fit))
-        best = (k, float(fit[k])) if fit[k] < self.g_best_fit else (None, None)
-        payload = BestPayload(tuple(improved.tolist()), *best)
+        fit, improved = self.fitness, np.empty(len(self.fitness), dtype=bool)
+        _, k, success = best_update(fit, self.p_best_fit, self.g_best_fit, improved)
+        best = (k, fit.item(k)) if success else (None, None)
+        payload = BestPayload(tuple(np.flatnonzero(improved).tolist()), *best)
         self.handle_best(payload)
         return payload
 
@@ -630,16 +642,11 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         if probes is not None:
             probes.append((x.copy(), fit.copy()))
 
-        np.less(fit, p_best_fit, out=improved)
-        num_improved = int(np.count_nonzero(improved))
+        num_improved, k, success = best_update(fit, p_best_fit, g_best_fit, improved)
         if num_improved:
-            np.copyto(p_best_fit, fit, where=improved)
             np.copyto(p_best_x, x, where=improved)
-        k = int(fit.argmin())
-        fit_k = fit.item(k)
-        success = fit_k < g_best_fit
         if success:
-            g_best_fit = fit_k
+            g_best_fit = fit.item(k)
             g_best_x = x[:, k:k + 1].copy()
             best_cost, assignment = inst.to_display(g_best_fit), tuple(g_best_x[:, 0].tolist())
             ctrl.best_particle = k
@@ -649,7 +656,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         pso_step(x, v, p_best_x, g_best_x, r1c1_t, r2c2_t, walk_t, w, cfg, ctrl, lb, ub, keep,
                  scratch)
 
-        best_len = num_improved + (2 if success else 0)
+        best_len = best_length(num_improved, success)
         stats = schedule.cycle_stats(t, best_len)
         if log is not None:
             log.record(t, best_len)

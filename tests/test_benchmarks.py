@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,8 @@ from cdcop.benchmarks import (
     gen_sensor_grid,
     generate,
 )
-from cdcop.expressions import Div
-from cdcop.model import Domain, instance_to_json
+from cdcop.expressions import X0, X1, Div, Var, _postorder
+from cdcop.model import Domain, instance_from_json, instance_to_json
 from cdcop.pseudotree import tree_edge_dump
 
 
@@ -184,6 +187,18 @@ class TestAllFamilies:
         a = instance_to_json(generate(spec))
         b = instance_to_json(generate(replace(spec, seed=spec.seed + 1)))
         assert a != b
+
+    def test_copies_compare_and_hash_equal(self, spec):
+        inst = generate(spec)
+        for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            assert twin == inst and hash(twin) == hash(inst)
+
+    def test_every_var_is_a_parser_leaf(self, spec):
+        inst = generate(spec)
+        for source in (inst, instance_from_json(instance_to_json(inst))):
+            leaves = [node for f in source.functions for node in _postorder(f.expr)
+                      if type(node) is Var]
+            assert leaves and all(node is X0 or node is X1 for node in leaves)
 
     def test_costs_finite_on_random_samples(self, spec):
         inst = generate(spec)

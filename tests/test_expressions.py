@@ -148,22 +148,23 @@ def test_compiled_agrees_with_tree_walk(expr, a, b, second):
     x0, x1 = np.empty(1), np.empty(1)
     evaluate = compile_expr(expr, x0, x1)
     outs = []
-    for pair in ((a, b), second):
-        x0[0], x1[0] = pair
-        try:
-            expected = eval_expr(expr, *pair)
-        except DivisionByZero:
-            with pytest.raises(DivisionByZero):
-                evaluate()
-            continue
-        out = evaluate()
-        outs.append(out)
-        got = out[0]
-        if np.isfinite(expected) and abs(expected) < 1e12:
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-        else:
-            # overflow-territory trees: both routes must agree bit-for-bit anyway
-            assert np.isnan(got) and np.isnan(expected) or got == expected
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow-territory trees warn
+        for pair in ((a, b), second):
+            x0[0], x1[0] = pair
+            try:
+                expected = eval_expr(expr, *pair)
+            except DivisionByZero:
+                with pytest.raises(DivisionByZero):
+                    evaluate()
+                continue
+            out = evaluate()
+            outs.append(out)
+            got = out[0]
+            if np.isfinite(expected) and abs(expected) < 1e12:
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            else:
+                # overflow-territory trees: both routes must agree bit-for-bit anyway
+                assert np.isnan(got) and np.isnan(expected) or got == expected
     assert all(out is outs[0] for out in outs)
 
 
@@ -311,6 +312,8 @@ def test_scalar_power_overflows_to_infinity(base, n, want):
     """Every route gives the signed infinity numpy gives, on floats and arrays alike."""
     expr = Pow(Var(0), n)
     assert eval_expr(expr, base, 0.0) == want
-    assert compile_expr(expr, base, 0.0)() == want
-    assert _run_skeleton(expr, np.array([[base]]), np.array([[0.0]]))[0, 0] == want
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert compile_expr(expr, base, 0.0)() == want
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert _run_skeleton(expr, np.array([[base]]), np.array([[0.0]]))[0, 0] == want
     assert compile_skeleton(Pow(Constant(base), n))[1] == (want,)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,8 @@ from cdcop import (
     save_instance,
     validate_instance,
 )
-from cdcop.expressions import eval_expr, format_expr, parse_expr
+from cdcop.expressions import (X0, X1, Add, Constant, Div, Mul, Neg, Pow, Sub, eval_expr,
+                               format_expr, parse_expr)
 from cdcop.benchmarks import quadratic_expr
 
 from conftest import make_instance, neg_pow_chain, sum_chain
@@ -204,3 +206,18 @@ def test_double_counting_identity(case):
             per_agent += constraint_cost(inst, fid, asg)
     total = global_cost(inst, asg)
     assert per_agent / 2.0 == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("record", [
+    Constant(1.5), X0, Add(X0, X1), Sub(X0, X1), Mul(X0, X1), Div(X0, X1), Pow(X0, 2), Neg(X1),
+    Domain(-1.0, 1.0), CostFunction(0, (0, 1), Mul(X0, X1)),
+], ids=lambda record: type(record).__name__)
+def test_records_are_slotted_and_immutable(record):
+    """Every expression node, ``Domain`` and ``CostFunction`` holds no ``__dict__``
+    and takes no assignment, to a field or to a new attribute."""
+    assert not hasattr(record, "__dict__")
+    name = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "note", 1)  # no __dict__ to hold it

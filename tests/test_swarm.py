@@ -19,6 +19,7 @@ from cdcop.swarm import (
     SwarmAgent,
     SwarmConfig,
     agent_stream,
+    best_update,
     crossover_probabilities,
     crossover_rows,
     inertia_weight,
@@ -223,6 +224,28 @@ def test_best_update_without_improvement(kite_instance):
     assert payload.improved == ()
     assert payload.best_index is None
     assert root.g_best_fit == g_before
+
+
+def test_best_update_rule_on_hand_made_rows():
+    """The root rule on rows made by hand: strict less-than, the first of equal
+    minima, and the first NaN picked over any finite particle."""
+    improved = np.empty(4, dtype=bool)
+    p_best = np.array([1.0, 2.0, 3.0, np.inf])
+    fit = np.array([1.0, 5.0, 0.5, 0.5])
+    # a tie (particle 0) does not improve; the argmin is the first 0.5
+    assert best_update(fit, p_best, 0.75, improved) == (2, 2, True)
+    assert improved.tolist() == [False, False, True, True]
+    assert p_best.tolist() == [1.0, 2.0, 0.5, 0.5]
+    # nor does a tie with the global best succeed
+    assert best_update(fit, p_best, 0.5, improved) == (0, 2, False)
+    assert p_best.tolist() == [1.0, 2.0, 0.5, 0.5]
+
+    p_best = np.full(4, np.inf)
+    fit = np.array([np.nan, -1.0, 0.0, np.nan])
+    # np.argmin picks the first NaN, so -1.0 does not become the global best
+    assert best_update(fit, p_best, np.inf, improved) == (2, 0, False)
+    assert improved.tolist() == [False, True, True, False]
+    assert p_best.tolist() == [np.inf, -1.0, 0.0, np.inf]
 
 
 def test_crossover_probability_table(kite_instance):
