@@ -187,7 +187,7 @@ def _cmd_solve(args) -> int:
     if args.dump_tree:
         for u, v, tag in tree_edge_dump(tree, inst):
             print(f"{u} -- {v}  {tag}")
-    trace = solve(inst, cfg, tree=tree, log_messages=args.log_messages is not None)
+    trace = solve(inst, cfg, tree=tree)
     if args.trace:
         write_trace_csv(args.trace, trace)
     if args.log_messages:

@@ -13,25 +13,18 @@ bit-identical to the message-passing one:
   every agent's incident values in ascending function id, starting from
   +0.0, as ``handle_values`` does, and gathers the values those sums read
   a chunk of columns at a time into one reused buffer.
-* :class:`TreeSchedule` adds children into parents level by level, deepest
-  first and in child order, and halves the root last. A cycle's message
-  counts and payload sizes follow from the tree and the BEST payload's
-  length under ``runtime.SentScalars``, instead of sending.
-* :class:`MessageLog` derives the message log on read from the tree's routes
-  and each cycle's BEST payload length.
+* :class:`TreeSchedule` adds children into parents along the COST routes of
+  ``runtime.Traffic``, deepest level first and in child order, and halves
+  the root last. Nothing here counts messages: ``runtime.Traffic`` does.
 """
-
-import operator
-from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from .expressions import DivisionByZero, bind, compile_skeleton, eval_expr
 from .model import CdcopInstance, incident_functions, zero_denominator
-from .pseudotree import PseudoTree
-from .runtime import BEST, COST, VALUE, CycleStats, Message, SentScalars, traffic_base
+from .runtime import COST, Traffic
 
-__all__ = ["LocalCosts", "TreeSchedule", "MessageLog"]
+__all__ = ["LocalCosts", "TreeSchedule"]
 
 # elements (edges x particles) per block: keeps each block's (edges, K)
 # operands in cache; er n=50 at K=200 ran fastest near this size
@@ -171,25 +164,16 @@ class LocalCosts:
 
 
 class TreeSchedule:
-    """Convergecast order and per-cycle message accounting of one pseudo-tree.
+    """The COST convergecast along a ``runtime.Traffic``'s COST routes: deepest
+    level first and ascending id within one, so each parent adds its children
+    in ascending id, as ``handle_costs`` does, once they have added theirs."""
 
-    A cycle's counts and sizes follow from the tree and the BEST payload's
-    length under ``runtime.SentScalars``.
-    """
-
-    def __init__(self, tree: PseudoTree, num_particles: int):
-        n = tree.num_agents
+    def __init__(self, traffic: Traffic):
+        tree = traffic.tree
         self.root = tree.root
-        levels = tree.levels()
-        # one buffer, with the row views each child adds into its parent's, in
-        # the order the runtime aggregates: deepest level first, child order
-        self._total = np.empty((n, num_particles))
-        self._adds = [(self._total[p], self._total[c])
-                      for level in reversed(levels) for p in level for c in tree.children[p]]
-        # 2|E| VALUE, |A|-1 COST and |A|-1 BEST messages a cycle
-        self._counts = (sum(map(len, tree.neighbors)), n - 1, n - 1)
-        self._base = traffic_base(tree, num_particles)
-        self._sent: dict[int, tuple[int, SentScalars]] = {}  # best_len -> (payload, sent)
+        self._total = np.empty((tree.num_agents, traffic.num_particles))
+        self._adds = [(self._total[parent], self._total[child])
+                      for kind, child, parent in traffic.routes if kind == COST]
 
     def convergecast(self, local: np.ndarray) -> np.ndarray:
         """The root's aggregated fitness: the swarm's fitness per particle.
@@ -203,56 +187,3 @@ class TreeSchedule:
         fitness = total[self.root]
         fitness *= 0.5
         return fitness
-
-    def cycle_stats(self, cycle: int, best_len: int) -> CycleStats:
-        """One cycle's counts. Every row of one ``best_len`` shares one
-        read-only ``sent_scalars_by_agent``."""
-        shared = self._sent.get(best_len)
-        if shared is None:
-            sent = SentScalars(self._base, best_len)
-            shared = self._sent[best_len] = (sum(sent.values()), sent)
-        return CycleStats(cycle, *self._counts, *shared)
-
-
-class MessageLog(Sequence):
-    """A ``solve`` run's messages in the order ``SyncRuntime`` sends them.
-
-    It holds the tree's routes and one (cycle, BEST payload length) pair per
-    recorded cycle; each ``Message`` is made when it is read. Every cycle
-    sends every route: VALUE and COST with K scalars, BEST with the cycle's
-    length.
-    """
-
-    def __init__(self, tree: PseudoTree, num_particles: int):
-        levels = tree.levels()
-        n = tree.num_agents
-        self._routes = [(VALUE, a, peer) for a in range(n) for peer in tree.neighbors[a]]
-        self._routes += [(COST, a, tree.parent[a]) for level in reversed(levels) for a in level
-                         if tree.parent[a] is not None]
-        self._routes += [(BEST, a, child) for level in levels for a in level
-                         for child in tree.children[a]]
-        self._num_particles = num_particles
-        self._cycles: list[tuple[int, int]] = []
-
-    def record(self, cycle: int, best_len: int) -> None:
-        self._cycles.append((cycle, best_len))
-
-    def __len__(self) -> int:
-        return len(self._cycles) * len(self._routes)
-
-    def __getitem__(self, index: int) -> Message:
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("message index out of range")
-        cycle, best_len = self._cycles[index // len(self._routes)]
-        kind, sender, receiver = self._routes[index % len(self._routes)]
-        return Message(cycle, kind, sender, receiver,
-                       best_len if kind == BEST else self._num_particles)
-
-    def __iter__(self) -> Iterator[Message]:
-        K = self._num_particles
-        for cycle, best_len in self._cycles:
-            for kind, sender, receiver in self._routes:
-                yield Message(cycle, kind, sender, receiver, best_len if kind == BEST else K)

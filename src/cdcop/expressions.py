@@ -17,7 +17,7 @@ compiler: it turns a tree into a program, a tuple of ufunc calls over
 numbered registers, and its constants. ``bind`` resolves the registers to
 arrays once, so a bound program runs as a plain loop of ``fn(*args)``;
 ``compile_expr`` binds one once and runs it per call. No function here
-recurses, so a tree of any depth parses, formats, evaluates, compiles and compares.
+recurses: trees of any depth parse, format, evaluate, compile, compare and pickle.
 """
 
 import math
@@ -71,7 +71,7 @@ class _Node:
     differ unless they hold the same float object.
 
     Nodes are slotted and immutable, so trees may share subtrees: compare
-    them with ``==``, never ``is``.
+    them with ``==``, never ``is``. A node pickles and copies as its key.
     """
 
     __slots__ = ()
@@ -90,6 +90,10 @@ class _Node:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __reduce__(self):
+        # pickle and copy the flat key: the default reduction recurses per level
+        return _from_key, (self._key(),)
 
     def __repr__(self):
         parts = []
@@ -187,6 +191,26 @@ _LEAVES = {Constant: "value", Var: "slot", Pow: "exponent"}
 
 # each operator node's s-expression symbol
 _SYMBOLS = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^", Neg: "neg"}
+
+
+def _from_key(key: tuple) -> Expression:
+    """The tree whose ``_key()`` is ``key``, built from its post-order with a
+    stack of finished subtrees. Its variable leaves are ``X0`` and ``X1``."""
+    stack: list = []
+    for kind, leaf in key:
+        if kind is Constant:
+            stack.append(Constant(leaf))
+        elif kind is Var:
+            stack.append((X0, X1)[leaf])
+        elif kind is Pow:
+            stack.append(Pow(stack.pop(), leaf))
+        elif kind is Neg:
+            stack.append(Neg(stack.pop()))
+        else:
+            right = stack.pop()
+            stack.append(kind(stack.pop(), right))
+    (expr,) = stack
+    return expr
 
 
 def _pow(x, n: int):

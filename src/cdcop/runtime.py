@@ -14,11 +14,11 @@ arrived (from each neighbor, each child, or the parent); otherwise the cycle
 stops with ``DeadlockDetected`` naming the senders it still waits for.
 
 Handlers never touch each other's state directly; every interaction is a
-recorded message, which is what makes the per-cycle accounting exact. Per
-cycle an agent sends K scalars on each VALUE link and on its COST link, and
-the BEST payload, at most K + 2 scalars, on each child link
-(``SentScalars``). ``message_stats`` bounds each agent by that rule at a
-BEST payload of K + 2, which a cycle can meet exactly.
+recorded message, which is what makes the per-cycle accounting exact. The
+message law is stated once, in ``Traffic``: per cycle an agent sends K
+scalars on each VALUE link and on its COST link, and the BEST payload, at
+most K + 2 scalars, on each child link. The counts, ``SentScalars``, the
+bound that ``message_stats`` checks and ``MessageLog`` follow from its routes.
 """
 
 import csv
@@ -37,8 +37,8 @@ __all__ = [
     "SyncRuntime",
     "DeadlockDetected",
     "SentScalars",
-    "traffic_base",
-    "cycle_traffic",
+    "Traffic",
+    "MessageLog",
     "message_stats",
     "write_message_log_csv",
 ]
@@ -190,22 +190,13 @@ class SyncRuntime:
         stats.sent_scalars_by_agent[sender] = stats.sent_scalars_by_agent.get(sender, 0) + sent
 
 
-def traffic_base(tree: PseudoTree, num_particles: int) -> dict[int, tuple[int, int]]:
-    """What one tree fixes of the traffic rule: for each agent that sends, the
-    K*(|N_i| + [i has a parent]) scalars of its VALUE and COST links, and its
-    number of child links |CH_i|."""
-    K = num_particles
-    return {agent: (K * (len(peers) + (tree.parent[agent] is not None)), len(tree.children[agent]))
-            for agent, peers in enumerate(tree.neighbors) if peers}
-
-
 class SentScalars(Mapping):
     """The traffic rule: the scalars each agent sends in a cycle whose BEST
     payload holds ``best_len`` scalars, K*(|N_i| + [i has a parent]) +
     best_len*|CH_i|.
 
-    Each value is derived on read from ``base``, ``traffic_base``'s table of
-    one tree. The map is read-only, so every row of one BEST length can share
+    Each value is derived on read from ``base``, a ``Traffic``'s table of one
+    tree. The map is read-only, so every row of one BEST length can share
     one. Its keys are the agents that send, so it equals the dict that
     ``SyncRuntime`` counts for the same cycle.
     """
@@ -230,25 +221,73 @@ class SentScalars(Mapping):
         return f"{type(self).__name__}({dict(self)!r})"
 
 
-def cycle_traffic(tree: PseudoTree, num_particles: int, best_len: int) -> SentScalars:
-    """Each agent's scalars in a cycle whose BEST payload holds ``best_len``:
-    K = ``num_particles`` on each VALUE link (one per neighbor) and on its
-    COST link, and the BEST payload on each child link. So a cycle moves
-    2|E| VALUE, |A|-1 COST and |A|-1 BEST messages."""
-    return SentScalars(traffic_base(tree, num_particles), best_len)
+class Traffic:
+    """The message law of one pseudo-tree at K = ``num_particles``.
+
+    ``routes`` is every ``(kind, sender, receiver)`` a cycle sends, in
+    ``SyncRuntime``'s order: VALUE to each neighbor, COST to the parent
+    deepest level first, BEST to each child root first. VALUE and COST carry
+    K scalars and BEST the cycle's payload, so the rest follows from them.
+    """
+
+    def __init__(self, tree: PseudoTree, num_particles: int):
+        levels = tree.levels()
+        self.tree, self.num_particles = tree, num_particles
+        self.routes = [(VALUE, a, peer) for a, peers in enumerate(tree.neighbors) for peer in peers]
+        self.routes += [(COST, a, tree.parent[a]) for level in reversed(levels) for a in level
+                        if tree.parent[a] is not None]
+        self.routes += [(BEST, a, child) for level in levels for a in level
+                        for child in tree.children[a]]
+        kinds = [kind for kind, _, _ in self.routes]
+        self.counts = tuple(map(kinds.count, (VALUE, COST, BEST)))  # 2|E|, |A|-1, |A|-1
+        # each sender's K-scalar links and child links; VALUE comes first, so ids ascend
+        links: dict[int, list[int]] = {}
+        for kind, sender, _ in self.routes:
+            links.setdefault(sender, [0, 0])[kind == BEST] += 1
+        self._base = {a: (num_particles * fixed, children) for a, (fixed, children) in links.items()}
+        self._stats: dict[int, tuple[int, SentScalars]] = {}  # best_len -> (payload, sent)
+
+    def cycle_stats(self, cycle: int, best_len: int) -> CycleStats:
+        """The counts of a cycle whose BEST payload holds ``best_len`` scalars;
+        cycles of one ``best_len`` share one read-only ``sent_scalars_by_agent``."""
+        shared = self._stats.get(best_len)
+        if shared is None:
+            value, cost, best = self.counts
+            shared = self._stats[best_len] = (self.num_particles * (value + cost) + best_len * best,
+                                              SentScalars(self._base, best_len))
+        return CycleStats(cycle, *self.counts, *shared)
+
+
+class MessageLog:
+    """A run's messages in ``SyncRuntime``'s order, each made when read: cycle
+    t sends every route of ``traffic``, BEST with ``best_lens[t - 1]`` scalars."""
+
+    __slots__ = ("_traffic", "_best_lens")
+
+    def __init__(self, traffic: Traffic, best_lens: list[int]):
+        self._traffic, self._best_lens = traffic, best_lens
+
+    def __len__(self) -> int:
+        return len(self._best_lens) * len(self._traffic.routes)
+
+    def __iter__(self) -> Iterator[Message]:
+        K, routes = self._traffic.num_particles, self._traffic.routes
+        for cycle, best_len in enumerate(self._best_lens, start=1):
+            for kind, sender, receiver in routes:
+                yield Message(cycle, kind, sender, receiver, best_len if kind == BEST else K)
 
 
 def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles: int) -> dict:
     """Check the per-cycle payload bound; ``violations`` lists each
     ``(cycle, agent, sent, bound)`` that breaks it.
 
-    An agent's bound is what ``cycle_traffic`` has it send with the largest
-    BEST payload, K + 2 scalars: K*(|N_i| + [i has a parent]) + (K + 2)*|CH_i|.
-    The bound is exact: a cycle in which every personal best and the global
-    best improve, as in cycle 1 when every fitness is finite, sends it.
+    An agent's bound is what ``Traffic`` has it send with the largest BEST
+    payload, K + 2 scalars. The bound is exact: a cycle in which every personal
+    best and the global best improve, as in cycle 1 when every fitness is
+    finite, sends it.
     """
-    largest = cycle_traffic(tree, num_particles, best_length(num_particles, True))
-    bounds = [largest.get(agent, 0) for agent in range(tree.num_agents)]
+    largest = Traffic(tree, num_particles).cycle_stats(0, best_length(num_particles, True))
+    bounds = [largest.sent_scalars_by_agent.get(agent, 0) for agent in range(tree.num_agents)]
     violations = []
     for st in cycle_stats:
         for agent, sent in st.sent_scalars_by_agent.items():

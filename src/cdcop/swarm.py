@@ -32,16 +32,16 @@ bit-identical traces.
 import math
 import numbers
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import LocalCosts, MessageLog, TreeSchedule
+from .engine import LocalCosts, TreeSchedule
 from .model import CdcopInstance, incident_functions, zero_denominator
 from .expressions import DivisionByZero, compile_expr
 from .pseudotree import PseudoTree, build_bfs
-from .runtime import BestPayload, CycleStats, Message, best_length
+from .runtime import BestPayload, CycleStats, Message, MessageLog, Traffic, best_length
 
 __all__ = [
     "FixedInertia",
@@ -531,6 +531,11 @@ class TraceRow:
 
 @dataclass
 class RunTrace:
+    """A run's anytime trace: a ``TraceRow`` per cycle and the best found.
+    ``probes``, when recorded, holds per cycle the ``(n, K)`` positions
+    evaluated and the root's fitness vector. ``messages`` is the message log,
+    every ``runtime.Message`` in send order; ``solve`` sets a ``MessageLog``."""
+
     objective: str
     num_agents: int
     num_edges: int
@@ -540,7 +545,7 @@ class RunTrace:
     best_cost: float
     best_internal: float
     probes: list[tuple[np.ndarray, np.ndarray]] | None = None
-    messages: Sequence[Message] | None = None
+    messages: Iterable[Message] | None = None
 
     @property
     def hops_per_cycle(self) -> int:
@@ -587,17 +592,16 @@ def _cycle_draws(cfg: SwarmConfig, n: int):
 
 
 def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
-          record_probes: bool = False, log_messages: bool = False) -> RunTrace:
+          record_probes: bool = False) -> RunTrace:
     """Run the swarm for ``cfg.t_max`` cycles and return the anytime trace.
 
     The whole swarm is held as ``(n, K)`` arrays, one row per agent, and a
     cycle is a few array operations; the trace is bit-identical to driving
     one ``SwarmAgent`` per agent through ``SyncRuntime``, and so are the
-    message counts, payload sizes and, with ``log_messages``, the message
-    log. Those are derived from the tree: a run keeps one BEST payload
-    length a cycle, rows of one length share one read-only map of per-agent
-    scalars, and the log is a sequence whose messages are made when read
-    (``engine.MessageLog``). The random draws are made
+    message counts, payload sizes and message log. Those follow from the
+    tree's ``runtime.Traffic``: a run keeps one BEST payload length a cycle,
+    rows of one length share one read-only map of per-agent scalars, and
+    ``messages`` makes each message when it is read. The random draws are made
     ``DRAW_CYCLES`` cycles at a time into buffers reused from block to
     block, so of what a run holds only the trace grows with ``t_max``.
     Without ``tree`` the pseudo-tree is ``build_bfs(inst)``, rooted at agent
@@ -611,7 +615,8 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         tree = build_bfs(inst)
     n, K = inst.num_agents, cfg.num_particles
     local_costs = LocalCosts(inst, K)
-    schedule = TreeSchedule(tree, K)
+    traffic = Traffic(tree, K)
+    schedule = TreeSchedule(traffic)
     # full-size bounds: the clamp then takes no broadcast column
     lb = np.repeat([[d.lb] for d in inst.domains], K, axis=1)
     ub = np.repeat([[d.ub] for d in inst.domains], K, axis=1)
@@ -631,7 +636,7 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
 
     rows: list[TraceRow] = []
     probes: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_probes else None
-    log = MessageLog(tree, K) if log_messages else None
+    best_lens: list[int] = []
     for t, (w, r1c1_t, r2c2_t, walk_t, u) in enumerate(_cycle_draws(cfg, n), start=1):
         start = time.perf_counter()
         try:
@@ -657,9 +662,8 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
                  scratch)
 
         best_len = best_length(num_improved, success)
-        stats = schedule.cycle_stats(t, best_len)
-        if log is not None:
-            log.record(t, best_len)
+        best_lens.append(best_len)
+        stats = traffic.cycle_stats(t, best_len)
         stats.duration_s = time.perf_counter() - start
         rows.append(TraceRow(t, best_cost, g_best_fit, assignment, stats))
 
@@ -673,5 +677,5 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
         best_cost=inst.to_display(g_best_fit),
         best_internal=g_best_fit,
         probes=probes,
-        messages=log,
+        messages=MessageLog(traffic, best_lens),
     )

@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Each run records probes and the message log and is reduced to SHA-256
-digests of its trace rows (without timings), its probes, its trace CSV and
-its message-log CSV. A tiny ``run_experiment`` ensemble is reduced to the
+Each run records probes, and is reduced to SHA-256 digests of its trace
+rows (without timings), its probes, its trace CSV and the CSV of the
+message log that every ``solve`` trace carries. A tiny ``run_experiment`` ensemble is reduced to the
 digest of every file it writes: each trace CSV and ``summary.json``.
 ``tests/test_trace_digests.py`` recomputes them and compares them with
 ``trace_digests.json``, so a change to any bit of a trace or a summary
@@ -92,7 +92,7 @@ def _sha256(*chunks: bytes) -> str:
 
 def digest_run(inst, cfg, work_dir: Path) -> dict[str, str]:
     with np.errstate(all="ignore"):
-        trace = solve(inst, cfg, record_probes=True, log_messages=True)
+        trace = solve(inst, cfg, record_probes=True)
     rows = []
     for row in trace.rows:
         st = row.stats

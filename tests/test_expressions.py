@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import pickle
+import struct
 from functools import reduce
 
 import numpy as np
@@ -16,6 +19,8 @@ from cdcop.expressions import (
     Pow,
     Sub,
     Var,
+    X0,
+    X1,
     bind,
     compile_expr,
     compile_skeleton,
@@ -26,6 +31,8 @@ from cdcop.expressions import (
     inspect_expr,
     parse_expr,
 )
+
+from cdcop.model import CdcopInstance, CostFunction, Domain
 
 from conftest import _trees, neg_pow_chain, sum_chain
 
@@ -301,6 +308,32 @@ def test_deep_tree_equality_hash_and_repr(make_chain):
     assert _with_deepest_leaf(a, Constant(float("nan"))) != _with_deepest_leaf(
         b, Constant(float("nan")))
     assert a != _with_deepest_leaf(b, Var(1)) and not a == _with_deepest_leaf(b, Var(1))
+
+
+@pytest.mark.parametrize("make_chain", [sum_chain, neg_pow_chain], ids=["sum", "neg_pow"])
+def test_deep_tree_pickles_and_copies(make_chain):
+    """A tree nested 5000 deep, alone and inside an instance, pickles and
+    deep-copies to an equal tree whose variable leaves are ``X0`` and ``X1``."""
+    expr = make_chain(5000)
+    inst = CdcopInstance(3, (Domain(-1.0, 1.0),) * 3,
+                         (CostFunction(0, (0, 1), expr), CostFunction(1, (1, 2), Mul(X0, X1))),
+                         "min")
+    for twin in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+        assert twin == expr and hash(twin) == hash(expr)
+        assert all(node is X0 or node is X1 for node in _postorder(twin) if type(node) is Var)
+    for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert twin == inst and hash(twin) == hash(inst)
+
+
+def test_pickled_constants_keep_their_bits():
+    """Pickle stores each constant's float, so -0.0 and a NaN's sign and
+    payload survive, which a round trip through text would lose."""
+    payload_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF0_0000_0000_1234))[0]
+    values = [-0.0, payload_nan, float("-inf"), 5e-324]
+    expr = reduce(Add, map(Constant, values))
+    for twin in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+        got = [node.value for node in _postorder(twin) if type(node) is Constant]
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in values]
 
 
 _INF = float("inf")

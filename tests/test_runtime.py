@@ -6,13 +6,13 @@ import pytest
 
 from cdcop import CdcopInstance, Domain, build_bfs
 from cdcop.benchmarks import BenchSpec, generate
-from cdcop.engine import TreeSchedule
 from cdcop.runtime import (
     BestPayload,
     DeadlockDetected,
     Message,
+    MessageLog,
     SyncRuntime,
-    cycle_traffic,
+    Traffic,
     message_stats,
     write_message_log_csv,
 )
@@ -123,28 +123,31 @@ def _best_of_len(best_len):
 
 
 def _spec_cycle(tree, num_particles, best_len):
-    """One SyncRuntime cycle of stubs, with its wall time zeroed."""
+    """One SyncRuntime cycle of stubs, with its wall time zeroed, and its message log."""
     best = _best_of_len(best_len)
     stubs = [StubAgent(i, num_particles, best) for i in range(tree.num_agents)]
-    stats = SyncRuntime(tree).run_cycle(stubs, 1)
+    runtime = SyncRuntime(tree, log_messages=True)
+    stats = runtime.run_cycle(stubs, 1)
     stats.duration_s = 0.0
-    return stats
+    return stats, runtime.log
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_traffic_rule_matches_the_runtime(seed):
-    """On a random tree, the rule's counts are a runtime cycle's for every BEST
-    length a run can send, each within the bound, and the largest meets it."""
+    """On a random tree, the rule's counts and messages, in send order, are a
+    runtime cycle's for every BEST length a run can send, each within the
+    bound, and the largest meets it."""
     rng = np.random.default_rng(seed)
     n, K = int(rng.integers(1, 13)), int(rng.integers(2, 7))
     edges = {(int(rng.integers(v)), v) for v in range(1, n)}  # a random spanning tree
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
     inst = make_instance(n, [(e, "(* x0 x1)") for e in sorted(edges)])
     tree = build_bfs(inst, int(rng.integers(n)))
-    schedule = TreeSchedule(tree, K)
+    traffic = Traffic(tree, K)
     for best_len in range(K + 3):
-        spec = _spec_cycle(tree, K, best_len)
-        assert schedule.cycle_stats(1, best_len) == spec
+        spec, log = _spec_cycle(tree, K, best_len)
+        assert traffic.cycle_stats(1, best_len) == spec
+        assert list(MessageLog(traffic, [best_len])) == log
         assert message_stats([spec], tree, K)["violations"] == []
     # the K + 2 cycle sends each agent's bound: one more scalar breaks it
     for agent, sent in spec.sent_scalars_by_agent.items():
@@ -169,13 +172,13 @@ def test_derived_traffic_map_reads_as_the_rule_dict(kite_instance, shape, K):
     carries reads as the dict {a: K*(|N_a| + [a has a parent]) + L*|CH_a|},
     with ``int`` values, and sorts to the items the golden digests hash."""
     tree = build_bfs(TRAFFIC_TREES[shape](kite_instance), 0)
-    schedule = TreeSchedule(tree, K)
+    traffic = Traffic(tree, K)
     for best_len in range(K + 3):
         want = {a: K * (len(tree.neighbors[a]) + (tree.parent[a] is not None))
                 + best_len * len(tree.children[a]) for a in range(tree.num_agents)}
-        sent = schedule.cycle_stats(1, best_len).sent_scalars_by_agent
-        assert sent is schedule.cycle_stats(2, best_len).sent_scalars_by_agent
-        assert cycle_traffic(tree, K, best_len) == sent == want
+        sent = traffic.cycle_stats(1, best_len).sent_scalars_by_agent
+        assert sent is traffic.cycle_stats(2, best_len).sent_scalars_by_agent
+        assert Traffic(tree, K).cycle_stats(1, best_len).sent_scalars_by_agent == sent == want
         assert list(sent.keys()) == list(want.keys()) and len(sent) == len(want)
         assert dict(sent) == want and dict(sent.items()) == want
         assert sent.items() == want.items()

@@ -504,7 +504,7 @@ def test_draw_block_does_not_change_the_trace(monkeypatch, tmp_path):
         traces = []
         for cycles in (t_max, 1, 7):
             monkeypatch.setattr(swarm, "DRAW_CYCLES", cycles)
-            traces.append(solve(inst, cfg, record_probes=True, log_messages=True))
+            traces.append(solve(inst, cfg, record_probes=True))
         for trace in traces[1:]:
             assert_bit_identical(trace, traces[0], tmp_path)
 
@@ -527,16 +527,17 @@ def test_solve_memory_does_not_grow_with_t_max():
 
 
 def test_solve_message_log_does_not_grow_with_the_messages():
-    """With ``log_messages`` a run keeps one (cycle, BEST length) pair a cycle
-    and the tree's routes, not one ``Message`` per message: about 180k of
-    them at this shape, which took 18.6 MiB more at peak."""
+    """A run's message log keeps one BEST length a cycle and the tree's
+    routes, not one ``Message`` per message: 240 more cycles at this shape
+    send 130,560 more messages, which held as ``Message`` tuples peaked
+    11.9 MiB higher."""
     inst = generate(BenchSpec("er", n=50, p=0.2, seed=1))
-    cfg = SwarmConfig(num_particles=20, t_max=300, seed=1)
     peaks = []
-    for log_messages in (False, True):
+    for t_max in (60, 300):
+        cfg = SwarmConfig(num_particles=20, t_max=t_max, seed=1)
         tracemalloc.start()
         try:
-            solve(inst, cfg, log_messages=log_messages)
+            assert len(solve(inst, cfg).messages) > 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -855,6 +856,6 @@ def test_deep_expression_solves_on_both_paths(make_chain, tmp_path):
                          (CostFunction(0, (0, 1), make_chain(5000)),
                           CostFunction(1, (1, 2), Mul(Var(0), Var(1)))), "min")
     cfg = SwarmConfig(num_particles=6, t_max=5, crossover=True, seed=2)
-    assert_bit_identical(solve(inst, cfg, record_probes=True, log_messages=True),
-                         reference_solve(inst, cfg, record_probes=True, log_messages=True),
+    assert_bit_identical(solve(inst, cfg, record_probes=True),
+                         reference_solve(inst, cfg, record_probes=True),
                          tmp_path)
