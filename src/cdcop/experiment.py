@@ -121,6 +121,8 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 
 def read_trace_csv(path) -> dict[str, list]:
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty trace file")
     header = lines[0].split(",")
     if header != TRACE_HEADER.split(","):
         raise ValueError(f"{path}: unexpected trace header {header}")
@@ -137,14 +139,19 @@ def verify_trace(trace: RunTrace, tree: PseudoTree, num_particles: int) -> dict[
 
     ``anytime``: the best internal cost never rises from one cycle to the
     next. ``message_law``: every cycle moved exactly 2|E| VALUE, |A|-1 COST
-    and |A|-1 BEST messages. ``payload_bound``: no agent sent more scalars
-    in a cycle than ``message_stats`` allows. Every row is checked.
+    and |A|-1 BEST messages, carrying K*(2|E| + |A|-1) + L*(|A|-1) scalars
+    for its BEST payload length L. ``payload_bound``: no agent sent more
+    scalars in a cycle than ``message_stats`` allows, which holds exactly
+    when L <= K + 2. Every row is checked.
     """
-    expect = (2 * trace.num_edges, trace.num_agents - 1, trace.num_agents - 1)
+    links = trace.num_agents - 1
+    expect = (2 * trace.num_edges, links, links)
+    fixed = num_particles * (2 * trace.num_edges + links)
     stats = [row.stats for row in trace.rows]
     return {
         "anytime": check_anytime(trace.internal_series()) is None,
         "message_law": all((st.value_count, st.cost_count, st.best_count) == expect
+                           and st.payload_scalars == fixed + st.best_len * links
                            for st in stats),
         "payload_bound": not message_stats(stats, tree, num_particles)["violations"],
     }

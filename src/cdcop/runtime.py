@@ -17,14 +17,16 @@ Handlers never touch each other's state directly; every interaction is a
 recorded message, which is what makes the per-cycle accounting exact. The
 message law is stated once, in ``Traffic``: per cycle an agent sends K
 scalars on each VALUE link and on its COST link, and the BEST payload, at
-most K + 2 scalars, on each child link. The counts, ``SentScalars``, the
-bound that ``message_stats`` checks and ``MessageLog`` follow from its routes.
+most K + 2 scalars, on each child link. So a cycle's traffic is fixed by
+one number, the BEST payload length L: the counts, each agent's scalars,
+the bound that ``message_stats`` checks and ``MessageLog`` follow from
+``Traffic``'s routes and L.
 """
 
 import csv
 import time
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .pseudotree import PseudoTree
@@ -36,7 +38,6 @@ __all__ = [
     "CycleStats",
     "SyncRuntime",
     "DeadlockDetected",
-    "SentScalars",
     "Traffic",
     "MessageLog",
     "message_stats",
@@ -89,12 +90,19 @@ class Message(NamedTuple):
 
 @dataclass(slots=True)
 class CycleStats:
+    """One cycle's traffic and wall time.
+
+    The message count of each kind, the scalars they carried in all, and
+    ``best_len``, the length of the root's BEST payload. What each agent
+    sent is not stored: it is ``Traffic.sent_scalars(best_len)``.
+    """
+
     cycle: int
     value_count: int = 0
     cost_count: int = 0
     best_count: int = 0
     payload_scalars: int = 0
-    sent_scalars_by_agent: Mapping[int, int] = field(default_factory=dict)
+    best_len: int = 0
     duration_s: float = 0.0
 
     @property
@@ -149,6 +157,8 @@ class SyncRuntime:
                 parent = tree.parent[agent]
                 if parent is None:
                     payload = handlers[agent].best_payload()
+                    if payload is not None:
+                        stats.best_len = len(payload)
                 else:
                     payload = self._collect(BEST, agent, (parent,))[parent]
                     handlers[agent].handle_best(payload)
@@ -179,46 +189,14 @@ class SyncRuntime:
             self._mail.setdefault((kind, receiver), {})[sender] = payload
             if self.log is not None:
                 self.log.append(Message(stats.cycle, kind, sender, receiver, size))
-        count, sent = len(receivers), size * len(receivers)
+        count = len(receivers)
         if kind == VALUE:
             stats.value_count += count
         elif kind == COST:
             stats.cost_count += count
         else:
             stats.best_count += count
-        stats.payload_scalars += sent
-        stats.sent_scalars_by_agent[sender] = stats.sent_scalars_by_agent.get(sender, 0) + sent
-
-
-class SentScalars(Mapping):
-    """The traffic rule: the scalars each agent sends in a cycle whose BEST
-    payload holds ``best_len`` scalars, K*(|N_i| + [i has a parent]) +
-    best_len*|CH_i|.
-
-    Each value is derived on read from ``base``, a ``Traffic``'s table of one
-    tree. The map is read-only, so every row of one BEST length can share
-    one. Its keys are the agents that send, so it equals the dict that
-    ``SyncRuntime`` counts for the same cycle.
-    """
-
-    __slots__ = ("_base", "best_len")
-
-    def __init__(self, base: dict[int, tuple[int, int]], best_len: int):
-        self._base = base
-        self.best_len = best_len
-
-    def __getitem__(self, agent: int) -> int:
-        fixed, children = self._base[agent]
-        return fixed + self.best_len * children
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._base)
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
+        stats.payload_scalars += size * count
 
 
 class Traffic:
@@ -227,7 +205,8 @@ class Traffic:
     ``routes`` is every ``(kind, sender, receiver)`` a cycle sends, in
     ``SyncRuntime``'s order: VALUE to each neighbor, COST to the parent
     deepest level first, BEST to each child root first. VALUE and COST carry
-    K scalars and BEST the cycle's payload, so the rest follows from them.
+    K scalars and BEST the cycle's payload of L scalars, so the rest follows
+    from them and L.
     """
 
     def __init__(self, tree: PseudoTree, num_particles: int):
@@ -245,17 +224,20 @@ class Traffic:
         for kind, sender, _ in self.routes:
             links.setdefault(sender, [0, 0])[kind == BEST] += 1
         self._base = {a: (num_particles * fixed, children) for a, (fixed, children) in links.items()}
-        self._stats: dict[int, tuple[int, SentScalars]] = {}  # best_len -> (payload, sent)
+
+    def sent_scalars(self, best_len: int) -> dict[int, int]:
+        """The scalars each sending agent sends in a cycle whose BEST payload
+        holds ``best_len`` scalars: K*(|N_i| + [i has a parent]) + best_len*|CH_i|."""
+        return {a: fixed + best_len * children for a, (fixed, children) in self._base.items()}
+
+    def payload_scalars(self, best_len: int) -> int:
+        """The scalars all messages of such a cycle carry."""
+        value, cost, best = self.counts
+        return self.num_particles * (value + cost) + best_len * best
 
     def cycle_stats(self, cycle: int, best_len: int) -> CycleStats:
-        """The counts of a cycle whose BEST payload holds ``best_len`` scalars;
-        cycles of one ``best_len`` share one read-only ``sent_scalars_by_agent``."""
-        shared = self._stats.get(best_len)
-        if shared is None:
-            value, cost, best = self.counts
-            shared = self._stats[best_len] = (self.num_particles * (value + cost) + best_len * best,
-                                              SentScalars(self._base, best_len))
-        return CycleStats(cycle, *self.counts, *shared)
+        """The counts of a cycle whose BEST payload holds ``best_len`` scalars."""
+        return CycleStats(cycle, *self.counts, self.payload_scalars(best_len), best_len)
 
 
 class MessageLog:
@@ -284,16 +266,19 @@ def message_stats(cycle_stats: list[CycleStats], tree: PseudoTree, num_particles
     An agent's bound is what ``Traffic`` has it send with the largest BEST
     payload, K + 2 scalars. The bound is exact: a cycle in which every personal
     best and the global best improve, as in cycle 1 when every fitness is
-    finite, sends it.
+    finite, sends it. Only the BEST links carry the cycle's BEST length L, so
+    a cycle keeps every bound exactly when L <= K + 2, and one with a longer
+    payload breaks the bound of each agent with children.
     """
-    largest = Traffic(tree, num_particles).cycle_stats(0, best_length(num_particles, True))
-    bounds = [largest.sent_scalars_by_agent.get(agent, 0) for agent in range(tree.num_agents)]
-    violations = []
-    for st in cycle_stats:
-        for agent, sent in st.sent_scalars_by_agent.items():
-            if sent > bounds[agent]:
-                violations.append((st.cycle, agent, sent, bounds[agent]))
-    return {"violations": violations}
+    largest = best_length(num_particles, True)
+    over = [st for st in cycle_stats if st.best_len > largest]
+    if not over:
+        return {"violations": []}
+    traffic = Traffic(tree, num_particles)
+    bounds = traffic.sent_scalars(largest)
+    return {"violations": [(st.cycle, a, sent, bounds[a]) for st in over
+                           for a, sent in traffic.sent_scalars(st.best_len).items()
+                           if sent > bounds[a]]}
 
 
 def write_message_log_csv(messages: Iterable[Message], path) -> None:

@@ -600,10 +600,10 @@ def solve(inst: CdcopInstance, cfg: SwarmConfig, tree: PseudoTree | None = None,
     one ``SwarmAgent`` per agent through ``SyncRuntime``, and so are the
     message counts, payload sizes and message log. Those follow from the
     tree's ``runtime.Traffic``: a run keeps one BEST payload length a cycle,
-    rows of one length share one read-only map of per-agent scalars, and
-    ``messages`` makes each message when it is read. The random draws are made
-    ``DRAW_CYCLES`` cycles at a time into buffers reused from block to
-    block, so of what a run holds only the trace grows with ``t_max``.
+    each row's ``CycleStats`` holds it, and ``messages`` makes each message
+    when it is read. The random draws are made ``DRAW_CYCLES`` cycles at a
+    time into buffers reused from block to block, so of what a run holds
+    only the trace grows with ``t_max``.
     Without ``tree`` the pseudo-tree is ``build_bfs(inst)``, rooted at agent
     0; ``tree=build_bfs(inst, r)`` roots it at ``r``. ``record_probes``
     additionally stores, per cycle, the full position matrix that was

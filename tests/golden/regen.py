@@ -10,8 +10,11 @@ digest of every file it writes: each trace CSV and ``summary.json``.
 ``trace_digests.json``, so a change to any bit of a trace or a summary
 shows up across commits, which the in-commit equivalence test cannot see
 when both of its sides change together. The file also records the Python
-and numpy versions it was made with. A change that rewrites it says why
-and lists the digests that changed, which the script prints.
+and numpy versions it was made with. The script compares first, and
+rewrites the file only when a digest or a version differs, so running it
+to confirm that nothing moved leaves the file as it is. A change that
+rewrites it says why and lists the digests that changed, which the script
+prints.
 """
 
 import hashlib
@@ -28,9 +31,10 @@ TESTS = Path(__file__).resolve().parent.parent
 if str(TESTS) not in sys.path:
     sys.path.insert(0, str(TESTS))
 
+from cdcop import build_bfs  # noqa: E402
 from cdcop.benchmarks import BenchSpec, generate  # noqa: E402
 from cdcop.experiment import ExperimentConfig, run_experiment, write_trace_csv  # noqa: E402
-from cdcop.runtime import write_message_log_csv  # noqa: E402
+from cdcop.runtime import Traffic, write_message_log_csv  # noqa: E402
 from cdcop.swarm import SwarmConfig, solve  # noqa: E402
 
 from conftest import make_instance  # noqa: E402
@@ -93,13 +97,14 @@ def _sha256(*chunks: bytes) -> str:
 def digest_run(inst, cfg, work_dir: Path) -> dict[str, str]:
     with np.errstate(all="ignore"):
         trace = solve(inst, cfg, record_probes=True)
+    traffic = Traffic(build_bfs(inst), cfg.num_particles)
     rows = []
     for row in trace.rows:
         st = row.stats
         rows.append((row.cycle, row.best_cost.hex(), row.best_internal.hex(),
                      [float(x).hex() for x in row.assignment], st.cycle, st.value_count,
                      st.cost_count, st.best_count, st.payload_scalars,
-                     sorted(st.sent_scalars_by_agent.items())))
+                     sorted(traffic.sent_scalars(st.best_len).items())))
     rows.append((trace.best_cost.hex(), trace.best_internal.hex(),
                  [float(x).hex() for x in trace.best_assignment]))
     trace_csv, log_csv = work_dir / "trace.csv", work_dir / "messages.csv"
@@ -135,22 +140,26 @@ def _differing(old: dict, new: dict) -> list[str]:
 
 def changes(old: dict, new: dict) -> list[str]:
     """What differs between two digest files: ``run: kinds`` for each run
-    (a run in one file only lists every kind), then ``experiment: files``."""
+    (a run in one file only lists every kind), then ``experiment: files``,
+    then ``key: old -> new`` for each version."""
     runs = old["runs"], new["runs"]
     lines = [f"{name}: {' '.join(_differing(*(r.get(name, {}) for r in runs)))}"
              for name in _differing(*runs)]
     files = _differing(old["experiment"], new["experiment"])
-    return lines + ([f"experiment: {' '.join(files)}"] if files else [])
+    lines += [f"experiment: {' '.join(files)}"] if files else []
+    return lines + [f"{key}: {old.get(key)} -> {new[key]}" for key in ("python", "numpy")
+                    if old.get(key) != new[key]]
 
 
 def main() -> None:
     doc = {**versions(), "runs": compute(), "experiment": compute_experiment()}
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"runs": {}, "experiment": {}}
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc['runs'])} runs to {GOLDEN}")
     changed = changes(old, doc)
-    print(f"{len(changed)} changed against the previous file" + "".join(
+    print(f"{len(changed)} changed against {GOLDEN}" + "".join(
         f"\n  {line}" for line in changed))
+    if changed:
+        GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(doc['runs'])} runs to {GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ def _row_bits(row: TraceRow):
     return (row.cycle, row.best_cost.hex(), row.best_internal.hex(),
             tuple(float(x).hex() for x in row.assignment),
             st.cycle, st.value_count, st.cost_count, st.best_count, st.payload_scalars,
-            st.sent_scalars_by_agent)
+            st.best_len)
 
 
 def assert_bit_identical(got: RunTrace, want: RunTrace, tmp_path):

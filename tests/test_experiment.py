@@ -1,5 +1,6 @@
 import filecmp
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from cdcop.experiment import (
     write_trace_csv,
 )
 from cdcop.oracle import check_anytime
+from cdcop.runtime import Traffic
 from cdcop.swarm import SwarmConfig, solve
 
 from conftest import make_instance
@@ -90,6 +92,15 @@ def test_trace_round_trip(tmp_path, kite_instance):
     assert cols["hops"] == [t * 3 for t in range(1, 21)]
     assert set(cols["messages_value"]) == {8}
     assert check_anytime(cols["g_best_cost"]) is None
+
+
+@pytest.mark.parametrize("text, error", [("", "empty trace file"), ("\n \n", "empty trace file"),
+                                         ("cycle,hops\n1,3\n", "unexpected trace header")])
+def test_read_trace_csv_rejects_a_file_without_its_header(tmp_path, text, error):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
+        read_trace_csv(path)
 
 
 def test_max_instance_trace_positive_and_rising(tmp_path):
@@ -170,12 +181,22 @@ def _corrupt_counts(trace, k):
     trace.rows[k].stats.value_count += 1
 
 
+def _lengthen_best(stats, best_len):
+    """``stats`` with a BEST payload of ``best_len`` scalars on each BEST link,
+    its scalar total kept to the message law."""
+    extra = (best_len - stats.best_len) * stats.best_count
+    return replace(stats, best_len=best_len, payload_scalars=stats.payload_scalars + extra)
+
+
+VERDICT_K = 8
+
+
 def _corrupt_payload(trace, k):
-    # a copy: on a solve trace rows of one BEST length share one sent map
-    row = trace.rows[k]
-    sent = dict(row.stats.sent_scalars_by_agent)
-    sent[next(iter(sent))] += 10 ** 6
-    row.stats = replace(row.stats, sent_scalars_by_agent=sent)
+    trace.rows[k].stats = _lengthen_best(trace.rows[k].stats, VERDICT_K + 3)
+
+
+def _corrupt_scalars(trace, k):
+    trace.rows[k].stats.payload_scalars += 1
 
 
 def _corrupt_best(trace, k):
@@ -184,43 +205,30 @@ def _corrupt_best(trace, k):
 
 @pytest.mark.parametrize("source", ["solve", "reference"])
 @pytest.mark.parametrize("corrupt, check", [(None, None), (_corrupt_counts, "message_law"),
+                                            (_corrupt_scalars, "message_law"),
                                             (_corrupt_payload, "payload_bound"),
                                             (_corrupt_best, "anytime")],
-                         ids=["intact", "message_law", "payload_bound", "anytime"])
+                         ids=["intact", "message_law", "scalars", "payload_bound", "anytime"])
 def test_verify_trace_verdicts(source, corrupt, check):
     """Each corruption of one cycle turns exactly its own check False, on a
-    ``solve`` trace, whose rows share objects, and on a ``SyncRuntime``
-    reference trace, whose rows share nothing."""
+    ``solve`` trace and on a ``SyncRuntime`` reference trace."""
     inst = generate(BenchSpec("er", n=6, p=0.5, seed=3))
     tree = build_bfs(inst, 0)
-    cfg = SwarmConfig(num_particles=8, t_max=30, crossover=True, seed=4)
+    cfg = SwarmConfig(num_particles=VERDICT_K, t_max=30, crossover=True, seed=4)
     trace = solve(inst, cfg, tree=tree) if source == "solve" else reference_solve(inst, cfg)
-    # a row whose sent map, on a solve trace, rows before and after it share
-    maps = [id(row.stats.sent_scalars_by_agent) for row in solve(inst, cfg, tree=tree).rows]
-    k = next(i for i in range(1, len(maps)) if maps[i] in maps[:i] and maps[i] in maps[i + 1:])
     if corrupt is not None:
-        corrupt(trace, k)
+        corrupt(trace, 15)
     want = {"anytime": True, "message_law": True, "payload_bound": True}
     if check is not None:
         want[check] = False
     assert verify_trace(trace, tree, cfg.num_particles) == want
 
 
-def test_solve_rows_share_a_read_only_sent_map():
-    """Rows of one BEST length share one sent map, so a write into it through
-    one row would change every other; it raises instead."""
-    inst = generate(BenchSpec("er", n=6, p=0.5, seed=3))
-    trace = solve(inst, SwarmConfig(num_particles=8, t_max=30, seed=4))
-    sent = trace.rows[-1].stats.sent_scalars_by_agent
-    with pytest.raises(TypeError):
-        sent[next(iter(sent))] = 0
-
-
 @pytest.mark.parametrize("source", ["solve", "reference"])
 def test_broom_meets_its_payload_bound_exactly(source):
     """Agent 1 of a broom has 33 children. Cycle 1 sends it the largest BEST
-    payload, K + 2 scalars, on each child link: that meets its bound, and one
-    more scalar breaks it."""
+    payload, K + 2 scalars, on each child link: that meets its bound, and a
+    payload one scalar longer breaks it."""
     inst = make_instance(35, [((0, 1), "(* x0 x1)")]
                          + [((1, leaf), "(* x0 x1)") for leaf in range(2, 35)])
     tree = build_bfs(inst, 0)
@@ -231,10 +239,9 @@ def test_broom_meets_its_payload_bound_exactly(source):
     assert verify_trace(trace, tree, K) == {"anytime": True, "message_law": True,
                                             "payload_bound": True}
     row = trace.rows[0]
-    assert row.stats.sent_scalars_by_agent[1] == K * (34 + 1) + 33 * (K + 2)
-    sent = dict(row.stats.sent_scalars_by_agent)
-    sent[1] += 1
-    row.stats = replace(row.stats, sent_scalars_by_agent=sent)
+    assert row.stats.best_len == K + 2
+    assert Traffic(tree, K).sent_scalars(row.stats.best_len)[1] == K * (34 + 1) + 33 * (K + 2)
+    row.stats = _lengthen_best(row.stats, K + 3)
     assert verify_trace(trace, tree, K) == {"anytime": True, "message_law": True,
                                             "payload_bound": False}
 

@@ -81,6 +81,7 @@ def test_single_agent_no_messages():
     _, agents, _, stats = _run(inst)
     st = stats[0]
     assert (st.value_count, st.cost_count, st.best_count) == (0, 0, 0)
+    assert st.best_len == 4  # the root's payload, though it has no child to send it to
     assert agents[0].cycles_ended == 1
 
 
@@ -102,16 +103,47 @@ def test_hops_per_cycle(kite_instance, path3_instance):
     assert solve(path3_instance, cfg).hops_per_cycle == 5
 
 
+def _sent_by_sender(log):
+    """The scalars each agent sent, summed over a cycle's message log."""
+    sent = {}
+    for message in log:
+        sent[message.sender] = sent.get(message.sender, 0) + message.payload_len
+    return sent
+
+
+def _assert_traffic_is_the_runtimes(tree, K):
+    """At every BEST length a run can send, ``Traffic``'s counts, messages in
+    send order and per-agent sends are a ``SyncRuntime`` cycle's, each within
+    the bound; one scalar more than K + 2 breaks the bound of exactly the
+    agents with children."""
+    traffic = Traffic(tree, K)
+    for best_len in range(K + 3):
+        spec, log = _spec_cycle(tree, K, best_len)
+        assert traffic.cycle_stats(1, best_len) == spec
+        assert list(MessageLog(traffic, [best_len])) == log
+        assert _sent_by_sender(log) == traffic.sent_scalars(best_len)
+        assert message_stats([spec], tree, K)["violations"] == []
+    bounds = traffic.sent_scalars(K + 2)
+    over, log = _spec_cycle(tree, K, K + 3)
+    sent = _sent_by_sender(log)
+    assert sent == traffic.sent_scalars(K + 3)
+    assert message_stats([over], tree, K)["violations"] == [
+        (1, a, sent[a], bounds[a]) for a in range(tree.num_agents) if tree.children[a]]
+    assert all(sent[a] > bounds[a] for a in range(tree.num_agents) if tree.children[a])
+
+
 def test_per_agent_scalar_accounting(kite_instance):
-    tree, _, _, stats = _run(kite_instance)
-    sent = stats[0].sent_scalars_by_agent
+    tree, _, rt, stats = _run(kite_instance, log=True)
+    sent = _sent_by_sender(rt.log)
     # root: 3 VALUE x 3 scalars + 3 BEST x (2 indices + best pair)
     assert sent[0] == 3 * 3 + 3 * 4
     # leaf agent 1: 1 VALUE + 1 COST
     assert sent[1] == 3 + 3
     # leaves 2 and 3 also exchange with each other: 2 VALUE + 1 COST
     assert sent[2] == sent[3] == 2 * 3 + 3
+    assert stats[0].best_len == 4
     assert stats[0].payload_scalars == sum(sent.values())
+    _assert_traffic_is_the_runtimes(tree, 3)
 
 
 def _best_of_len(best_len):
@@ -134,26 +166,13 @@ def _spec_cycle(tree, num_particles, best_len):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_traffic_rule_matches_the_runtime(seed):
-    """On a random tree, the rule's counts and messages, in send order, are a
-    runtime cycle's for every BEST length a run can send, each within the
-    bound, and the largest meets it."""
+    """On a random tree, ``Traffic`` is the runtime's at every BEST length."""
     rng = np.random.default_rng(seed)
     n, K = int(rng.integers(1, 13)), int(rng.integers(2, 7))
     edges = {(int(rng.integers(v)), v) for v in range(1, n)}  # a random spanning tree
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
     inst = make_instance(n, [(e, "(* x0 x1)") for e in sorted(edges)])
-    tree = build_bfs(inst, int(rng.integers(n)))
-    traffic = Traffic(tree, K)
-    for best_len in range(K + 3):
-        spec, log = _spec_cycle(tree, K, best_len)
-        assert traffic.cycle_stats(1, best_len) == spec
-        assert list(MessageLog(traffic, [best_len])) == log
-        assert message_stats([spec], tree, K)["violations"] == []
-    # the K + 2 cycle sends each agent's bound: one more scalar breaks it
-    for agent, sent in spec.sent_scalars_by_agent.items():
-        more = replace(spec, sent_scalars_by_agent={**spec.sent_scalars_by_agent,
-                                                    agent: sent + 1})
-        assert message_stats([more], tree, K)["violations"] == [(1, agent, sent + 1, sent)]
+    _assert_traffic_is_the_runtimes(build_bfs(inst, int(rng.integers(n))), K)
 
 
 TRAFFIC_TREES = {
@@ -168,37 +187,26 @@ TRAFFIC_TREES = {
 @pytest.mark.parametrize("K", [2, 8, 200])
 @pytest.mark.parametrize("shape", sorted(TRAFFIC_TREES))
 def test_derived_traffic_map_reads_as_the_rule_dict(kite_instance, shape, K):
-    """For every BEST length L a run can send, the read-only map a trace row
-    carries reads as the dict {a: K*(|N_a| + [a has a parent]) + L*|CH_a|},
-    with ``int`` values, and sorts to the items the golden digests hash."""
+    """For every BEST length L a run can send, ``Traffic.sent_scalars(L)`` is
+    the dict {a: K*(|N_a| + [a has a parent]) + L*|CH_a|}, with ``int`` values."""
     tree = build_bfs(TRAFFIC_TREES[shape](kite_instance), 0)
     traffic = Traffic(tree, K)
     for best_len in range(K + 3):
         want = {a: K * (len(tree.neighbors[a]) + (tree.parent[a] is not None))
                 + best_len * len(tree.children[a]) for a in range(tree.num_agents)}
-        sent = traffic.cycle_stats(1, best_len).sent_scalars_by_agent
-        assert sent is traffic.cycle_stats(2, best_len).sent_scalars_by_agent
-        assert Traffic(tree, K).cycle_stats(1, best_len).sent_scalars_by_agent == sent == want
-        assert list(sent.keys()) == list(want.keys()) and len(sent) == len(want)
-        assert dict(sent) == want and dict(sent.items()) == want
-        assert sent.items() == want.items()
-        assert [sent.get(a, 0) for a in range(-1, tree.num_agents + 1)] == [
-            want.get(a, 0) for a in range(-1, tree.num_agents + 1)]
-        assert all(type(value) is int for value in [*sent.values(), *dict(sent.items()).values()])
-        assert repr(sorted(sent.items())) == repr(sorted(want.items()))
-        with pytest.raises(TypeError):
-            sent[0] = 0
-        assert dict(sent) == want
+        sent = traffic.sent_scalars(best_len)
+        assert type(sent) is dict and sent == want
+        assert all(type(value) is int for value in sent.values())
 
 
 def test_payload_bound_check(kite_instance):
     tree, _, _, stats = _run(kite_instance, cycles=3)
     assert message_stats(stats, tree, num_particles=3)["violations"] == []
-    # the bound with K + 2 = 5 BEST scalars; the root's stub sends 4 per child
-    bounds = {0: 3 * 3 + 3 * 5, 1: 3 + 3, 2: 2 * 3 + 3, 3: 2 * 3 + 3}
-    over = [replace(st, sent_scalars_by_agent={a: bounds[a] + 1 for a in bounds}) for st in stats]
-    assert sorted(message_stats(over, tree, num_particles=3)["violations"]) == [
-        (cycle, agent, bound + 1, bound) for cycle in (1, 2, 3) for agent, bound in bounds.items()]
+    # the root, the one agent with children, may send 3 x 3 VALUE scalars and
+    # K + 2 = 5 BEST scalars per child; the stub sends 4, so 6 breaks the bound
+    over = [replace(st, best_len=6) for st in stats]
+    assert message_stats(over, tree, num_particles=3)["violations"] == [
+        (cycle, 0, 3 * 3 + 3 * 6, 3 * 3 + 3 * 5) for cycle in (1, 2, 3)]
 
 
 def test_deadlock_on_withheld_cost(kite_instance):
