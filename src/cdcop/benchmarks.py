@@ -107,14 +107,13 @@ def _quadratic_instance(n: int, edges: list[tuple[int, int]], domain, coeff_rang
         raise ValueError(f"coeff_range must be finite with low <= high, got {coeff_range}")
     if not np.isfinite(hi - lo):  # coefficients are drawn uniformly over the width
         raise ValueError(f"coeff_range is wider than the largest float, got {coeff_range}")
-    functions = []
-    for fid, (u, v) in enumerate(edges):
-        a, b, c = (float(w) for w in rng.uniform(lo, hi, size=3))
-        functions.append(CostFunction(fid, (u, v), quadratic_expr(a, b, c)))
+    # row i is edge i's (a, b, c): the doubles that one draw of three per edge gives
+    coeffs = rng.uniform(lo, hi, size=(len(edges), 3)).tolist()
     inst = CdcopInstance(
         num_agents=n,
         domains=(Domain(lb, ub),) * n,
-        functions=tuple(functions),
+        functions=tuple(CostFunction(fid, edge, quadratic_expr(*abc))
+                        for fid, (edge, abc) in enumerate(zip(edges, coeffs))),
         objective="min",
     )
     violations = validate_instance(inst)
@@ -129,8 +128,10 @@ def gen_erdos_renyi(n: int, p: float, domain=DEFAULT_DOMAIN, coeff_range=DEFAULT
     if n < 2 or not 0.0 < p <= 1.0:
         raise ValueError(f"need n >= 2 and 0 < p <= 1, got n={n}, p={p}")
     rng = np.random.default_rng(seed)
+    us, vs = np.triu_indices(n, 1)  # every pair u < v, in the order its coin is drawn
     for _ in range(CONNECT_RETRIES):
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        keep = rng.random(len(us)) < p
+        edges = list(zip(us[keep].tolist(), vs[keep].tolist()))
         if not unreachable(n, edges):
             return _quadratic_instance(n, edges, domain, coeff_range, rng)
     raise GenerationFailed(

@@ -126,7 +126,7 @@ def _build_config(args) -> SwarmConfig:
     """Load the config file's document, or an empty one, with the given flags written over it."""
     try:
         doc = json.loads(args.config.read_text()) if args.config else {}
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"{args.config}: {e}") from None
     if isinstance(doc, dict):  # else the loader rejects it
         doc.update(_given(args, SwarmConfig))

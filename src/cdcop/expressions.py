@@ -247,19 +247,6 @@ def _apply(node, x, y=None):
     return _OPERATIONS[kind](x, y)
 
 
-def _operands(node) -> tuple:
-    kind = type(node)
-    if kind is Pow:
-        return (node.base,)
-    if kind is Neg:
-        return (node.operand,)
-    if kind in _SYMBOLS:
-        return node.left, node.right
-    if kind is Constant or kind is Var:
-        return ()
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def _postorder(expr: Expression) -> list:
     """The nodes of ``expr``, each after its operands, left before right.
 
@@ -271,7 +258,16 @@ def _postorder(expr: Expression) -> list:
     while stack:
         node = stack.pop()
         order.append(node)
-        stack.extend(_operands(node))
+        kind = type(node)
+        if kind is Pow:
+            stack.append(node.base)
+        elif kind is Neg:
+            stack.append(node.operand)
+        elif kind in _OPERATIONS:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is not Constant and kind is not Var:
+            raise TypeError(f"not an expression node: {node!r}")
     order.reverse()
     return order
 
@@ -300,12 +296,38 @@ def eval_expr(expr: Expression, a, b):
 
 
 def inspect_expr(expr: Expression) -> tuple[set[int], bool]:
-    """One walk of ``expr``: the scope slots it reads, and whether one of its
-    divisions has a denominator that reads no slot and folds to zero, so that
-    every evaluation raises DivisionByZero.
+    """The scope slots ``expr`` reads, and whether one of its divisions has a
+    denominator that reads no slot and folds to zero, so that every
+    evaluation raises DivisionByZero.
 
-    The fold is ``compile_skeleton``'s, which leaves such a division to raise
-    when its program runs.
+    A tree with no division has no such denominator, so one walk reads its
+    slots. At the first division it meets, the walk stops and ``_fold_walk``
+    folds the whole tree.
+    """
+    slots: set[int] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            slots.add(node.slot)
+        elif kind is Pow:
+            stack.append(node.base)
+        elif kind is Neg:
+            stack.append(node.operand)
+        elif kind is Div:
+            return _fold_walk(expr)
+        elif kind is not Constant:
+            stack.append(node.left)
+            stack.append(node.right)
+    return slots, False
+
+
+def _fold_walk(expr: Expression) -> tuple[set[int], bool]:
+    """``inspect_expr`` by folding every variable-free subtree of ``expr``.
+
+    The fold is ``compile_skeleton``'s, which leaves a division by a constant
+    zero to raise when its program runs.
     """
     slots: set[int] = set()
     zero_denominator = False
@@ -424,13 +446,20 @@ def format_expr(expr: Expression) -> str:
             parts.append(repr(float(item.value)))
         elif kind is Var:
             parts.append(f"x{item.slot}")
+        elif kind is Pow:
+            parts.append("(^ ")
+            stack.append(f" {item.exponent})")
+            stack.append(item.base)
+        elif kind is Neg:
+            parts.append("(neg ")
+            stack.append(")")
+            stack.append(item.operand)
         else:
-            operands = _operands(item)
             parts.append(f"({_SYMBOLS[kind]} ")
-            stack.append(f" {item.exponent})" if kind is Pow else ")")
-            if len(operands) == 2:
-                stack += (operands[1], " ")
-            stack.append(operands[0])
+            stack.append(")")
+            stack.append(item.right)
+            stack.append(" ")
+            stack.append(item.left)
     return "".join(parts)
 
 

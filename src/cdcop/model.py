@@ -7,6 +7,7 @@ the toolkit always minimizes; display helpers restore the original sign.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -191,16 +192,43 @@ def validate_instance(inst: CdcopInstance) -> list[str]:
 # --- JSON instance files -----------------------------------------------------
 
 def instance_to_json(inst: CdcopInstance) -> str:
-    doc = {
-        "num_agents": inst.num_agents,
-        "domains": [[d.lb, d.ub] for d in inst.domains],
-        "objective": inst.objective,
-        "functions": [
-            {"id": f.id, "scope": list(f.scope), "expr": format_expr(f.expr)}
-            for f in inst.functions
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The instance file's text: byte for byte what ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` writes for the instance's document, which holds
+    ``num_agents``, ``domains`` as ``[lb, ub]`` pairs, ``objective``, and
+    ``functions`` as ``{"id", "scope", "expr"}`` objects.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the layout
+    is written here, and each scalar by ``_scalar``.
+    """
+    string = json.encoder.encode_basestring_ascii
+    domains = [_json_list([_scalar(d.lb), _scalar(d.ub)], "    ") for d in inst.domains]
+    functions = [
+        f'{{\n      "expr": {string(format_expr(f.expr))},\n      "id": {_scalar(f.id)},\n'
+        f'      "scope": {_json_list([_scalar(u) for u in f.scope], "      ")}\n    }}'
+        for f in inst.functions
+    ]
+    return (f'{{\n  "domains": {_json_list(domains, "  ")},\n'
+            f'  "functions": {_json_list(functions, "  ")},\n'
+            f'  "num_agents": {_scalar(inst.num_agents)},\n'
+            f'  "objective": {_scalar(inst.objective)}\n}}\n')
+
+
+def _scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it: a finite float or an int by its
+    ``repr``, which is what json writes for them, and anything else by json."""
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A list of encoded items, as ``json.dumps(indent=2)`` lays it out when
+    the line that opens it is indented by ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
 def instance_from_json(text: str) -> CdcopInstance:
@@ -267,5 +295,6 @@ def save_instance(inst: CdcopInstance, path) -> None:
 def load_instance(path) -> CdcopInstance:
     try:
         return instance_from_json(Path(path).read_text())
-    except json.JSONDecodeError as e:  # name the file that is not JSON
+    # name the file that is not UTF-8, not JSON, or nested deeper than json decodes
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise InvalidInstanceError([f"{path}: {e}"]) from None

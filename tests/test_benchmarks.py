@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 
 import numpy as np
@@ -209,6 +210,22 @@ class TestAllFamilies:
             from cdcop.expressions import eval_expr
             vals = eval_expr(fn.expr, samples[u], samples[v])
             assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (BenchSpec("er", n=50, p=0.2, seed=3),
+     "2b1acb7db777f6b2d2ea602fbd4d5af3a36ea5666fd11e0b54acee8e68753467"),
+    (BenchSpec("tree", n=30, seed=5),
+     "8abfe0812aa58adedc31915eafe8f37ea46726fbb1b1c058cbdacc65c2471e82"),
+    (BenchSpec("ba", n=30, m=2, seed=7),
+     "2dc55f7f840c251f9170e3cdaf497821546adc895e60ac9e929058f1f931d5ce"),
+    (BenchSpec("sensor", rows=8, cols=8, seed=4),
+     "377e3930ebe2b8f9726242ce6655ed3af46cbc5f99b1fe192d140855875551c3"),
+], ids=["er", "tree", "ba", "sensor"])
+def test_instance_file_bytes_are_pinned(spec, digest):
+    """Each family's random stream and the instance file's layout, at full size."""
+    text = instance_to_json(generate(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generate_unknown_family():

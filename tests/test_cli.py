@@ -359,6 +359,32 @@ def test_malformed_json_names_its_file(tmp_path, capsys, argv, bad):
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("content, error", [
+    ("[" * 990 + "]" * 990, "maximum recursion depth exceeded while decoding a JSON array from a "
+                            "unicode string"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["deep", "not_utf8"])
+@pytest.mark.parametrize("argv, bad", [
+    (["solve", "{inst}", "-K", "4", "--cycles", "2"], "inst"),
+    (["oracle", "{inst}"], "inst"),
+    (["experiment", "--instance", "{inst}", "-K", "4", "--cycles", "2", "--out-dir", "{out}"],
+     "inst"),
+    (["solve", "{inst}", "--config", "{cfg}", "-K", "4", "--cycles", "2"], "cfg"),
+], ids=["solve", "oracle", "experiment", "solve_config"])
+def test_unreadable_json_names_its_file(tmp_path, capsys, argv, bad, content, error):
+    """A file nested deeper than json decodes, or not UTF-8, is one error line naming it."""
+    paths = {"inst": tmp_path / "inst.json", "cfg": tmp_path / "cfg.json", "out": tmp_path / "out"}
+    paths["inst"].write_text(json.dumps(_INSTANCE))
+    paths["cfg"].write_text("{}")
+    if isinstance(content, bytes):
+        paths[bad].write_bytes(content)
+    else:
+        paths[bad].write_text(content)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {paths[bad]}: {error}\n"
+    assert not paths["out"].exists()
+
+
 def test_experiment_bad_root_keeps_earlier_outputs(tmp_path, capsys):
     """A bad root makes no out dir, and leaves an earlier run's outputs as they were."""
     out_dir = tmp_path / "runs"

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import struct
+import time
 from functools import reduce
 
 import numpy as np
@@ -25,6 +26,7 @@ from cdcop.expressions import (
     compile_expr,
     compile_skeleton,
     eval_expr,
+    _apply,
     _check_nonzero,
     _postorder,
     format_expr,
@@ -32,7 +34,7 @@ from cdcop.expressions import (
     parse_expr,
 )
 
-from cdcop.model import CdcopInstance, CostFunction, Domain
+from cdcop.model import CdcopInstance, CostFunction, Domain, validate_instance
 
 from conftest import _trees, neg_pow_chain, sum_chain
 
@@ -93,6 +95,96 @@ def test_inspect_expr_agrees_with_the_compiler(expr):
     checked = [registers[args[0]] for fn, args in program if fn is _check_nonzero]
     slots = {node.slot for node in _postorder(expr) if isinstance(node, Var)}
     assert inspect_expr(expr) == (slots, 0.0 in checked)
+
+
+def _folding_walk(expr):
+    """``inspect_expr`` as one post-order walk that folds every variable-free
+    subtree and leaves a division by a constant zero unfolded: the reference."""
+    slots, zero_denominator = set(), False
+    values = []  # each walked subtree not yet consumed: its float, or None if it reads a slot
+    for node in _postorder(expr):
+        kind = type(node)
+        if kind is Constant:
+            values.append(float(node.value))
+        elif kind is Var:
+            slots.add(node.slot)
+            values.append(None)
+        elif kind is Pow or kind is Neg:
+            x = values.pop()
+            values.append(None if x is None else _apply(node, x))
+        else:
+            y, x = values.pop(), values.pop()
+            if kind is Div and y == 0:
+                zero_denominator = True
+                y = None
+            values.append(None if x is None or y is None else _apply(node, x, y))
+    return slots, zero_denominator
+
+
+# trees rich in variable-free subtrees that fold to zero, with and without divisions
+_zero_leaf = st.sampled_from([Constant(0.0), Constant(-0.0), Constant(2.0), Constant(-2.0), X0, X1])
+
+
+def _div_free_branch(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: Add(*p)),
+        pairs.map(lambda p: Sub(*p)),
+        pairs.map(lambda p: Mul(*p)),
+        st.tuples(children, st.integers(0, 3)).map(lambda p: Pow(*p)),
+        children.map(Neg),
+    )
+
+
+def _zero_branch(children):
+    return st.one_of(_div_free_branch(children), st.tuples(children, children).map(lambda p: Div(*p)))
+
+
+@given(st.one_of(_trees, st.recursive(_zero_leaf, _div_free_branch, max_leaves=12),
+                 st.recursive(_zero_leaf, _zero_branch, max_leaves=12)))
+@example(parse_expr("(+ (* x0 x1) (- 2 2))"))  # no division, a zero subtree
+@example(parse_expr("(* x1 (/ x0 (- 2 2)))"))  # a zero denominator under no other
+@example(parse_expr("(/ x0 (/ x1 (/ 1 -0.0)))"))  # one inside two other denominators
+@example(parse_expr("(/ x0 (+ x1 (/ 1 (- 2 2))))"))  # one inside a denominator that reads x1
+@example(parse_expr("(/ (/ x0 0) x1)"))  # one inside a numerator
+@example(parse_expr("(+ (* x0 x1) (/ x0 (* x1 0)))"))  # zero times a slot is no constant
+def test_inspect_expr_matches_the_folding_walk(expr):
+    assert inspect_expr(expr) == _folding_walk(expr)
+
+
+def _div_chain(depth):
+    """``x0`` under ``depth`` divisions, alternately as numerator and as
+    denominator, over a variable-free zero at the bottom."""
+    expr = Div(X0, Sub(Constant(2.0), Constant(2.0)))
+    for level in range(depth):
+        expr = Div(Constant(1.5), expr) if level % 2 else Div(expr, X1)
+    return expr
+
+
+@pytest.mark.parametrize("make_chain", [sum_chain, neg_pow_chain, _div_chain],
+                         ids=["sum", "neg_pow", "div"])
+def test_deep_chains_validate_in_linear_time(make_chain):
+    """A chain 5000 deep validates in about four times the time of one 1250
+    deep, far from the sixteen of a walk that restarts at each level. Each
+    round times both; the best times so far must keep that ratio under 8."""
+    def timed(expr):
+        inst = CdcopInstance(2, (Domain(-1.0, 1.0),) * 2, (CostFunction(0, (0, 1), expr),), "min")
+        start = time.perf_counter()
+        violations = validate_instance(inst)
+        seconds = time.perf_counter() - start
+        assert violations == (["function 0 divides by a constant zero"]
+                              if make_chain is _div_chain else [])
+        return seconds
+
+    small, large = make_chain(1250), make_chain(5000)
+    assert inspect_expr(large) == _folding_walk(large)
+    best_small = best_large = float("inf")
+    for _ in range(5):
+        best_small = min(best_small, timed(small))
+        best_large = min(best_large, timed(large))
+        if best_large < 8 * best_small:
+            break
+    assert best_large < 8 * best_small
 
 
 def test_neg_node():

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdcop import (
     CdcopInstance,
@@ -23,7 +23,7 @@ from cdcop.expressions import (X0, X1, Add, Constant, Div, Mul, Neg, Pow, Sub, e
                                format_expr, parse_expr)
 from cdcop.benchmarks import quadratic_expr
 
-from conftest import make_instance, neg_pow_chain, sum_chain
+from conftest import _trees, make_instance, neg_pow_chain, sum_chain
 
 
 def test_single_constraint_by_hand(kite_instance):
@@ -142,6 +142,50 @@ def test_deep_expression_instance_round_trips(make_chain, tmp_path):
     assert loaded == inst
     assert format_expr(loaded.functions[0].expr) == format_expr(expr)
     assert global_cost(loaded, [0.25, -0.5]) == eval_expr(expr, 0.25, -0.5)
+
+
+def _dumps_reference(inst):
+    """The instance file's text as json's own indent encoder writes it."""
+    doc = {
+        "num_agents": inst.num_agents,
+        "domains": [[d.lb, d.ub] for d in inst.domains],
+        "objective": inst.objective,
+        "functions": [{"id": f.id, "scope": list(f.scope), "expr": format_expr(f.expr)}
+                      for f in inst.functions],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308, float("inf"),
+                -float("inf"), float("nan")]
+_BOUNDS = st.one_of(st.integers(), st.floats(), st.sampled_from(_EDGE_FLOATS))
+
+
+@st.composite
+def _any_instance(draw):
+    """An instance record with any bounds, objective text, ids and scopes; not validated."""
+    domains = draw(st.lists(st.builds(Domain, _BOUNDS, _BOUNDS), max_size=4))
+    functions = draw(st.lists(st.builds(
+        CostFunction, st.integers(), st.tuples(st.integers(), st.integers()), _trees), max_size=4))
+    objective = draw(st.one_of(st.sampled_from(["min", "max"]), st.text(),
+                               st.text(alphabet='"\\\x00\x1f\n\t\x7fé\u2028€😀x')))
+    return CdcopInstance(draw(st.integers()), tuple(domains), tuple(functions), objective)
+
+
+@given(_any_instance())
+@example(CdcopInstance(1, (Domain(0, 1),), (), "min"))  # no functions, integer bounds
+@example(CdcopInstance(9, tuple(map(Domain, _EDGE_FLOATS, _EDGE_FLOATS[::-1])), (),
+                       'a "quoted" \\ back\nslash\x00 é \u2028 😀'))
+def test_instance_writer_matches_json_dumps(inst):
+    """The writer lays out every instance as ``json.dumps(indent=2, sort_keys=True)``."""
+    assert instance_to_json(inst) == _dumps_reference(inst)
+
+
+def test_instance_writer_matches_json_dumps_at_depth():
+    """As above for a function nested 5000 deep, which Hypothesis cannot print."""
+    inst = CdcopInstance(2, (Domain(-1.0, 1.0),) * 2,
+                         (CostFunction(0, (0, 1), sum_chain(5000)),), "min")
+    assert instance_to_json(inst) == _dumps_reference(inst)
 
 
 def test_json_rejects_invalid():
