@@ -6,13 +6,13 @@ every agent at once, in the same floating-point order, so a fused run is
 bit-identical to the message-passing one:
 
 * :class:`LocalCosts` evaluates each constraint once per cycle (the agents
-  evaluate it at both endpoints). Constraints with equal compiled programs
-  share blocks; each block's program is bound to its buffers once. A cycle
-  runs the blocks one by one, each gathering its own edges' endpoints just
-  before its calls, into one buffer sized for the largest block. It sums
-  every agent's incident values in ascending function id, starting from
-  +0.0, as ``handle_values`` does, and gathers the values those sums read
-  a chunk of columns at a time into one reused buffer.
+  evaluate it at both endpoints). One program per shape is assembled, and
+  constraints with equal programs share blocks, each bound to its buffers
+  once. A cycle runs the blocks one by one, each gathering its own edges'
+  endpoints just before its calls, into one buffer sized for the largest
+  block. It sums every agent's incident values in ascending function id,
+  starting from +0.0, as ``handle_values`` does, and gathers the values
+  those sums read a chunk of columns at a time into one reused buffer.
 * :class:`TreeSchedule` adds children into parents along the COST routes of
   ``runtime.Traffic``, deepest level first and in child order, and halves
   the root last. Nothing here counts messages: ``runtime.Traffic`` does.
@@ -20,7 +20,7 @@ bit-identical to the message-passing one:
 
 import numpy as np
 
-from .expressions import DivisionByZero, bind, compile_skeleton, eval_expr
+from .expressions import DivisionByZero, assemble, bind, eval_expr, fold
 from .model import CdcopInstance, incident_functions, zero_denominator
 from .runtime import COST, Traffic
 
@@ -43,8 +43,9 @@ def _constant_operand(column: np.ndarray, K: int):
 class LocalCosts:
     """Every agent's local fitness from an ``(n, K)`` position matrix.
 
-    Edges are grouped by the program ``compile_skeleton`` gives their
-    expression and evaluated in blocks of about ``BLOCK_ELEMENTS`` elements.
+    Each distinct shape of the edges' folded trees is assembled once. Edges
+    are grouped by program and evaluated in blocks of about
+    ``BLOCK_ELEMENTS`` elements.
     Each block's program is bound once to its registers: its block's
     endpoints, its rows of the value buffer, shared temps, and its
     constants. Every operand is full size: the constants are built once as
@@ -68,9 +69,11 @@ class LocalCosts:
 
     def __init__(self, inst: CdcopInstance, num_particles: int):
         K = num_particles
+        programs: dict = {}  # each shape's (program, num_temps), assembled once
         groups: dict = {}
         for f in inst.functions:
-            program, consts, num_temps = compile_skeleton(f.expr)
+            shape, consts, _, _ = fold(f.expr)
+            program, num_temps = programs.get(shape) or programs.setdefault(shape, assemble(shape))
             groups.setdefault(program, (num_temps, []))[1].append((f, consts))
 
         num_edges = inst.num_edges

@@ -12,12 +12,13 @@ Grammar (atoms and binary operators only)::
              | '(' 'neg' expr ')'
 
 Evaluation works on scalars or numpy arrays (elementwise). ``eval_expr``
-walks a tree and is the reference. ``compile_skeleton`` is the one
-compiler: it turns a tree into a program, a tuple of ufunc calls over
-numbered registers, and its constants. ``bind`` resolves the registers to
-arrays once, so a bound program runs as a plain loop of ``fn(*args)``;
-``compile_expr`` binds one once and runs it per call. No function here
-recurses: trees of any depth parse, format, evaluate, compile, compare and pickle.
+walks a tree and is the reference. ``fold`` is the one walk that folds a
+tree, for validation and compilation alike; ``assemble`` turns its shape
+into a program of ufunc calls over numbered registers. ``bind`` resolves
+the registers to arrays once, so a bound program runs as a plain loop of
+``fn(*args)``; ``compile_expr`` binds one once and runs it per call. No
+function here recurses: trees of any depth parse, format, evaluate,
+compile, compare, print and pickle.
 """
 
 import math
@@ -44,6 +45,8 @@ __all__ = [
     "parse_expr",
     "format_expr",
     "inspect_expr",
+    "fold",
+    "assemble",
     "bind",
     "compile_expr",
     "compile_skeleton",
@@ -113,6 +116,9 @@ class _Node:
             for i in reversed(range(len(names))):
                 stack += ((getattr(value, names[i]),), f"{', ' if i else ''}{names[i]}=")
         return "".join(parts)
+
+    def _repr_pretty_(self, p, cycle):  # Hypothesis's printer recurses through dataclass fields
+        p.text(repr(self))
 
 
 # the generated __eq__ and __repr__ recurse; _Node's are used instead
@@ -234,7 +240,7 @@ _OPERATIONS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: ope
 def _apply(node, x, y=None):
     """``node``'s value from its operands' values, with Python's operators.
 
-    This is ``eval_expr``'s arithmetic. The compiler folds variable-free
+    This is ``eval_expr``'s arithmetic. ``fold`` folds variable-free
     subtrees with it too, so a folded constant has ``eval_expr``'s bits.
     """
     kind = type(node)
@@ -301,8 +307,7 @@ def inspect_expr(expr: Expression) -> tuple[set[int], bool]:
     evaluation raises DivisionByZero.
 
     A tree with no division has no such denominator, so one walk reads its
-    slots. At the first division it meets, the walk stops and ``_fold_walk``
-    folds the whole tree.
+    slots without folding. At the first division, it returns ``fold``'s.
     """
     slots: set[int] = set()
     stack = [expr]
@@ -316,39 +321,11 @@ def inspect_expr(expr: Expression) -> tuple[set[int], bool]:
         elif kind is Neg:
             stack.append(node.operand)
         elif kind is Div:
-            return _fold_walk(expr)
+            return fold(expr)[2:]
         elif kind is not Constant:
             stack.append(node.left)
             stack.append(node.right)
     return slots, False
-
-
-def _fold_walk(expr: Expression) -> tuple[set[int], bool]:
-    """``inspect_expr`` by folding every variable-free subtree of ``expr``.
-
-    The fold is ``compile_skeleton``'s, which leaves a division by a constant
-    zero to raise when its program runs.
-    """
-    slots: set[int] = set()
-    zero_denominator = False
-    values: list = []  # each walked subtree not yet consumed: its float, or None if it reads a slot
-    for node in _postorder(expr):
-        kind = type(node)
-        if kind is Constant:
-            values.append(float(node.value))
-        elif kind is Var:
-            slots.add(node.slot)
-            values.append(None)
-        elif kind is Pow or kind is Neg:
-            x = values.pop()
-            values.append(None if x is None else _apply(node, x))
-        else:
-            y, x = values.pop(), values.pop()
-            if kind is Div and y == 0:
-                zero_denominator = True
-                y = None  # unfolded, as compile_skeleton leaves it
-            values.append(None if x is None or y is None else _apply(node, x, y))
-    return slots, zero_denominator
 
 
 # --- s-expression text format ------------------------------------------------
@@ -467,85 +444,96 @@ def format_expr(expr: Expression) -> str:
 
 # the registers of ``out`` and of the first temp; ``a`` and ``b`` are 0 and 1, a slot's number
 _OUT, _TEMP = 2, 3
-_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide, Neg: np.negative}
 
 
 def _lift(value: float, consts: list) -> int:
-    """Constant j's register until the temps are counted: -1 - j."""
+    """Constant j's tag: -1 - j."""
     consts.append(value)
     return -len(consts)
 
 
-def compile_skeleton(expr: Expression):
-    """Split a tree into a program of ufunc calls and its own constants.
+def fold(expr: Expression):
+    """The one walk that folds ``expr``: ``(shape, consts, slots, zero_denominator)``.
 
-    Returns ``(program, consts, num_temps)``. ``program`` is a tuple of calls
-    ``(fn, operands)`` in post-order. Each operand is an index into the
-    registers ``[a, b, out, *temps, *consts]``, with ``num_temps`` temps of
-    ``out``'s shape, or the exponent of an ``np.power`` call, which is kept
-    as a float so it is not read as an index. Bound with ``bind``, the calls
-    write into ``out`` what ``eval_expr(expr, a, b)`` gives on arrays,
-    element for element and bit for bit, and allocate no array; they
-    overwrite the temps, which with ``out`` must not overlap ``a``, ``b`` or
-    the constants.
-
-    A subtree that reads no variable is folded to a float with
-    ``eval_expr``'s arithmetic; where it meets one that does, it becomes a
-    constant. A variable-free division by zero is not folded: it raises
-    DivisionByZero when the program runs, as any other zero denominator
-    does. Otherwise trees that differ only in their variable-free subtrees
-    get equal programs, so edges can be grouped by program and evaluated
-    together, with each constant passed as per-edge values that broadcast
-    against ``out``.
+    Each subtree that reads no variable is folded to a float with
+    ``eval_expr``'s arithmetic, and lifted into ``consts`` where it meets one
+    that does. A variable-free division by zero is not folded, so it raises
+    DivisionByZero when the program runs; ``zero_denominator`` says the tree
+    holds one, and ``slots`` holds the slots it reads. ``shape`` is ``(calls,
+    root)``: each unfolded node in post-order as ``(kind, *tags)``, with
+    ``(Pow, exponent)`` as a power's kind, and the root's tag. A tag is a
+    slot, constant j as ``-1 - j``, or call i's result as ``2 + i``. Trees
+    that differ only in their variable-free subtrees have one shape.
     """
     consts: list[float] = []
     calls: list = []
-    values: list = []  # each walked subtree not yet consumed: its float, or its register
-    free: list[int] = []  # temps whose value was consumed
-    num_temps = 0
+    slots: set[int] = set()
+    zero_denominator = False
+    values: list = []  # each walked subtree not yet consumed: its float, or its tag
     for node in _postorder(expr):
         kind = type(node)
         if kind is Constant:
             values.append(float(node.value))
             continue
         if kind is Var:
+            slots.add(node.slot)
             values.append(node.slot)
             continue
         y = None if kind is Pow or kind is Neg else values.pop()
         x = values.pop()
-        if type(x) is float and (y is None or type(y) is float) and not (kind is Div and y == 0):
+        if kind is Div and type(y) is float and y == 0:
+            zero_denominator = True
+        elif type(x) is float and (y is None or type(y) is float):
             values.append(_apply(node, x, y))
             continue
-        x, y = (_lift(v, consts) if type(v) is float else v for v in (x, y))
-        # the result goes into the first operand's temp, else a free or a new temp
-        held = [v for v in (x, y) if v is not None and v >= _TEMP]
-        free += held[1:]
-        if held:
-            dest = held[0]
-        elif free:
-            dest = free.pop()
+        x = _lift(x, consts) if type(x) is float else x
+        if y is None:
+            calls.append(((Pow, node.exponent) if kind is Pow else kind, x))
         else:
-            dest = _TEMP + num_temps
-            num_temps += 1
-        if kind is Pow:
-            # x ** 2 runs numpy's square, whose bits are x * x
-            calls.append((np.multiply, (x, x, dest)) if node.exponent == 2 else
-                         (np.power, (x, float(node.exponent), dest)))
-        elif kind is Neg:
-            calls.append((np.negative, (x, dest)))
-        else:
-            if kind is Div:
-                calls.append((_check_nonzero, (y,)))
-            calls.append((_UFUNCS[kind], (x, y, dest)))
-        values.append(dest)
+            calls.append((kind, x, _lift(y, consts) if type(y) is float else y))
+        values.append(1 + len(calls))
+    (root,) = values
+    root = _lift(root, consts) if type(root) is float else root
+    return (tuple(calls), root), tuple(consts), slots, zero_denominator
 
-    result = values.pop()
-    if type(result) is float:
-        result = _lift(result, consts)
+
+def assemble(shape) -> tuple:
+    """``(program, num_temps)``: ``shape``'s calls as ufunc calls ``(fn,
+    operands)``, in post-order. An operand indexes the registers ``[a, b,
+    out, *temps, *consts]``, with ``num_temps`` temps of ``out``'s shape, or
+    is an ``np.power`` exponent, kept a float so it is not read as an index.
+    A result goes into its first operand's temp, else a consumed or a new
+    one; the root's is ``out``. Bound with ``bind``, the calls write into
+    ``out`` what ``eval_expr`` gives on arrays, bit for bit, and allocate no
+    array; they overwrite the temps, which with ``out`` must not overlap
+    ``a``, ``b`` or the constants.
+    """
+    calls, root = shape
+    program: list = []
+    dest_of: list[int] = []  # each call's result's temp
+    free: list[int] = []  # temps whose value was consumed
+    num_temps = 0
+    for kind, *tags in calls:
+        operands = [dest_of[t - 2] if t >= 2 else t for t in tags]
+        held = [r for r in operands if r >= _TEMP]
+        free += held[1:]
+        dest = held[0] if held else free.pop() if free else _TEMP + num_temps
+        num_temps = max(num_temps, dest + 1 - _TEMP)
+        dest_of.append(dest)
+        if type(kind) is tuple:  # x ** 2 runs numpy's square, whose bits are x * x
+            program.append((np.multiply, (*operands, *operands, dest)) if kind[1] == 2 else
+                           (np.power, (*operands, float(kind[1]), dest)))
+            continue
+        if kind is Div:
+            program.append((_check_nonzero, operands[1:]))
+        program.append((_UFUNCS[kind], (*operands, dest)))
+
+    result = dest_of[root - 2] if root >= 2 else root
     if result >= _TEMP:  # the temp that holds the root's value is ``out`` itself
         num_temps -= 1
     else:
-        calls.append((np.copyto, (_OUT, result)))
+        program.append((np.copyto, (_OUT, result)))
         result = _TEMP + num_temps  # no temp is above it
 
     def register(op):
@@ -555,8 +543,14 @@ def compile_skeleton(expr: Expression):
             return _TEMP + num_temps - 1 - op
         return _OUT if op == result else op - (op > result)
 
-    program = tuple((fn, tuple(map(register, operands))) for fn, operands in calls)
-    return program, tuple(consts), num_temps
+    return tuple((fn, tuple(map(register, operands))) for fn, operands in program), num_temps
+
+
+def compile_skeleton(expr: Expression):
+    """``(program, consts, num_temps)``: ``fold(expr)``'s shape assembled, and its constants."""
+    shape, consts, _, _ = fold(expr)
+    program, num_temps = assemble(shape)
+    return program, consts, num_temps
 
 
 def bind(program: tuple, registers: list) -> tuple:

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cdcop import (CdcopInstance, CostFunction, Domain, DivisionByZero, build_bfs, engine,
-                   parse_expr)
+                   expressions, parse_expr)
 from cdcop.benchmarks import BenchSpec, generate
 from cdcop.engine import LocalCosts
-from cdcop.expressions import compile_expr
+from cdcop.expressions import compile_expr, eval_expr
 from cdcop.experiment import write_trace_csv
+from cdcop.model import incident_functions
 from cdcop.runtime import SyncRuntime, write_message_log_csv
 from cdcop.swarm import (
     AdaptiveInertia,
@@ -238,6 +239,64 @@ def test_constant_column_keeps_a_lone_negative_zero():
     want = np.array([compile_expr(f.expr, x[f.scope[0]], x[f.scope[1]])() for f in inst.functions])
     assert np.signbit(want[2]).all()
     assert local_costs.values.tobytes() == want.tobytes()
+
+
+def _local_by_tree_walk(inst, x):
+    """Every agent's local fitness by ``eval_expr``: its incident values, with
+    the instance's sign, added in ascending function id onto +0.0."""
+    by_id = {f.id: f for f in inst.functions}
+    local = np.zeros_like(x)
+    for agent in range(inst.num_agents):
+        for fid in incident_functions(inst, agent):
+            f = by_id[fid]
+            local[agent] = local[agent] + inst.sign * eval_expr(f.expr, x[f.scope[0]], x[f.scope[1]])
+    return local
+
+
+def _local_costs_at(inst, K=4):
+    """``LocalCosts(inst, K)``, its values at seeded positions, and
+    ``_local_by_tree_walk``'s at the same positions."""
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, (inst.num_agents, K))
+    local_costs = LocalCosts(inst, K)
+    return local_costs, local_costs(x).copy(), _local_by_tree_walk(inst, x)
+
+
+def test_powers_that_differ_only_in_their_exponent_get_their_own_programs():
+    inst = make_instance(4, [((0, 1), "(* (^ x0 2) x1)"), ((1, 2), "(* (^ x0 3) x1)"),
+                             ((2, 3), "(* (^ x0 2) x1)")])
+    local_costs, got, want = _local_costs_at(inst)
+    assert len(local_costs.blocks) == 2
+    assert got.tobytes() == want.tobytes()
+
+
+def test_trees_of_one_shape_keep_their_own_constants():
+    inst = make_instance(3, [((0, 1), "(+ (* 1.5 (^ x0 2)) (* -0.5 (* x0 x1)))"),
+                             ((1, 2), "(+ (* -3.0 (^ x0 2)) (* 4.0 (* x0 x1)))")])
+    local_costs, got, want = _local_costs_at(inst)
+    assert len(local_costs.blocks) == 1
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_square_and_a_product_are_two_shapes_of_one_block():
+    """``(^ x0 2)`` and ``(* x0 x0)`` fold to different shapes that assemble
+    to one program, so their edges still share a block."""
+    texts = ["(* (^ x0 2) x1)", "(* (* x0 x0) x1)", "(* (^ x0 2) x1)"]
+    assert expressions.fold(parse_expr(texts[0]))[0] != expressions.fold(parse_expr(texts[1]))[0]
+    inst = make_instance(4, [((i, i + 1), text) for i, text in enumerate(texts)])
+    local_costs, got, want = _local_costs_at(inst)
+    assert len(local_costs.blocks) == 1
+    assert got.tobytes() == want.tobytes()
+
+
+def test_local_costs_assembles_each_shape_once(monkeypatch):
+    """Every er n=50 tree has one shape, so its 252 functions assemble once."""
+    inst = generate(BenchSpec("er", n=50, p=0.2, seed=3))
+    assert inst.num_edges == 252
+    shapes = []
+    monkeypatch.setattr(engine, "assemble",
+                        lambda shape: shapes.append(shape) or expressions.assemble(shape))
+    LocalCosts(inst, 200)
+    assert len(shapes) == 1
 
 
 @pytest.mark.parametrize("spec", [BenchSpec("er", n=50, p=0.2, seed=1),

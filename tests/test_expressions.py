@@ -8,6 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from cdcop.expressions import (
     Add,
@@ -26,6 +27,7 @@ from cdcop.expressions import (
     compile_expr,
     compile_skeleton,
     eval_expr,
+    fold,
     _apply,
     _check_nonzero,
     _postorder,
@@ -337,6 +339,16 @@ def test_skeleton_shared_across_constants():
     assert _run_skeleton(folded, np.array([[2.0]]), np.array([[0.5]]))[0, 0] == 4.5
 
 
+def test_fold_shape_keeps_exponents_and_drops_constants():
+    quad = "(+ (* {} (^ x0 2)) (* {} (* x0 x1)))"
+    (shape1, c1, slots, zero), (shape2, c2, *_) = (fold(parse_expr(quad.format(*c)))
+                                                   for c in ((1.5, -2.0), (-3.0, 4.0)))
+    assert shape1 == shape2 and (c1, c2) == ((1.5, -2.0), (-3.0, 4.0))
+    assert (slots, zero) == ({0, 1}, False)
+    assert fold(parse_expr("(^ x0 2)"))[0] != fold(parse_expr("(^ x0 3)"))[0]
+    assert fold(parse_expr("(- x0 (/ 1 0))"))[1:] == ((1.0, 0.0), {0}, True)
+
+
 def test_non_finite_constants_compile():
     expr = parse_expr("(+ (* inf x0) (* -inf x1))")
     assert compile_expr(expr, 1.0, -1.0)() == float("inf")
@@ -415,6 +427,18 @@ def test_deep_tree_pickles_and_copies(make_chain):
         assert all(node is X0 or node is X1 for node in _postorder(twin) if type(node) is Var)
     for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
         assert twin == inst and hash(twin) == hash(inst)
+
+
+def test_deep_instance_pretty_prints():
+    """Hypothesis reports a falsifying example with its vendored printer. It
+    asks a node for ``_repr_pretty_`` before it walks dataclass fields, which
+    would recurse once per level of a tree 5000 deep."""
+    expr = sum_chain(5000)
+    inst = CdcopInstance(2, (Domain(-1.0, 1.0),) * 2, (CostFunction(0, (0, 1), expr),), "min")
+    start = time.perf_counter()
+    text = pretty(inst)
+    assert time.perf_counter() - start < 1.0
+    assert repr(expr) in text
 
 
 def test_pickled_constants_keep_their_bits():
