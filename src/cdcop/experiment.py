@@ -196,9 +196,9 @@ def _staged(out_dir: Path):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the full ensemble, write traces plus summary.json, return the summary.
 
-    The summary's ``all_checks_passed`` flag covers the anytime property of
-    every trace, the exact per-cycle message-count law, and the per-agent
-    payload bound; the CLI exit code mirrors it. When a run fails a check,
+    The summary's ``checks`` name every check of ``verify_trace``, each True
+    when every run keeps it, and its ``all_checks_passed`` flag covers them
+    all; the CLI exit code mirrors it. When a run fails a check,
     ``failed_runs`` lists each such run: its instance, repeat, variant, run
     seed and the names of the checks it failed; a clean summary has no
     such key. The outputs are written into a staging directory beside
@@ -219,7 +219,7 @@ def _run_ensemble(cfg: ExperimentConfig, instances: list[CdcopInstance],
     """``run_experiment``'s runs, with its outputs written into ``out_dir``."""
     finals = {v: np.empty((len(instances), cfg.repeats)) for v in cfg.variants}
     curve_sums: dict[str, np.ndarray] = {v: np.zeros(cfg.swarm.t_max) for v in cfg.variants}
-    checks = {"anytime": True, "message_law": True, "payload_bound": True}
+    checks: dict[str, bool] = {}  # each of verify_trace's checks: kept by every run so far
     failed_runs = []
 
     for idx, (inst, tree) in enumerate(zip(instances, trees)):
@@ -235,10 +235,10 @@ def _run_ensemble(cfg: ExperimentConfig, instances: list[CdcopInstance],
                                          f"run seed {run_cfg.seed}: {exc}") from None
                 write_trace_csv(out_dir / trace_filename(idx, rep, variant), trace)
 
-                failed = [name for name, ok in
-                          verify_trace(trace, tree, run_cfg.num_particles).items() if not ok]
+                verdicts = verify_trace(trace, tree, run_cfg.num_particles)
+                checks = {name: checks.get(name, True) and ok for name, ok in verdicts.items()}
+                failed = [name for name, ok in verdicts.items() if not ok]
                 if failed:
-                    checks.update(dict.fromkeys(failed, False))
                     failed_runs.append({"instance": idx, "repeat": rep, "variant": variant,
                                         "run_seed": run_cfg.seed, "checks": failed})
 

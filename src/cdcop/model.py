@@ -94,17 +94,26 @@ def neighbor_table(n: int, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(s)) for s in sets)
 
 
+def breadth_first(neighbors, root: int) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
+    """Each agent's parent and depth in the FIFO walk from ``root``, which
+    queues an agent's unvisited ``neighbors`` in table order, ascending from
+    ``neighbor_table``. An agent it does not reach gets None and depth -1."""
+    parent, depth = [None] * len(neighbors), [-1] * len(neighbors)
+    depth[root] = 0
+    queue = [root]
+    for u in queue:  # the loop reads the agents appended behind it
+        for v in neighbors[u]:
+            if depth[v] < 0:
+                parent[v] = u
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    return tuple(parent), tuple(depth)
+
+
 def unreachable(n: int, edges) -> list[int]:
     """The agents, ascending, that no path of ``edges`` joins to agent 0."""
-    table = neighbor_table(n, edges)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for v in table[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return [a for a in range(n) if a not in seen]
+    _, depth = breadth_first(neighbor_table(n, edges), 0)
+    return [a for a, d in enumerate(depth) if d < 0]
 
 
 def constraint_cost(inst: CdcopInstance, fn_id: int, assignment) -> float:

@@ -2,14 +2,15 @@
 
 The tree orders agents for cost aggregation (leaf-to-root) and best-particle
 broadcast (root-to-leaf). Non-tree constraint edges stay around as plain
-neighbor links, used only for position exchange. Construction is
-deterministic: the BFS queue is FIFO and a node's unvisited neighbors are
-enqueued in ascending agent id.
+neighbor links, used only for position exchange. The tree is the output of
+one deterministic walk, ``model.breadth_first``: it stores the parent and
+depth the walk gives each agent, and derives children and height from them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .model import CdcopInstance, neighbor_table
+from .model import CdcopInstance, breadth_first, neighbor_table
 
 __all__ = ["PseudoTree", "DisconnectedGraphError", "build_bfs", "validate_pseudo_tree", "tree_edge_dump"]
 
@@ -20,16 +21,31 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class PseudoTree:
+    """Stored: the ``root``, each agent's ``parent`` (None at the root) and
+    ``depth`` from the walk, and its constraint-graph ``neighbors``. Derived:
+    ``children``, ascending, built from ``parent`` once per tree, and
+    ``height``, the largest depth."""
+
     root: int
     parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
     neighbors: tuple[tuple[int, ...], ...]
     depth: tuple[int, ...]
-    height: int
 
     @property
     def num_agents(self) -> int:
         return len(self.parent)
+
+    @property
+    def height(self) -> int:
+        return max(self.depth)
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        out: list[list[int]] = [[] for _ in range(self.num_agents)]
+        for v, p in enumerate(self.parent):
+            if p is not None:
+                out[p].append(v)
+        return tuple(map(tuple, out))
 
     def levels(self) -> list[list[int]]:
         """Agents grouped by depth, ascending id within a level."""
@@ -45,36 +61,11 @@ def build_bfs(inst: CdcopInstance, root: int = 0) -> PseudoTree:
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for {n} agents")
     neighbors = neighbor_table(n, (f.scope for f in inst.functions))
-    parent: list[int | None] = [None] * n
-    depth = [0] * n
-    visited = [False] * n
-    visited[root] = True
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in neighbors[u]:
-            if not visited[v]:
-                visited[v] = True
-                parent[v] = u
-                depth[v] = depth[u] + 1
-                queue.append(v)
-    if not all(visited):
-        missing = [i for i in range(n) if not visited[i]]
+    parent, depth = breadth_first(neighbors, root)
+    missing = [a for a, d in enumerate(depth) if d < 0]
+    if missing:
         raise DisconnectedGraphError(f"agents {missing} unreachable from root {root}")
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] is not None:
-            children[parent[v]].append(v)
-    return PseudoTree(
-        root=root,
-        parent=tuple(parent),
-        children=tuple(tuple(sorted(c)) for c in children),
-        neighbors=neighbors,
-        depth=tuple(depth),
-        height=max(depth),
-    )
+    return PseudoTree(root, parent, neighbors, depth)
 
 
 def validate_pseudo_tree(tree: PseudoTree, inst: CdcopInstance) -> list[str]:
@@ -84,21 +75,22 @@ def validate_pseudo_tree(tree: PseudoTree, inst: CdcopInstance) -> list[str]:
     if n != inst.num_agents:
         out.append(f"tree covers {n} agents, instance has {inst.num_agents}")
         return out
+
+    # shapes and ranges first: every check below indexes by agent
+    out += [f"{name} has {len(table)} entries for {n} agents" for name, table in
+            (("depth", tree.depth), ("neighbors", tree.neighbors)) if len(table) != n]
+    if not 0 <= tree.root < n:
+        out.append(f"root {tree.root} is not an agent index")
+    out += [f"agent {v} has parent {p}, not an agent index"
+            for v, p in enumerate(tree.parent) if p is not None and not 0 <= p < n]
+    if out:
+        return out
+
     if tree.parent[tree.root] is not None:
         out.append(f"root {tree.root} has a parent")
     for v in range(n):
         if v != tree.root and tree.parent[v] is None:
             out.append(f"non-root agent {v} has no parent")
-
-    # children/parent consistency
-    for p in range(n):
-        for c in tree.children[p]:
-            if tree.parent[c] != p:
-                out.append(f"agent {c} listed as child of {p} but has parent {tree.parent[c]}")
-    for v in range(n):
-        p = tree.parent[v]
-        if p is not None and v not in tree.children[p]:
-            out.append(f"agent {v} has parent {p} but is missing from its children")
 
     # acyclic: walking parents must reach the root within n steps
     for v in range(n):
@@ -118,14 +110,12 @@ def validate_pseudo_tree(tree: PseudoTree, inst: CdcopInstance) -> list[str]:
             if c not in tree.neighbors[v]:
                 out.append(f"child {c} of agent {v} is not a constraint-graph neighbor")
 
-    # depth/height bookkeeping
+    # depth bookkeeping
     for v in range(n):
         p = tree.parent[v]
         want = 0 if p is None else tree.depth[p] + 1
         if tree.depth[v] != want:
             out.append(f"agent {v} depth {tree.depth[v]} != {want}")
-    if tree.height != max(tree.depth):
-        out.append(f"height {tree.height} != max depth {max(tree.depth)}")
     return out
 
 

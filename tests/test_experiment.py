@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from cdcop import build_bfs
+from cdcop import build_bfs, experiment
 from cdcop.benchmarks import BenchSpec, generate
 from cdcop.experiment import (
     TRACE_HEADER,
@@ -175,6 +175,20 @@ def test_summary_json_parses(tmp_path):
     run_experiment(_tiny_config(out))
     doc = json.loads((out / "summary.json").read_text())
     assert doc["checks"] == {"anytime": True, "message_law": True, "payload_bound": True}
+
+
+@pytest.mark.parametrize("extra", [True, False])
+def test_summary_names_every_check_verify_trace_makes(tmp_path, monkeypatch, extra):
+    """A check ``verify_trace`` gains is in the summary whether it passes or
+    fails, and a failing one names its runs."""
+    real = experiment.verify_trace
+    monkeypatch.setattr(experiment, "verify_trace", lambda *args: {**real(*args), "extra": extra})
+    summary = run_experiment(_tiny_config(tmp_path / "runs", num_instances=1, repeats=1))
+    assert summary["checks"] == {"anytime": True, "message_law": True, "payload_bound": True,
+                                 "extra": extra}
+    assert summary["all_checks_passed"] is extra
+    failed = [run["checks"] for run in summary.get("failed_runs", [])]
+    assert failed == ([] if extra else [["extra"], ["extra"]])
 
 
 def _corrupt_counts(trace, k):
