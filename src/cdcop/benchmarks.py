@@ -179,16 +179,16 @@ def gen_barabasi_albert(n: int, m: int, domain=SCALE_FREE_DOMAIN,
     return _quadratic_instance(n, edges, domain, coeff_range, rng)
 
 
-def _sensor_distance_sq(cell_a: tuple[int, int], cell_b: tuple[int, int]) -> Expression:
-    """Squared distance between two sensors, offset by their cell origins.
+def _sensor_distance_sq(d_row: int, d_col: int) -> Expression:
+    """Squared distance between two sensors whose cells lie d_row rows and
+    d_col columns apart (first cell minus second), offset by the cell origins.
 
     The +1 keeps the distance strictly positive even when two sensors in
     adjacent cells meet at the shared boundary, so the signal-strength ratio
     below stays finite everywhere in the domain box.
     """
-    (ra, ca), (rb, cb) = cell_a, cell_b
-    dx = SENSOR_CELL * (ca - cb)
-    dy = SENSOR_CELL * (ra - rb)
+    dx = SENSOR_CELL * d_col
+    dy = SENSOR_CELL * d_row
     along = Sub(Add(X0, Constant(dx)), X1)  # x_a + cell offset - x_b
     return Add(Add(Pow(along, 2), Constant(dy * dy)), Constant(1.0))
 
@@ -204,25 +204,27 @@ def gen_sensor_grid(rows: int, cols: int, seed: int = 0) -> CdcopInstance:
         raise ValueError(f"need rows, cols >= 2, got {rows}x{cols}")
     rng = np.random.default_rng(seed)
     n = rows * cols
-    cell = lambda r, c: r * cols + c
-    pairs = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                pairs.append(((r, c), (r, c + 1)))
-            if r + 1 < rows:
-                pairs.append(((r, c), (r + 1, c)))
+    # the distance subtree depends only on a pair's offset, so each offset's is
+    # shared, as is the strength leaf; trees are immutable
+    right, below = _sensor_distance_sq(0, -1), _sensor_distance_sq(-1, 0)
+    strength = Constant(SENSOR_STRENGTH)
+    pairs = []  # (a, b, distance) in ascending (a, b): a's right neighbour comes first
+    for a in range(n):
+        if (a + 1) % cols:
+            pairs.append((a, a + 1, right))
+        if a + cols < n:
+            pairs.append((a, a + cols, below))
+    # row i is function i's (ref_a, ref_b, noise): the doubles that per-function
+    # draws of two reference offsets and then one noise give
+    draws = rng.uniform((0.0, 0.0, 1.0), (SENSOR_CELL, SENSOR_CELL, 10.0),
+                        size=(len(pairs), 3)).tolist()
     functions = []
-    for fid, (ca, cb) in enumerate(sorted(pairs, key=lambda p: (cell(*p[0]), cell(*p[1])))):
-        ref_a, ref_b = rng.uniform(0.0, SENSOR_CELL, size=2)
-        noise = float(rng.uniform(1.0, 10.0))
+    for fid, ((a, b, distance), (ref_a, ref_b, noise)) in enumerate(zip(pairs, draws)):
         interference = Add(
-            Add(Pow(Sub(Constant(float(ref_a)), X0), 2),
-                Pow(Sub(Constant(float(ref_b)), X1), 2)),
+            Add(Pow(Sub(Constant(ref_a), X0), 2), Pow(Sub(Constant(ref_b), X1), 2)),
             Constant(noise),
         )
-        expr = Div(Constant(SENSOR_STRENGTH), Mul(_sensor_distance_sq(ca, cb), interference))
-        functions.append(CostFunction(fid, (cell(*ca), cell(*cb)), expr))
+        functions.append(CostFunction(fid, (a, b), Div(strength, Mul(distance, interference))))
     inst = CdcopInstance(
         num_agents=n,
         domains=(Domain(0.0, SENSOR_CELL),) * n,

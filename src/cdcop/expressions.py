@@ -121,8 +121,28 @@ class _Node:
         p.text(repr(self))
 
 
-# the generated __eq__ and __repr__ recurse; _Node's are used instead
-_node = dataclass(frozen=True, eq=False, repr=False, slots=True)
+def _node(cls):
+    """``cls`` as a frozen, slotted dataclass with ``_Node``'s ``==`` and
+    ``repr``, since the generated ones recurse.
+
+    Its ``__init__`` takes the fields as the generated one would, stores each
+    through its slot's descriptor, then runs ``__post_init__`` if the class
+    has one. The generated one stores each through ``object.__setattr__``,
+    which takes longer, and the parser and generators build every node.
+    """
+    cls = dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    body = [f"_set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        scope["_post_init"] = cls.__post_init__
+        body.append("_post_init(self)")
+    exec(f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body), scope)
+    init = scope["__init__"]
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**cls.__annotations__, "return": None}
+    cls.__init__ = init
+    return cls
 
 
 @_node

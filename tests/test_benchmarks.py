@@ -8,6 +8,7 @@ import pytest
 from cdcop import build_bfs, constraint_cost, validate_instance
 from cdcop.benchmarks import (
     FAMILIES,
+    SENSOR_STRENGTH,
     BenchSpec,
     GenerationFailed,
     gen_barabasi_albert,
@@ -16,8 +17,9 @@ from cdcop.benchmarks import (
     gen_sensor_grid,
     generate,
 )
-from cdcop.expressions import X0, X1, Div, Var, _postorder
-from cdcop.model import Domain, instance_from_json, instance_to_json
+from cdcop.expressions import X0, X1, Constant, Div, Var, _postorder, eval_expr
+from cdcop.model import (Domain, instance_from_json, instance_to_json, load_instance,
+                         save_instance)
 from cdcop.pseudotree import tree_edge_dump
 
 
@@ -131,6 +133,25 @@ class TestSensorGrid:
         with pytest.raises(ValueError):
             gen_sensor_grid(rows=1, cols=5)
 
+    def test_offsets_share_one_distance_subtree_and_one_strength_leaf(self, tmp_path):
+        """Each cell offset's squared-distance subtree is one object, as is
+        the strength leaf. At x_a = 10, x_b = 0 the subtree reads 1 for a
+        right-hand pair, whose sensors meet there, and 10^2 + 10^2 + 1 for a
+        lower pair."""
+        inst = gen_sensor_grid(rows=3, cols=4, seed=9)
+        offsets = {}  # each distance subtree's id: its subtree and the offsets b - a that hold it
+        for f in inst.functions:
+            a, b = f.scope
+            distance = f.expr.right.left
+            offsets.setdefault(id(distance), (distance, set()))[1].add(b - a)
+        assert sorted((eval_expr(distance, 10.0, 0.0), held)
+                      for distance, held in offsets.values()) == [(1.0, {1}), (201.0, {4})]
+        strength = inst.functions[0].expr.left
+        assert strength == Constant(SENSOR_STRENGTH)
+        assert all(f.expr.left is strength for f in inst.functions)
+        save_instance(inst, tmp_path / "sensor.json")
+        assert load_instance(tmp_path / "sensor.json") == inst
+
     @pytest.mark.parametrize("override", ["domain", "coeff_range"])
     def test_rejects_overrides(self, override):
         with pytest.raises(ValueError, match=f"takes no {override} override"):
@@ -207,7 +228,6 @@ class TestAllFamilies:
         samples = _random_in_domain(inst, rng, 1000)
         for fn in inst.functions:
             u, v = fn.scope
-            from cdcop.expressions import eval_expr
             vals = eval_expr(fn.expr, samples[u], samples[v])
             assert np.all(np.isfinite(vals))
 
