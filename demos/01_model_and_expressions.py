@@ -15,7 +15,6 @@ from cdcop import (
     constraint_cost,
     eval_expr,
     global_cost,
-    incident_functions,
     load_instance,
     parse_expr,
     save_instance,
@@ -43,8 +42,10 @@ instance = CdcopInstance(
     objective="min",
 )
 print("\nvalidation:", validate_instance(instance) or "ok")
-print("functions incident to agent 0:", incident_functions(instance, 0))
-print("functions incident to agent 1:", incident_functions(instance, 1))
+# Each agent's functions, ascending id: the order in which it sums their costs.
+# The table is made on first read and kept with the instance.
+for agent, functions in enumerate(instance.incident):
+    print(f"functions incident to agent {agent}:", [f.id for f in functions])
 
 assignment = [-1.0, 1.2, -2.0, 2.0]
 print(f"\nassignment {assignment}")

@@ -19,7 +19,6 @@ from .model import (
     InvalidInstanceError,
     constraint_cost,
     global_cost,
-    incident_functions,
     instance_from_json,
     instance_to_json,
     load_instance,

@@ -286,7 +286,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
-        print(f"error: {getattr(e, 'filename', '')}: {e.strerror or e}", file=sys.stderr)
+        where = "" if e.filename is None else f"{e.filename}: "  # ENOSPC, EPIPE name no file
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,7 @@ bit-identical to the message-passing one:
   constraints with equal programs share blocks, each bound to its buffers
   once. A cycle runs the blocks one by one, each gathering its own edges'
   endpoints just before its calls, into one buffer sized for the largest
-  block. It sums every agent's incident values in ascending function id,
+  block. It sums every agent's incident values in ``inst.incident`` order,
   starting from +0.0, as ``handle_values`` does, and gathers the values
   those sums read a chunk of columns at a time into one reused buffer.
 * :class:`TreeSchedule` adds children into parents along the COST routes of
@@ -21,7 +21,7 @@ bit-identical to the message-passing one:
 import numpy as np
 
 from .expressions import DivisionByZero, assemble, bind, eval_expr, fold
-from .model import CdcopInstance, incident_functions, zero_denominator
+from .model import CdcopInstance, zero_denominator
 from .runtime import COST, Traffic
 
 __all__ = ["LocalCosts", "TreeSchedule"]
@@ -56,7 +56,7 @@ class LocalCosts:
     function's values in place into its row of the value buffer.
 
     Each agent's sum starts at +0.0 and adds, or for maximization subtracts,
-    its incident values in ascending function id, as ``handle_values`` does.
+    its incident values in ``inst.incident`` order, as ``handle_values`` does.
     The sums run over the agents in descending degree, so the agents that
     take their j-th value are a prefix of that order and no row is padded;
     one gather puts them back in agent order. Column j holds the j-th values
@@ -92,8 +92,7 @@ class LocalCosts:
             for lo in range(0, len(members), block_edges):
                 block = members[lo:lo + block_edges]
                 rows = slice(len(row_of), len(row_of) + len(block))
-                for f, _ in block:
-                    row_of[f.id] = len(row_of)
+                row_of.update((f.id, row) for row, (f, _) in enumerate(block, rows.start))
                 scope = np.array([f.scope for f, _ in block], dtype=np.intp).T.copy()
                 block_ends = ends[:2 * len(block) * K].reshape(2, len(block), K)
                 consts = np.array([c for _, c in block], dtype=float).reshape(len(block), -1)
@@ -102,19 +101,17 @@ class LocalCosts:
                     *(temp[:len(block)] for temp in pool[:num_temps]),
                     *(_constant_operand(c, K) for c in consts.T)])))
 
-        self._functions = inst.functions
-        incident = [[row_of[fid] for fid in incident_functions(inst, agent)]
-                    for agent in range(inst.num_agents)]
+        self._incident = inst.incident
+        incident = [[row_of[f.id] for f in functions] for functions in inst.incident]
         # agents by descending degree (stable), and each agent's place in that order
         order = sorted(range(inst.num_agents), key=lambda agent: -len(incident[agent]))
         self._place = np.argsort(order)
-        width = len(incident[order[0]]) if order else 0
         self._accumulate = np.subtract if inst.sign < 0 else np.add
         # rows of agents with no incident function stay +0.0 from here on
         self._sorted = np.zeros((inst.num_agents, K))
         self._local = np.empty((inst.num_agents, K))
         columns = [[incident[agent][j] for agent in order if len(incident[agent]) > j]
-                   for j in range(width)]
+                   for j in range(max(map(len, incident), default=0))]
         chunks = []  # runs of consecutive columns
         for column in columns:
             if not chunks or sum(map(len, chunks[-1])) + len(column) > block_edges:
@@ -150,8 +147,8 @@ class LocalCosts:
                 for fn, args in calls:
                     fn(*args)
         except DivisionByZero:
-            # the agents meet the functions agent by agent, each in ascending id
-            for f in sorted(self._functions, key=lambda f: (min(f.scope), f.id)):
+            # the agents meet their functions agent by agent, in table order
+            for f in (g for functions in self._incident for g in functions):
                 try:
                     eval_expr(f.expr, x[f.scope[0]], x[f.scope[1]])
                 except DivisionByZero:

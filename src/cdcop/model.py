@@ -4,11 +4,13 @@ One agent owns one continuous variable. Each cost function couples two
 distinct variables through an expression tree. Maximization instances are
 handled by negating every function value at evaluation time, so the rest of
 the toolkit always minimizes; display helpers restore the original sign.
+``CdcopInstance.incident`` lists each agent's functions in summation order.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,6 @@ __all__ = [
     "InvalidInstanceError",
     "constraint_cost",
     "global_cost",
-    "incident_functions",
     "validate_instance",
     "zero_denominator",
     "load_instance",
@@ -75,6 +76,15 @@ class CdcopInstance:
     @property
     def num_edges(self) -> int:
         return len(self.functions)
+
+    @cached_property
+    def incident(self) -> tuple[tuple[CostFunction, ...], ...]:
+        """Each agent's functions in ascending id, the order the agent sums them in."""
+        out: list[list[CostFunction]] = [[] for _ in range(self.num_agents)]
+        for f in sorted(self.functions, key=lambda f: f.id):
+            for agent in f.scope:
+                out[agent].append(f)
+        return tuple(map(tuple, out))
 
     def edges(self) -> list[tuple[int, int]]:
         """Unordered constraint-graph edges as (min, max) pairs."""
@@ -144,11 +154,6 @@ def global_cost(inst: CdcopInstance, assignment) -> float:
         except DivisionByZero:
             raise zero_denominator(fn) from None
     return sign * total
-
-
-def incident_functions(inst: CdcopInstance, agent: int) -> list[int]:
-    """Ids of the functions whose scope contains the agent, ascending."""
-    return sorted(f.id for f in inst.functions if agent in f.scope)
 
 
 def validate_instance(inst: CdcopInstance) -> list[str]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .engine import LocalCosts, TreeSchedule
-from .model import CdcopInstance, incident_functions, zero_denominator
+from .model import CdcopInstance, zero_denominator
 from .expressions import DivisionByZero, compile_expr
 from .pseudotree import PseudoTree, build_bfs
 from .runtime import BestPayload, CycleStats, Message, MessageLog, Traffic, best_length
@@ -427,9 +427,7 @@ class SwarmAgent:
         self.x = agent_stream(cfg.seed, agent_id, 0).uniform(self.lb, self.ub, size=K)
         # incident terms: (evaluate(), neighbor's VALUE buffer, neighbor id, function)
         self.terms = []
-        by_id = {f.id: f for f in inst.functions}
-        for fid in incident_functions(inst, agent_id):
-            f = by_id[fid]
+        for f in inst.incident[agent_id]:
             received = np.empty(K)
             first = f.scope[0] == agent_id
             a, b = (self.x, received) if first else (received, self.x)

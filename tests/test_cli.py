@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 from pathlib import Path
 
@@ -128,6 +130,22 @@ def test_constriction_flags(tmp_path):
 def test_missing_instance_file_is_io_error(capsys):
     assert main(["solve", "/nonexistent/path.json", "-K", "4", "--cycles", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, want", [
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), "error: No space left on device\n"),
+    (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), "error: Broken pipe\n"),
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "out.csv"),
+     "error: out.csv: No space left on device\n"),
+], ids=["enospc", "epipe", "with_filename"])
+def test_os_error_is_one_error_line(monkeypatch, capsys, error, want):
+    """An OSError that names no file, as a full disk or a closed pipe raises,
+    prints its text alone; one that names a file prints the file first."""
+    def fail(cfg):
+        raise error
+    monkeypatch.setattr(cli, "config_to_json", fail)
+    assert main(["solve", "--print-defaults"]) == 2
+    assert capsys.readouterr().err == want
 
 
 def test_invalid_instance_rejected(tmp_path, capsys):

@@ -5,6 +5,8 @@ drives one ``SwarmAgent`` per agent through ``SyncRuntime``, the executable
 specification of a cycle. Every output must match bit for bit.
 """
 
+import copy
+import pickle
 import re
 import tempfile
 import tracemalloc
@@ -22,7 +24,6 @@ from cdcop.benchmarks import BenchSpec, generate
 from cdcop.engine import LocalCosts
 from cdcop.expressions import compile_expr, eval_expr
 from cdcop.experiment import write_trace_csv
-from cdcop.model import incident_functions
 from cdcop.runtime import SyncRuntime, write_message_log_csv
 from cdcop.swarm import (
     AdaptiveInertia,
@@ -179,6 +180,19 @@ def test_zero_denominator_names_the_function_that_meets_it():
         solve(inst, SwarmConfig(num_particles=4, t_max=3))
 
 
+def test_zero_denominator_is_met_agent_by_agent():
+    """Agent 0 meets function 1 before agent 2 meets function 0: the search
+    goes agent by agent, and by ascending id only within an agent."""
+    inst = make_instance(4, [((2, 3), "(/ x0 (- x1 x1))"), ((0, 1), "(/ x0 (- x1 x1))"),
+                             ((1, 2), "(* x0 x1)")])
+    cfg = SwarmConfig(num_particles=4, t_max=3)
+    with pytest.raises(DivisionByZero,
+                       match=r"^cycle 1: zero denominator in function 1, scope \(0, 1\)$"):
+        solve(inst, cfg)
+    with pytest.raises(DivisionByZero, match=r"^zero denominator in function 1, scope \(0, 1\)$"):
+        reference_solve(inst, cfg)
+
+
 def test_cycle_timing_is_recorded():
     inst = generate(replace(FAMILIES["tree"], seed=2))
     trace = solve(inst, SwarmConfig(num_particles=8, t_max=5))
@@ -244,11 +258,9 @@ def test_constant_column_keeps_a_lone_negative_zero():
 def _local_by_tree_walk(inst, x):
     """Every agent's local fitness by ``eval_expr``: its incident values, with
     the instance's sign, added in ascending function id onto +0.0."""
-    by_id = {f.id: f for f in inst.functions}
     local = np.zeros_like(x)
     for agent in range(inst.num_agents):
-        for fid in incident_functions(inst, agent):
-            f = by_id[fid]
+        for f in sorted((f for f in inst.functions if agent in f.scope), key=lambda f: f.id):
             local[agent] = local[agent] + inst.sign * eval_expr(f.expr, x[f.scope[0]], x[f.scope[1]])
     return local
 
@@ -382,6 +394,24 @@ def _check_random_run(inst, cfg, root, block_edges):
 
 
 _RANDOM = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_random_runs())
+def test_incident_table_is_each_agents_functions_in_ascending_id(run):
+    """``inst.incident`` holds what a per-agent scan finds, for instances with
+    permuted ids and for one with an extra agent that has no function; an
+    instance whose table was read copies to one that compares and hashes equal."""
+    inst = run[0]
+    lonely = replace(inst, num_agents=inst.num_agents + 1,
+                     domains=(*inst.domains, Domain(0.0, 1.0)))
+    for case in (inst, lonely):
+        assert [[f.id for f in functions] for functions in case.incident] == [
+            sorted(f.id for f in case.functions if agent in f.scope)
+            for agent in range(case.num_agents)]
+    assert lonely.incident[-1] == ()
+    for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert twin == inst and hash(twin) == hash(inst) and twin.incident == inst.incident
 
 
 @settings(_RANDOM, max_examples=200)

@@ -12,7 +12,6 @@ from cdcop import (
     InvalidInstanceError,
     constraint_cost,
     global_cost,
-    incident_functions,
     instance_from_json,
     instance_to_json,
     load_instance,
@@ -65,15 +64,16 @@ def test_max_negation_is_exact():
 
 
 def test_incident_functions(kite_instance):
-    assert incident_functions(kite_instance, 0) == [0, 1, 2]
-    assert incident_functions(kite_instance, 1) == [0]
-    assert incident_functions(kite_instance, 3) == [2, 3]
+    table = kite_instance.incident
+    assert [[f.id for f in functions] for functions in table] == [[0, 1, 2], [0], [1, 3], [2, 3]]
+    assert all(f is kite_instance.functions[f.id] for functions in table for f in functions)
+    assert kite_instance.incident is table  # made once per instance
 
 
 def test_incident_functions_isolated_agent():
     inst = CdcopInstance(1, (Domain(-1.0, 1.0),), (), "min")
     assert validate_instance(inst) == []
-    assert incident_functions(inst, 0) == []
+    assert inst.incident == ((),)
 
 
 def test_validate_ok(kite_instance):
@@ -246,7 +246,7 @@ def test_double_counting_identity(case):
     inst, asg = case
     per_agent = 0.0
     for agent in range(inst.num_agents):
-        for fid in incident_functions(inst, agent):
+        for fid in sorted(f.id for f in inst.functions if agent in f.scope):
             per_agent += constraint_cost(inst, fid, asg)
     total = global_cost(inst, asg)
     assert per_agent / 2.0 == pytest.approx(total, rel=1e-9, abs=1e-9)
