@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from .expressions import (
     DivisionByZero,
     Expression,
@@ -132,7 +130,10 @@ def constraint_cost(inst: CdcopInstance, fn_id: int, assignment) -> float:
     if fn is None:
         raise KeyError(f"no function with id {fn_id}")
     u, v = fn.scope
-    return inst.sign * eval_expr(fn.expr, assignment[u], assignment[v])
+    try:
+        return inst.sign * eval_expr(fn.expr, assignment[u], assignment[v])
+    except DivisionByZero:
+        raise zero_denominator(fn) from None
 
 
 def zero_denominator(f: CostFunction) -> DivisionByZero:
@@ -165,11 +166,16 @@ def validate_instance(inst: CdcopInstance) -> list[str]:
     if len(inst.domains) != inst.num_agents:
         out.append(f"expected {inst.num_agents} domains, got {len(inst.domains)}")
     for i, d in enumerate(inst.domains):
-        if not (np.isfinite(d.lb) and np.isfinite(d.ub)):
+        try:
+            finite = math.isfinite(d.lb) and math.isfinite(d.ub)
+        except OverflowError:  # an integer bound past the largest float
+            out.append(f"domain {i} has a bound too large for a float")
+            continue
+        if not finite:
             out.append(f"domain {i} has non-finite bounds [{d.lb}, {d.ub}]")
         elif d.lb >= d.ub:
             out.append(f"degenerate domain {i}: [{d.lb}, {d.ub}]")
-        elif not np.isfinite(d.ub - d.lb):  # positions are drawn uniformly over the width
+        elif not math.isfinite(float(d.ub) - float(d.lb)):  # positions are drawn uniformly over the width
             out.append(f"domain {i} is wider than the largest float: [{d.lb}, {d.ub}]")
     if inst.objective not in ("min", "max"):
         out.append(f"objective must be 'min' or 'max', got {inst.objective!r}")

@@ -418,7 +418,6 @@ class SwarmAgent:
         self.cfg = cfg
         self.is_root = agent_id == tree.root
         self.children = tree.children[agent_id]
-        self.parent = tree.parent[agent_id]
         dom = inst.domains[agent_id]
         self.lb, self.ub = dom.lb, dom.ub
 

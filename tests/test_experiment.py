@@ -137,6 +137,8 @@ def test_instance_file_source(tmp_path, kite_instance):
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError, match="variant"):
         run_experiment(_tiny_config(tmp_path, variants=["hcms"]))
+    with pytest.raises(ValueError, match="^variant list is empty$"):
+        run_experiment(_tiny_config(tmp_path, variants=[]))
     with pytest.raises(ValueError, match="variant 'pcd' is named twice"):
         run_experiment(_tiny_config(tmp_path, variants=["pcd", "pcd"]))
     with pytest.raises(ValueError, match="repeats"):

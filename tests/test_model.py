@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from cdcop import (
     CdcopInstance,
     CostFunction,
+    DivisionByZero,
     Domain,
     InvalidInstanceError,
     constraint_cost,
@@ -30,6 +31,14 @@ def test_single_constraint_by_hand(kite_instance):
     assert constraint_cost(kite_instance, 2, [-1.0, 0.0, 0.0, 2.0]) == pytest.approx(-6.0)
     with pytest.raises(KeyError, match="no function with id 9"):
         constraint_cost(kite_instance, 9, [-1.0, 0.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("cost", [lambda inst, asg: constraint_cost(inst, 0, asg), global_cost],
+                         ids=["constraint_cost", "global_cost"])
+def test_zero_denominator_names_the_function(cost):
+    inst = make_instance(2, [((0, 1), "(/ x0 (- x1 x1))")])
+    with pytest.raises(DivisionByZero, match=r"^zero denominator in function 0, scope \(0, 1\)$"):
+        cost(inst, [1.0, 2.0])
 
 
 def test_all_zero_assignment_vanishes(kite_instance):
@@ -84,6 +93,24 @@ def test_validate_degenerate_domain():
     inst = CdcopInstance(2, (Domain(0.0, 0.0), Domain(0.0, 1.0)),
                          (CostFunction(0, (0, 1), parse_expr("(* x0 x1)")),), "min")
     assert any("degenerate domain" in v for v in validate_instance(inst))
+
+
+def _pair_with(domain):
+    """Two agents joined by one function, agent 0 on ``domain``."""
+    return CdcopInstance(2, (domain, Domain(0.0, 1.0)), (CostFunction(0, (0, 1), Mul(X0, X1)),))
+
+
+@pytest.mark.parametrize("inst, violations", [
+    (CdcopInstance(0, (), ()), ["num_agents must be >= 1, got 0"]),
+    (_pair_with(Domain(10**300, 10**301)), []),
+    (_pair_with(Domain(0, 10**400)), ["domain 0 has a bound too large for a float"]),
+    (_pair_with(Domain(-10**308, 10**308)),
+     [f"domain 0 is wider than the largest float: [{-10**308}, {10**308}]"]),
+], ids=["no_agents", "huge_int_bounds", "int_past_float", "int_width_past_float"])
+def test_validate_an_instance_built_in_code(inst, violations):
+    """Integer bounds are checked as the floats they stand for, and one past
+    the largest float is one violation, not an exception."""
+    assert validate_instance(inst) == violations
 
 
 def test_validate_disconnected():

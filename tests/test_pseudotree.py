@@ -100,19 +100,100 @@ def test_validate_catches_non_neighbor_child(kite_instance):
                for v in validate_pseudo_tree(broken, kite_instance))
 
 
-@pytest.mark.parametrize("fields, violation", [
-    (lambda tree: {"root": 9}, "root 9 is not an agent index"),
-    (lambda tree: {"parent": (None, 7, 0, 0, 0, 0)}, "agent 1 has parent 7, not an agent index"),
-    (lambda tree: {"depth": tree.depth[:-1]}, "depth has 5 entries for 6 agents"),
-    (lambda tree: {"neighbors": tree.neighbors[:3]}, "neighbors has 3 entries for 6 agents"),
-], ids=["root", "parent", "depth", "neighbors"])
-def test_validate_reports_a_malformed_tree(fields, violation):
+@pytest.mark.parametrize("fields, violations", [
+    (lambda tree: {"root": 9}, ["root 9 is not an agent index"]),
+    (lambda tree: {"parent": (None, 7, 0, 0, 0, 0)}, ["agent 1 has parent 7, not an agent index"]),
+    (lambda tree: {"depth": tree.depth[:-1]}, ["depth has 5 entries for 6 agents"]),
+    (lambda tree: {"neighbors": tree.neighbors[:3]}, ["neighbors has 3 entries for 6 agents"]),
+    (lambda tree: {"neighbors": (tree.neighbors[0][:-1],) + tree.neighbors[1:]},
+     ["neighbor set of agent 0 does not match the constraint graph",
+      "child 5 of agent 0 is not a constraint-graph neighbor"]),
+    (lambda tree: {"parent": tree.parent[:3] + (None,) + tree.parent[4:]},
+     ["non-root agent 3 has no parent", "agent 3 depth 1 != 0"]),
+], ids=["root", "parent", "depth", "neighbors", "neighbor_set", "orphan"])
+def test_validate_reports_a_malformed_tree(fields, violations):
     """A root, parent or table that does not fit the agents is reported, not
-    met by an IndexError."""
+    met by an IndexError; so is a tree that breaks the graph or the depths."""
     inst = gen_erdos_renyi(n=6, p=0.5, seed=1)
     tree = build_bfs(inst, 0)
     broken = dataclasses.replace(tree, **fields(tree))
-    assert validate_pseudo_tree(broken, inst) == [violation]
+    assert validate_pseudo_tree(broken, inst) == violations
+
+
+def test_validate_reports_a_tree_of_another_instance():
+    tree = build_bfs(gen_erdos_renyi(n=6, p=0.5, seed=1), 0)
+    assert validate_pseudo_tree(tree, gen_erdos_renyi(n=5, p=0.5, seed=1)) == [
+        "tree covers 6 agents, instance has 5"]
+
+
+def _validate_with_chain_walk(tree, inst):
+    """``validate_pseudo_tree`` as it was when it also walked every agent's
+    parent chain: the reference the chain-free checks are held to."""
+    out = []
+    n = tree.num_agents
+    if n != inst.num_agents:
+        return [f"tree covers {n} agents, instance has {inst.num_agents}"]
+    out += [f"{name} has {len(table)} entries for {n} agents" for name, table in
+            (("depth", tree.depth), ("neighbors", tree.neighbors)) if len(table) != n]
+    if not 0 <= tree.root < n:
+        out.append(f"root {tree.root} is not an agent index")
+    out += [f"agent {v} has parent {p}, not an agent index"
+            for v, p in enumerate(tree.parent) if p is not None and not 0 <= p < n]
+    if out:
+        return out
+    if tree.parent[tree.root] is not None:
+        out.append(f"root {tree.root} has a parent")
+    for v in range(n):
+        if v != tree.root and tree.parent[v] is None:
+            out.append(f"non-root agent {v} has no parent")
+    for v in range(n):
+        u, steps = v, 0
+        while tree.parent[u] is not None and steps <= n:
+            u = tree.parent[u]
+            steps += 1
+        if u != tree.root:
+            out.append(f"parent chain from agent {v} does not reach the root")
+    expected = neighbor_table(n, (f.scope for f in inst.functions))
+    for v in range(n):
+        if tuple(tree.neighbors[v]) != expected[v]:
+            out.append(f"neighbor set of agent {v} does not match the constraint graph")
+        for c in tree.children[v]:
+            if c not in tree.neighbors[v]:
+                out.append(f"child {c} of agent {v} is not a constraint-graph neighbor")
+    for v in range(n):
+        p = tree.parent[v]
+        want = 0 if p is None else tree.depth[p] + 1
+        if tree.depth[v] != want:
+            out.append(f"agent {v} depth {tree.depth[v]} != {want}")
+    return out
+
+
+@st.composite
+def _edited_trees(draw):
+    """An er instance and its BFS tree with some parents, depths and the root
+    redrawn: a parent as None or any agent, a depth in -1..n, any root."""
+    n = draw(st.integers(2, 9))
+    inst = gen_erdos_renyi(n=n, p=draw(st.sampled_from([0.3, 0.5, 0.9])), seed=draw(st.integers(0, 99)))
+    tree = build_bfs(inst, draw(st.integers(0, n - 1)))
+    agents = st.integers(0, n - 1)
+    parent, depth = list(tree.parent), list(tree.depth)
+    for v in draw(st.lists(agents, max_size=3)):
+        parent[v] = draw(st.none() | agents)
+    for v in draw(st.lists(agents, max_size=3)):
+        depth[v] = draw(st.integers(-1, n))
+    root = draw(st.just(tree.root) | agents)
+    return dataclasses.replace(tree, root=root, parent=tuple(parent), depth=tuple(depth)), inst
+
+
+@given(_edited_trees())
+@settings(max_examples=300, deadline=None)
+def test_depth_checks_stand_in_for_the_chain_walk(case):
+    """Every tree whose parent chains loop or miss the root breaks another
+    check too: the violations are the chain walk's without its own lines."""
+    tree, inst = case
+    got, reference = validate_pseudo_tree(tree, inst), _validate_with_chain_walk(tree, inst)
+    assert got == [line for line in reference if not line.startswith("parent chain")]
+    assert (got == []) == (reference == [])  # the same verdict
 
 
 def test_ties_go_to_the_lowest_id():

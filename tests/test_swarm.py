@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -89,18 +90,24 @@ def test_config_defaults_valid():
     validate_config(SwarmConfig())
 
 
-@pytest.mark.parametrize("bad", [
-    SwarmConfig(num_particles=1),
-    SwarmConfig(num_particles=0),
-    SwarmConfig(c1=0.0),
-    SwarmConfig(max_sc=0),
-    SwarmConfig(t_max=0),
-    SwarmConfig(inertia=ConstrictionInertia(3.9), c1=1.95, c2=1.95),
-    SwarmConfig(inertia=ConstrictionInertia(4.1)),  # phi != c1 + c2
-    SwarmConfig(seed=-1),
-])
-def test_config_rejections(bad):
-    with pytest.raises(ConfigError):
+_REJECTED = [
+    (SwarmConfig(num_particles=1), "need at least 2 particles, got 1"),
+    (SwarmConfig(num_particles=0), "need at least 2 particles, got 0"),
+    (SwarmConfig(c1=0.0), "c1 and c2 must be positive, got 0.0, 1.49"),
+    (SwarmConfig(max_sc=0), "success/failure thresholds must be >= 1"),
+    (SwarmConfig(t_max=0), "t_max must be >= 1, got 0"),
+    (SwarmConfig(inertia=ConstrictionInertia(3.9), c1=1.95, c2=1.95),
+     "constriction requires phi = c1 + c2 > 4, got 3.9"),
+    (SwarmConfig(inertia=ConstrictionInertia(4.1)), "constriction phi 4.1 must equal c1 + c2 = 2.98"),
+    (SwarmConfig(seed=-1), "seed must be a non-negative integer, got -1"),
+    (SwarmConfig(inertia=AdaptiveInertia(w_max=0.3, w_min=0.5)),
+     "adaptive inertia needs w_max >= w_min"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _REJECTED, ids=[f"bad{i}" for i in range(len(_REJECTED))])
+def test_config_rejections(bad, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         validate_config(bad)
 
 
